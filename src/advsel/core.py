@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -57,7 +58,7 @@ class Instance:
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         return max(self.values)
 
@@ -80,7 +81,13 @@ class Instance:
         obj = json.loads(text) if isinstance(text, str) else text
         if not isinstance(obj, dict) or "values" not in obj:
             raise ValueError("instance JSON must be an object with a 'values' array")
-        return cls(values=tuple(obj["values"]), delta=float(obj.get("delta", 1.0)))
+        values, delta = obj["values"], obj.get("delta", 1.0)
+        if not isinstance(values, (list, tuple)) or \
+                not all(isinstance(v, numbers.Real) for v in values):
+            raise ValueError("instance 'values' must be an array of numbers")
+        if not isinstance(delta, numbers.Real):
+            raise ValueError("instance 'delta' must be a number")
+        return cls(values=tuple(values), delta=float(delta))
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,8 @@ class RngSeed:
 
     Sub-streams are derived through ``numpy.random.SeedSequence`` spawn keys,
     so per-trial generators are independent and independent of execution
-    order.
+    order. ``pcg64_states`` derives the same streams for a block of trials
+    at once.
     """
 
     seed: int
@@ -146,6 +154,92 @@ class RngSeed:
 
     def generator(self, *key: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.sequence(*key)))
+
+    def pcg64_states(self, lo: int, hi: int, role: int) -> list[dict]:
+        """PCG64 ``bit_generator.state`` of ``generator(t, role)`` for t in
+        lo..hi-1, ready to assign to a reused ``PCG64``.
+
+        Bit-identical to seeding through ``SeedSequence``: its pool hash runs
+        once for the whole block, on uint32 arrays with one entry per trial
+        from the trial word on (on Python ints for a single trial); PCG64's
+        ``srandom`` step then runs on Python ints. A trial index must fit one
+        32-bit word, so every trial's key has the same word layout.
+        """
+        if not 0 <= lo <= hi <= 2 ** 32:
+            raise ValueError(f"trial range {lo}..{hi} must lie within 0..2**32")
+        if role < 0:
+            raise ValueError("role must be non-negative")
+        trials = lo if hi - lo == 1 else np.arange(lo, hi, dtype=np.uint32)
+        words = _uint32_words(self.seed)
+        words += [0] * (_POOL_SIZE - len(words))  # padded: the key is spawned
+        words += [*_uint32_words(self.stream), trials, *_uint32_words(role)]
+        consts = _hash_consts(_INIT_A, _MULT_A)
+        pool = [_hashmix(w, *next(consts)) for w in words[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+        for word in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
+        # generate_state(4, uint64): 8 words cycling over the pool, read as
+        # little-endian uint64 pairs: seed high, seed low, inc high, inc low
+        consts = _hash_consts(_INIT_B, _MULT_B)
+        out = [np.asarray(_hashmix(pool[k % _POOL_SIZE], *next(consts)),
+                          dtype=np.uint64) for k in range(2 * _POOL_SIZE)]
+        seed_hi, seed_lo, inc_hi, inc_lo = [
+            (out[k] | out[k + 1] << 32).reshape(-1).tolist()
+            for k in range(0, 2 * _POOL_SIZE, 2)]
+        states = []
+        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc
+            states.append({"bit_generator": "PCG64",
+                           "state": {"state": state & _MASK128, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0})
+        return states
+
+
+# numpy's SeedSequence pool hash and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(const: int, mult: int):
+    """(xor, multiply) constants of successive SeedSequence hash steps."""
+    while True:
+        nxt = (const * mult) & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+# Values are Python ints or uint32 arrays; masking every product to 32 bits
+# keeps the two kinds interchangeable.
+
+def _hashmix(value, xor_c, mul_c):
+    value = ((value ^ xor_c) * mul_c) & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> _XSHIFT)
 
 
 def forced_winner(instance: Instance, i: int, j: int) -> Optional[int]:

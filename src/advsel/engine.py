@@ -43,9 +43,9 @@ class MatrixComparator:
     def beats(self, a, b):
         return self.matrix[a, b]
 
-    def pivot_round_mask(self, others, pivot):
-        # which of `others` beat the announced pivot
-        return self.matrix[others, pivot]
+    def pivot_round_mask(self, items, pivot):
+        # which of `items` beat the announced pivot (a fresh array)
+        return self.matrix[items, pivot]
 
     def wins_within(self, items):
         return self.matrix[np.ix_(items, items)].sum(axis=1)
@@ -64,8 +64,8 @@ class PivotKillerComparator:
         va, vb = self.values[a], self.values[b]
         return (va - vb > self.delta) | ((np.abs(va - vb) <= self.delta) & (a < b))
 
-    def pivot_round_mask(self, others, pivot):
-        return self.values[others] >= self.values[pivot] - self.delta
+    def pivot_round_mask(self, items, pivot):
+        return self.values[items] >= self.values[pivot] - self.delta
 
     def wins_within(self, items):
         sub = self.beats(items[:, None], items[None, :])
@@ -146,14 +146,20 @@ def modified_knockout_fast(cmp, epsilon: float, items, rng,
     return winner, queries + q
 
 
+def _beats_pivot(cmp, items: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the items that beat the pivot items[p]; the pivot itself is
+    never set, so the mask keeps the others in their order."""
+    mask = cmp.pivot_round_mask(items, int(items[p]))
+    mask[p] = False
+    return mask
+
+
 def _quickselect_round_fast(cmp, items: np.ndarray, rng) -> tuple[np.ndarray, int]:
     m = len(items)
     if m == 1:
         return items, 0
     p = int(rng.integers(m))
-    pivot = int(items[p])
-    others = np.delete(items, p)
-    survivors = others[cmp.pivot_round_mask(others, pivot)]
+    survivors = items[_beats_pivot(cmp, items, p)]
     if len(survivors) == 0:
         survivors = items[p:p + 1]
     return survivors, m - 1
@@ -212,30 +218,28 @@ def combined_select_fast(cmp, epsilon: float, items, rng,
 def quick_sort_fast(cmp, items, rng) -> tuple[np.ndarray, int]:
     items = _items_array(cmp, items)
     queries = 0
-    out = np.empty(len(items), dtype=np.int64)
-    pos = 0
-    stack: list[tuple[bool, object]] = [(False, items)]
+    out = items.copy()  # a single item is already in place
+    # segments of two or more items wait with their offset in `out`; pivots
+    # and single items are written straight to theirs. The winners' side is
+    # popped first, so the draws come in the session's depth-first order.
+    stack = [(items, 0)] if len(items) > 1 else []
     while stack:
-        emit, payload = stack.pop()
-        if emit:
-            out[pos] = payload
-            pos += 1
-            continue
-        arr: np.ndarray = payload  # type: ignore[assignment]
+        arr, start = stack.pop()
         m = len(arr)
-        if m <= 1:
-            if m:
-                out[pos] = arr[0]
-                pos += 1
-            continue
         p = int(rng.integers(m))
-        pivot = int(arr[p])
-        others = np.delete(arr, p)
-        mask = cmp.pivot_round_mask(others, pivot)
+        mask = _beats_pivot(cmp, arr, p)
+        winners = arr[mask]
+        mask = ~mask
+        mask[p] = False
+        losers = arr[mask]
         queries += m - 1
-        stack.append((False, others[~mask]))
-        stack.append((True, pivot))
-        stack.append((False, others[mask]))
+        mid = start + len(winners)
+        out[mid] = arr[p]
+        for seg, offset in ((losers, mid + 1), (winners, start)):
+            if len(seg) > 1:
+                stack.append((seg, offset))
+            elif len(seg):
+                out[offset] = seg[0]
     return out, queries
 
 

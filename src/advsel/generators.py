@@ -26,8 +26,10 @@ __all__ = [
 
 GRID = 2 ** 20
 
-GENERATOR_NAMES = ("zeros", "distinct", "uniform01", "zeroone", "lemma1",
-                   "lemma2", "seqhard", "komodhard")
+# name -> number of integer arguments after the colon
+_ARITY = {"zeros": 1, "distinct": 1, "uniform01": 1, "zeroone": 1,
+          "lemma1": 1, "lemma2": 1, "seqhard": 2, "komodhard": 1}
+GENERATOR_NAMES = tuple(_ARITY)
 
 
 def make_zeros(n: int) -> Instance:
@@ -62,10 +64,15 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     """Build an instance (and, for the named constructions, its graph) from a
     spec string like ``zeros:10``, ``uniform01:100`` or ``seqhard:3,3``."""
     name, _, arg = spec.partition(":")
+    if name not in _ARITY:
+        raise ValueError(f"unknown generator {name!r} (expected one of {GENERATOR_NAMES})")
     try:
         args = [int(a) for a in arg.split(",")] if arg else []
     except ValueError:
         raise ValueError(f"bad generator arguments in {spec!r}") from None
+    if len(args) != _ARITY[name]:
+        raise ValueError(f"generator {name!r} takes {_ARITY[name]} "
+                         f"integer argument(s), got {spec!r}")
     if name == "zeros":
         return make_zeros(*args), None
     if name == "distinct":
@@ -81,9 +88,5 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     if name in ("lemma1", "lemma2"):
         return build_construction(name, {"n": args[0], "seed": rng})
     if name == "seqhard":
-        if len(args) != 2:
-            raise ValueError("seqhard takes r,s")
         return build_construction("seq-hard", {"r": args[0], "s": args[1]})
-    if name == "komodhard":
-        return build_construction("komod-hard", {"n": args[0], "seed": rng})
-    raise ValueError(f"unknown generator {name!r} (expected one of {GENERATOR_NAMES})")
+    return build_construction("komod-hard", {"n": args[0], "seed": rng})

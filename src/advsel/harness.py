@@ -5,7 +5,9 @@ concentration bound.
 
 Reproducibility contract: identical config (seed included) gives bitwise
 identical results regardless of worker count, because every trial derives its
-own generators from (seed, stream, trial-index) seed sequences.
+own generators from (seed, stream, trial-index) seed sequences. A block of
+trials derives those generator states together, bit-identical to seeding each
+one through ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .adversary import (ComparatorSession, TournamentGraph,
                         adversary_from_spec)
 from .algorithms import (combined_select, complete_tournament, modified_knockout,
                          quick_select, sequential_select)
-from .core import Instance, is_t_sorted
+from .core import Instance, RngSeed, is_t_sorted
 from .generators import parse_generator
 from .sorting import complete_sort, quick_sort
 
@@ -86,8 +88,9 @@ class TrialConfig:
         if self.algorithm not in ALGORITHM_IDS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"expected one of {ALGORITHM_IDS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= 2 ** 32:
+            # a trial index is one 32-bit word of its generator's spawn key
+            raise ValueError("trials must be between 1 and 2**32")
         if self.t < 0:
             raise ValueError("t must be >= 0")
         normalize_adversary(self.adversary)
@@ -253,6 +256,31 @@ def _run_engine(algorithm, cmp, rng, epsilon, record_sizes):
 ENGINE_ALGORITHMS = ("compl", "ko-mod", "q-select", "comb", "compl-sort", "q-sort")
 
 
+# trials whose generator states are derived in one step
+_SEED_CHUNK = 1024
+
+
+class _TrialStreams:
+    """The generators of one role for the trials of a block: one PCG64 and
+    Generator, set to each trial's state in turn. States are derived
+    ``chunk`` trials at a time, so memory stays bounded on long blocks."""
+
+    def __init__(self, root: RngSeed, role: int, hi: int, chunk: int):
+        self.root, self.role, self.hi, self.chunk = root, role, hi, chunk
+        self.first = 0
+        self.states: list[dict] = []
+        self.generator = np.random.Generator(np.random.PCG64(0))
+
+    def at(self, t: int) -> np.random.Generator:
+        k = t - self.first
+        if not 0 <= k < len(self.states):
+            self.first, k = t, 0
+            self.states = self.root.pcg64_states(
+                t, min(t + self.chunk, self.hi), self.role)
+        self.generator.bit_generator.state = self.states[k]
+        return self.generator
+
+
 def _trial_block(config: TrialConfig, lo: int, hi: int,
                  collect_sizes: bool, use_engine: bool = True):
     """Run trials lo..hi-1 and return (errors, queries, round_sizes)."""
@@ -267,26 +295,27 @@ def _trial_block(config: TrialConfig, lo: int, hi: int,
     queries = np.zeros(hi - lo, dtype=np.int64)
     all_sizes: list = []
 
-    def sub_rng(t: int, sub: int) -> np.random.Generator:
-        # (seed, stream, trial, substream): order-independent derivation,
-        # built lazily because seeding dominates cheap trials
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(config.stream, t, sub))))
+    # (seed, stream, trial, role) streams; a static build draws only once
+    root = RngSeed(config.seed, config.stream)
+    instance_rngs = _TrialStreams(root, 0, hi, 1 if static_instance else _SEED_CHUNK)
+    adversary_rngs = _TrialStreams(root, 1, hi, 1 if static_adversary else _SEED_CHUNK)
+    alg_rngs = _TrialStreams(root, 2, hi, _SEED_CHUNK)
 
     for t in range(lo, hi):
         if static_instance and cached_instance is not None:
             instance, cgraph = cached_instance, cached_graph
         else:
-            instance, cgraph = source.build(sub_rng(t, 0))
+            instance, cgraph = source.build(instance_rngs.at(t))
             if static_instance:
                 cached_instance, cached_graph = instance, cgraph
         if static_adversary and cached_adv is not None:
             adversary = cached_adv
         else:
-            adversary = _build_adversary(adv_spec, instance, cgraph, sub_rng(t, 1))
+            adversary = _build_adversary(adv_spec, instance, cgraph,
+                                         adversary_rngs.at(t))
             if static_adversary:
                 cached_adv = adversary
-        alg_rng = sub_rng(t, 2)
+        alg_rng = alg_rngs.at(t)
         sizes: Optional[list] = [] if collect_sizes else None
 
         cmp = engine.comparator_for(instance, adversary) if use_engine else None
@@ -315,11 +344,14 @@ def _worker(args):
 
 
 def _worker_count() -> int:
+    """ADVSEL_THREADS, capped at the core count so no value can fork more
+    processes than the machine runs at once."""
     raw = os.environ.get("ADVSEL_THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def run_trials(config: TrialConfig, collect_sizes: bool = False,

@@ -21,6 +21,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def assert_one_line_input_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSelect:
     def test_pivot_killer_example(self, capsys):
         code, out = run_cli(capsys, "select", "--gen", "zeros:10",
@@ -77,6 +85,18 @@ class TestSelect:
         code, _ = run_cli(capsys, "select", "--gen", "nope:3",
                           "--algo", "compl", "--seed", "1")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("gen", ["zeros:", "uniform01:", "lemma1:",
+                                     "komodhard:", "seqhard:3", "zeros:3,4"])
+    def test_generator_arity_one_line_error(self, capsys, gen):
+        assert_one_line_input_error(
+            capsys, "select", "--algo", "q-select", "--gen", gen, "--seed", "1")
+
+    def test_non_array_values_one_line_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"values": 5}')
+        assert_one_line_input_error(
+            capsys, "select", "--file", str(bad), "--algo", "compl", "--seed", "1")
 
     def test_bad_algo(self, capsys):
         code, _ = run_cli(capsys, "select", "--gen", "zeros:3",

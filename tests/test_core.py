@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +45,13 @@ class TestInstance:
 
     def test_json_default_delta(self):
         assert Instance.from_json('{"values": [1, 2]}').delta == 1.0
+
+    @pytest.mark.parametrize("text", ['{"values": 5}', '{"values": "12"}',
+                                      '{"values": [1, null]}', '{"values": [[1]]}',
+                                      '{"values": [1], "delta": null}'])
+    def test_json_wrong_types_rejected(self, text):
+        with pytest.raises(ValueError):
+            Instance.from_json(text)
 
 
 class TestForcedWinner:
@@ -166,3 +174,42 @@ class TestRngSeed:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             RngSeed(-1)
+
+
+def _spawned(seed, stream, t, role):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(stream, t, role))))
+
+
+_KEY_RNG = np.random.default_rng(2016)
+# (seed, stream, first trial, block length)
+SEED_KEYS = [(0, 0, 0, 6), (0, 0, 7, 1), (2 ** 32, 0, 0, 3),
+             (2 ** 32 - 1, 2 ** 32, 5, 4), (2 ** 62 - 1, 2 ** 40 + 3, 1000, 5),
+             (2 ** 62 - 1, 0, 2 ** 32 - 3, 3), (2 ** 130 + 9, 2 ** 64 + 1, 9, 2),
+             (5, 1, 3, 0)] + [
+    (int(_KEY_RNG.integers(2 ** 62)), int(_KEY_RNG.integers(2 ** 34)),
+     int(_KEY_RNG.integers(10 ** 6)), int(_KEY_RNG.integers(1, 9)))
+    for _ in range(12)]
+
+
+class TestBlockSeeding:
+    @pytest.mark.parametrize("key", SEED_KEYS)
+    def test_matches_seed_sequence(self, key):
+        seed, stream, lo, count = key
+        for role in (0, 1, 2):
+            states = RngSeed(seed, stream).pcg64_states(lo, lo + count, role)
+            assert len(states) == count
+            gen = np.random.Generator(np.random.PCG64(0))
+            for t, state in zip(range(lo, lo + count), states):
+                gen.bit_generator.state = state
+                want = _spawned(seed, stream, t, role)
+                assert gen.bit_generator.state == want.bit_generator.state
+                assert np.array_equal(gen.integers(0, 1000, size=6),
+                                      want.integers(0, 1000, size=6))
+                assert np.array_equal(gen.permutation(12), want.permutation(12))
+
+    def test_trial_beyond_one_word_rejected(self):
+        with pytest.raises(ValueError):
+            RngSeed(1).pcg64_states(2 ** 32 - 1, 2 ** 32 + 1, 0)
+        with pytest.raises(ValueError):
+            RngSeed(1).pcg64_states(3, 2, 0)

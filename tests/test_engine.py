@@ -69,6 +69,31 @@ def test_sort_parity(case):
     assert sess.queries == q
 
 
+# sizes where quick-sort segments are all pivots and single items, and an
+# all-equal instance, where every pair is free
+EDGE_INSTANCES = [Instance((0.0,)), Instance((0.0, 3.0)), Instance((2.0, 2.0)),
+                  Instance((0.0, 1.0, 5.0)), Instance((4.0, 0.0, 2.0)),
+                  Instance((1.0,) * 9)]
+
+
+@pytest.mark.parametrize("kind", POLICIES)
+@pytest.mark.parametrize("inst", EDGE_INSTANCES, ids=lambda i: str(i.values))
+def test_small_and_all_equal_parity(inst, kind):
+    rng = np.random.default_rng(inst.n)
+    adv = PivotKiller() if kind == "pivot-killer" else build_nonadaptive(inst, kind, rng)
+    cmp_ = engine.comparator_for(inst, adv)
+    for seed in range(8):
+        sess = ComparatorSession(inst, adv, record=False)
+        res = quick_sort(sess, rng=RngSeed(seed).generator())
+        order, q = engine.quick_sort_fast(cmp_, None, RngSeed(seed).generator())
+        assert (res.order, sess.queries) == (tuple(order.tolist()), q)
+
+        sess = ComparatorSession(inst, adv, record=False)
+        res = quick_select(sess, rng=RngSeed(seed).generator())
+        w, q = engine.quick_select_fast(cmp_, None, RngSeed(seed).generator())
+        assert (res.winner, sess.queries) == (w, q)
+
+
 def test_comb_round_sizes_parity():
     rng = np.random.default_rng(7)
     for _ in range(20):

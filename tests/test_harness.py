@@ -1,8 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from advsel import harness
+from advsel.adversary import ComparatorSession, build_nonadaptive
+from advsel.algorithms import quick_select
+from advsel.core import RngSeed
+from advsel.generators import parse_generator
 from advsel.harness import (CSV_HEADER, TrialConfig, check_concentration,
                             csv_row, estimate, run_trials, wilson_interval)
 
@@ -34,6 +40,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrialConfig(algorithm="compl", instance="zeros:4",
                         adversary="random", trials=0)
+        with pytest.raises(ValueError):  # a trial index past one 32-bit word
+            TrialConfig(algorithm="compl", instance="zeros:4",
+                        adversary="random", trials=2 ** 32 + 1)
 
     def test_json_requires_seed(self):
         with pytest.raises(ValueError):
@@ -132,6 +141,28 @@ class TestReproducibility:
         parallel = run_trials(cfg)
         assert np.array_equal(serial.errors, parallel.errors)
         assert np.array_equal(serial.queries, parallel.queries)
+
+    def test_block_streams_match_per_trial_seeding(self, monkeypatch):
+        # a chunk of 3 puts state-derivation boundaries inside the run
+        monkeypatch.setattr(harness, "_SEED_CHUNK", 3)
+        cfg = TrialConfig(algorithm="q-select", instance="uniform01:12",
+                          adversary="random", t=0.0, trials=10, seed=2 ** 40,
+                          stream=7)
+        data = run_trials(cfg)
+        root = RngSeed(cfg.seed, cfg.stream)
+        for t in range(cfg.trials):
+            inst, _ = parse_generator(cfg.instance, root.generator(t, 0))
+            adv = build_nonadaptive(inst, "random", root.generator(t, 1))
+            session = ComparatorSession(inst, adv, record=False)
+            winner = quick_select(session, rng=root.generator(t, 2)).winner
+            assert data.queries[t] == session.queries
+            assert data.errors[t] == (inst.values[winner] < inst.max_value)
+
+    def test_worker_count_capped_at_cores(self, monkeypatch):
+        monkeypatch.setenv("ADVSEL_THREADS", "100000")
+        assert harness._worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv("ADVSEL_THREADS", "0")
+        assert harness._worker_count() == 1
 
     def test_round_sizes_collection(self):
         cfg = TrialConfig(algorithm="comb", instance="zeros:30",

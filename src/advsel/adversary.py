@@ -2,11 +2,12 @@
 and the named hard constructions, all queried through one session interface.
 
 A non-adaptive adversary is a complete orientation of all index pairs, fixed
-before the first query. An adaptive strategy decides each answer online from
-the query history (plus an optional pivot hint). Either way, pairs whose value
-gap exceeds delta are forced: the session returns the larger value's index no
-matter what the adversary says, and counts the disagreement as a model
-violation.
+before the first query: a dense matrix (``TournamentGraph``) or a rule
+evaluated on demand (``RuleTournament``). An adaptive strategy decides each
+answer online from the query history (plus an optional pivot hint). Either
+way, pairs whose value gap exceeds delta are forced: the session returns the
+larger value's index no matter what the adversary says, and counts the
+disagreement as a model violation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .core import Instance, InvalidQueryError, QueryLog, RngSeed, forced_winner
 
 __all__ = [
     "TournamentGraph",
+    "RuleTournament",
+    "PolicyTournament",
+    "KomodTournament",
     "AdaptiveStrategy",
     "PivotKiller",
     "MemoizedStrategy",
@@ -31,12 +35,34 @@ __all__ = [
     "sequential_hard_instance",
     "komod_hard_instance",
     "adversary_from_spec",
+    "DENSE_CELL_BUDGET",
+    "fits_dense_budget",
+    "check_dense_budget",
 ]
 
 NONADAPTIVE_POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins", "random")
 
 # Dense-matrix graphs get unwieldy past this size.
 MAX_CONSTRUCTION_SIZE = 4096
+
+# Most cells (one byte each) an n x n matrix may have. Every dense build checks
+# it before allocating, so an oversized input is a ValueError, not an attempt
+# at gigabytes.
+DENSE_CELL_BUDGET = 1 << 26
+
+# Rules are evaluated over blocks of at most this many pairs at a time, so
+# their float64 temporaries stay a few MB whatever n is.
+_BLOCK_CELLS = 1 << 18
+
+
+def fits_dense_budget(n: int) -> bool:
+    return n * n <= DENSE_CELL_BUDGET
+
+
+def check_dense_budget(n: int, what: str) -> None:
+    if not fits_dense_budget(n):
+        raise ValueError(f"{what} would need a dense {n}x{n} matrix ({n * n} cells), "
+                         f"over the budget of {DENSE_CELL_BUDGET} cells")
 
 
 class AdversaryProtocolError(RuntimeError):
@@ -48,6 +74,8 @@ class TournamentGraph:
 
     ``matrix[i, j]`` is True iff i beats j. Exactly one of ``matrix[i, j]``
     and ``matrix[j, i]`` holds for i != j; the diagonal is False.
+    Subclasses answer from a rule instead and have no ``matrix``; callers
+    that need one ask ``dense()``.
     """
 
     __slots__ = ("matrix",)
@@ -71,8 +99,15 @@ class TournamentGraph:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def dense(self) -> "TournamentGraph":
+        return self
+
+    def beats(self, a, b):
+        """Whether a beats b, elementwise over index arrays."""
+        return self.matrix[a, b]
+
     def winner(self, i: int, j: int) -> int:
-        return i if self.matrix[i, j] else j
+        return i if self.beats(i, j) else j
 
     def out_degrees(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
@@ -82,13 +117,13 @@ class TournamentGraph:
             return False
         diff = instance.values_array[:, None] - instance.values_array[None, :]
         # every pair with gap > delta must be oriented toward the larger value
-        return not ((diff > instance.delta) & ~self.matrix).any()
+        return not ((diff > instance.delta) & ~self.dense().matrix).any()
 
     def validate_for(self, instance: Instance) -> "TournamentGraph":
         if instance.n != self.n:
             raise ValueError(f"graph has {self.n} nodes, instance has {instance.n}")
         diff = instance.values_array[:, None] - instance.values_array[None, :]
-        bad = np.argwhere((diff > instance.delta) & ~self.matrix)
+        bad = np.argwhere((diff > instance.delta) & ~self.dense().matrix)
         if len(bad):
             i, j = bad[0]
             raise ValueError(
@@ -100,10 +135,15 @@ class TournamentGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "TournamentGraph":
         """Build from an explicit edge list of (i, j, winner) triples."""
+        check_dense_budget(n, "an explicit edge list")
         matrix = np.zeros((n, n), dtype=bool)
         seen = np.zeros((n, n), dtype=bool)
-        for i, j, w in edges:
-            i, j, w = int(i), int(j), int(w)
+        for edge in edges:
+            try:
+                i, j, w = (int(x) for x in edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad edge {edge!r}: expected [i, j, winner] "
+                                 "integers") from None
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge pair ({i}, {j})")
             if w not in (i, j):
@@ -117,9 +157,68 @@ class TournamentGraph:
         return cls(matrix)
 
     def edges(self):
+        matrix = self.dense().matrix
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                yield (i, j, i if self.matrix[i, j] else j)
+                yield (i, j, i if matrix[i, j] else j)
+
+
+class RuleTournament(TournamentGraph):
+    """A tournament given by a rule on indices and evaluated on demand:
+    ``beats`` costs O(1) per pair and no n x n matrix exists until
+    ``dense()`` builds one (once, within ``DENSE_CELL_BUDGET``).
+
+    A rule is also a strategy that ignores the query history, so a session
+    can ask it pair by pair through ``decide`` when a dense matrix would not
+    fit the budget.
+    """
+
+    __slots__ = ("_n", "_dense")
+
+    def __init__(self, n: int):
+        self._n = n
+        self._dense: Optional[TournamentGraph] = None
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    def beats(self, a, b):
+        raise NotImplementedError
+
+    def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """beats over the grid rows x cols."""
+        return self.beats(rows[:, None], cols[None, :])
+
+    def _blocks(self, rows: np.ndarray, cols: np.ndarray):
+        """(first row, beats over rows x cols) for blocks of rows, so no
+        temporary exceeds _BLOCK_CELLS pairs."""
+        step = max(1, _BLOCK_CELLS // max(len(cols), 1))
+        for lo in range(0, len(rows), step):
+            yield lo, self._beats_grid(rows[lo:lo + step], cols)
+
+    def wins_within(self, items: np.ndarray) -> np.ndarray:
+        """Wins of each of ``items`` against the others."""
+        wins = np.empty(len(items), dtype=np.int64)
+        for lo, block in self._blocks(items, items):
+            wins[lo:lo + len(block)] = block.sum(axis=1)
+        return wins
+
+    def out_degrees(self) -> np.ndarray:
+        return self.wins_within(np.arange(self._n))
+
+    def dense(self) -> TournamentGraph:
+        if self._dense is None:
+            check_dense_budget(self._n, f"a dense copy of {type(self).__name__}")
+            idx = np.arange(self._n)
+            matrix = np.empty((self._n, self._n), dtype=bool)
+            for lo, block in self._blocks(idx, idx):
+                matrix[lo:lo + len(block)] = block
+            self._dense = TournamentGraph(matrix, check=False)
+        return self._dense
+
+    def decide(self, instance, i, j, log, pivot):
+        return self.winner(i, j)
 
 
 @runtime_checkable
@@ -189,12 +288,14 @@ class ComparatorSession:
         self._values = instance.values
         self._delta = instance.delta
         self._n = instance.n
+        self._matrix = None
         if isinstance(adversary, TournamentGraph):
             if adversary.n != instance.n:
                 raise ValueError("graph size does not match instance")
-            self._matrix = adversary.matrix
-        else:
-            self._matrix = None
+            # a rule too large for a matrix is asked through decide()
+            if fits_dense_budget(adversary.n) or \
+                    not isinstance(adversary, RuleTournament):
+                self._matrix = adversary.dense().matrix
 
     @property
     def n_items(self) -> int:
@@ -232,17 +333,55 @@ class ComparatorSession:
         return answer
 
 
-def _pair_masks(instance: Instance):
-    v = instance.values_array
-    diff = v[:, None] - v[None, :]
-    off = ~np.eye(instance.n, dtype=bool)
-    forced = diff > instance.delta
-    free = (np.abs(diff) <= instance.delta) & off
-    return diff, forced, free
+class PolicyTournament(RuleTournament):
+    """A non-adaptive policy as a rule on the instance's values: a pair whose
+    gap exceeds delta goes to the larger value, a free pair to the policy's
+    choice. ``coin`` holds the fair coins of the ``random`` policy; only
+    ``coin[min(a, b), max(a, b)]`` is read, as a's win when a < b."""
+
+    __slots__ = ("instance", "policy", "coin", "_values", "_delta")
+
+    def __init__(self, instance: Instance, policy: str,
+                 coin: Optional[np.ndarray] = None):
+        super().__init__(instance.n)
+        if (policy == "random") != (coin is not None):
+            raise ValueError("the random policy and only it takes a coin array")
+        self.instance, self.policy, self.coin = instance, policy, coin
+        self._values = instance.values_array
+        self._delta = instance.delta
+
+    def beats(self, a, b):
+        coin = None
+        if self.coin is not None:
+            coin = self.coin[np.minimum(a, b), np.maximum(a, b)] ^ (a > b)
+        return self._orient(a, b, coin)
+
+    def _beats_grid(self, rows, cols):
+        coin = None
+        if self.coin is not None:
+            # whole-row gathers: far cheaper than one gather per pair
+            coin = np.where(rows[:, None] < cols, self.coin[rows][:, cols],
+                            ~self.coin[cols][:, rows].T)
+        return self._orient(rows[:, None], cols[None, :], coin)
+
+    def _orient(self, a, b, coin):
+        """Whether a beats b; ``coin`` holds a's coin for each pair under
+        the random policy."""
+        d = self._values[a] - self._values[b]
+        if self.policy == "larger-wins":
+            # ties go to the lower index; every gap above zero is a win
+            return (d > 0) | ((d == 0) & (a < b))
+        if self.policy == "smaller-wins":
+            pref = (d < 0) | ((d == 0) & (a < b))
+        elif self.policy == "lower-index-wins":
+            pref = a < b
+        else:
+            pref = coin & (a != b)
+        return (d > self._delta) | ((np.abs(d) <= self._delta) & pref)
 
 
 def build_nonadaptive(instance: Instance, free_edge_policy: str,
-                      rng=None) -> TournamentGraph:
+                      rng=None) -> PolicyTournament:
     """Complete, valid, frozen graph with free pairs oriented per policy.
 
     Policies: ``larger-wins`` / ``smaller-wins`` (value ties go to the lower
@@ -250,48 +389,49 @@ def build_nonadaptive(instance: Instance, free_edge_policy: str,
     independent fair coin, drawn eagerly so the graph is fixed before any
     query). ``smaller-wins`` realizes the min-on-ties adversary. ``rng`` may
     be a Generator, an RngSeed, or a plain seed; only ``random`` uses it.
+    The graph is a rule on the values; only ``random`` stores n x n coins.
     """
     policy = "random" if free_edge_policy == "seeded-random" else free_edge_policy
     if policy not in NONADAPTIVE_POLICIES:
         raise ValueError(f"unknown policy {free_edge_policy!r}")
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        rng = _seed_rng(rng)
+    if policy != "random":
+        return PolicyTournament(instance, policy)
+    if rng is None:
+        raise ValueError("random policy needs a generator")
     n = instance.n
-    diff, forced, free = _pair_masks(instance)
-    idx = np.arange(n)
-    lower = idx[:, None] < idx[None, :]
-    if policy == "larger-wins":
-        pref = (diff > 0) | ((diff == 0) & lower)
-    elif policy == "smaller-wins":
-        pref = (diff < 0) | ((diff == 0) & lower)
-    elif policy == "lower-index-wins":
-        pref = lower
-    else:
-        if rng is None:
-            raise ValueError("random policy needs a generator")
-        coin = rng.integers(0, 2, size=(n, n), dtype=np.uint8).view(bool)
-        pref = (lower & coin) | (~lower & ~coin.T)
-    return TournamentGraph(forced | (free & pref), check=False)
+    check_dense_budget(n, "the random policy's coins")
+    coin = _seed_rng(rng).integers(0, 2, size=(n, n), dtype=np.uint8).view(bool)
+    return PolicyTournament(instance, policy, coin)
 
 
-def _near_regular(group: int) -> np.ndarray:
-    """Tournament on ``group`` nodes with out-degrees as equal as possible:
-    node a beats a+1 .. a+floor((g-1)/2) cyclically, and for even g the
-    antipodal pair goes to the lower position."""
-    g = group
-    if g == 0:
-        return np.zeros((0, 0), dtype=bool)
-    h = (g - 1) // 2
-    pos = np.arange(g)
-    dist = (pos[None, :] - pos[:, None]) % g
-    beats = (dist >= 1) & (dist <= h)
+def _near_regular_beats(a, b, g: int):
+    """Whether position a beats b in the tournament on ``g`` cyclic
+    positions with out-degrees as equal as possible: a beats a+1 ..
+    a+floor((g-1)/2), and for even g the antipodal pair goes to the lower
+    position."""
+    dist = (b - a) % g
+    beats = (dist >= 1) & (dist <= (g - 1) // 2)
     if g % 2 == 0:
-        beats |= (dist == g // 2) & (pos[:, None] < g // 2)
+        beats |= (dist == g // 2) & (a < g // 2)
     return beats
 
 
+def _near_regular(g: int) -> np.ndarray:
+    check_dense_budget(g, "a regular tournament")
+    pos = np.arange(g)
+    return _near_regular_beats(pos[:, None], pos[None, :], g)
+
+
+def _spec_int(value, what: str) -> int:
+    """An integer parameter of a spec, or a ValueError naming it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _require_odd(n: int) -> int:
-    n = int(n)
+    n = _spec_int(n, "n")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"construction needs odd n >= 3, got {n}")
     if n > MAX_CONSTRUCTION_SIZE:
@@ -306,7 +446,7 @@ def _seed_rng(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, RngSeed):
         return seed.generator()
-    return RngSeed(int(seed)).generator()
+    return RngSeed(_spec_int(seed, "seed")).generator()
 
 
 def lemma_one_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
@@ -344,16 +484,17 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph
     return Instance(tuple(values)), TournamentGraph(matrix, check=False)
 
 
-def sequential_hard_instance(r: int, s: int) -> tuple[Instance, TournamentGraph]:
+def sequential_hard_instance(r: int, s: int) -> tuple[Instance, PolicyTournament]:
     """Layered instance of n = r^s values (one s, then r^(s-m) - r^(s-m-1)
     copies of each m < s) paired with the min-on-ties adversary, on which
     sequential selection almost always walks down to a 0."""
-    r, s = int(r), int(s)
+    r, s = _spec_int(r, "r"), _spec_int(s, "s")
     if r < 2 or s < 1:
         raise ValueError("need r >= 2 and s >= 1")
+    # r^s >= 2^s, so a large s is rejected before the power is taken
+    if s >= MAX_CONSTRUCTION_SIZE.bit_length() or r ** s > MAX_CONSTRUCTION_SIZE:
+        raise ValueError(f"{r}^{s} exceeds construction size cap {MAX_CONSTRUCTION_SIZE}")
     n = r ** s
-    if n > MAX_CONSTRUCTION_SIZE:
-        raise ValueError(f"r^s = {n} exceeds construction size cap {MAX_CONSTRUCTION_SIZE}")
     values = np.empty(n)
     values[0] = s
     for m in range(s - 1, -1, -1):
@@ -362,7 +503,7 @@ def sequential_hard_instance(r: int, s: int) -> tuple[Instance, TournamentGraph]
     return inst, build_nonadaptive(inst, "smaller-wins")
 
 
-def komod_hard_instance(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
+def komod_hard_instance(n: int, seed=None) -> tuple[Instance, "KomodTournament"]:
     """Hidden permutation of {3, 2^g, 1^g, 0^g, 0*} (g = (n-2)/3) with the
     orientation that defeats the modified knock-out's 3-approximation:
     all 2s and all plain 0s lose to all 1s, 3 loses to all 2s, and the
@@ -372,54 +513,53 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
     than lower-index-wins: a single dominant 1 would otherwise out-win 0* in
     the final round-robin and the construction would lose its teeth.
     """
-    n = int(n)
+    n = _spec_int(n, "n")
     if n < 5 or (n - 2) % 3 != 0:
         raise ValueError(f"need n - 2 divisible by 3 and n >= 5, got {n}")
     if n > MAX_CONSTRUCTION_SIZE:
         raise ValueError(f"n={n} exceeds construction size cap {MAX_CONSTRUCTION_SIZE}")
     rng = _seed_rng(seed)
-    canon_values, canon = _komod_canonical(n)
-    perm = rng.permutation(n)
-    matrix = np.zeros((n, n), dtype=bool)
-    matrix[np.ix_(perm, perm)] = canon
-    values = np.empty(n)
-    values[perm] = canon_values
-    return Instance(tuple(values)), TournamentGraph(matrix, check=False)
-
-
-_komod_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _komod_canonical(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n in _komod_cache:
-        return _komod_cache[n]
     g = (n - 2) // 3
     # canonical order: [3] [2]*g [1]*g [0]*g [0*]
     canon_values = np.concatenate(([3.0], np.full(g, 2.0), np.ones(g), np.zeros(g), [0.0]))
-    sl3 = slice(0, 1)
-    sl2 = slice(1, 1 + g)
-    sl1 = slice(1 + g, 1 + 2 * g)
-    sl0 = slice(1 + 2 * g, 1 + 3 * g)
-    star = n - 1
+    perm = rng.permutation(n)  # canonical position p becomes index perm[p]
+    values = np.empty(n)
+    values[perm] = canon_values
+    return Instance(tuple(values)), KomodTournament(perm)
 
-    canon = np.zeros((n, n), dtype=bool)
-    canon[sl3, sl1] = True                      # forced, gap 2
-    canon[sl3, sl0] = True                      # forced, gap 3
-    canon[sl3, star] = True                     # forced, gap 3
-    canon[sl2, sl3] = True                      # 3 loses to all 2s (free)
-    canon[sl2, sl0] = True                      # forced, gap 2
-    canon[sl2, star] = True                     # forced, gap 2
-    canon[sl1, sl2] = True                      # all 2s lose to all 1s (free)
-    canon[sl1, sl0] = True                      # all plain 0s lose to all 1s (free)
-    canon[star, sl1] = True                     # 0* beats every 1 (free)
-    canon[star, sl0] = True                     # 0* beats every plain 0 (free)
-    nr = _near_regular(g)
-    for sl in (sl2, sl1, sl0):
-        canon[sl, sl] = nr
-    if len(_komod_cache) > 4:
-        _komod_cache.clear()
-    _komod_cache[n] = (canon_values, canon)
-    return canon_values, canon
+
+# Who beats whom between komod-hard's value groups, in canonical order
+# 3, 2s, 1s, plain 0s, 0* (row beats column).
+_KOMOD_GROUPS = np.array([
+    [0, 0, 1, 1, 1],    # 3 loses to every 2 (free), beats the rest (forced)
+    [1, 0, 0, 1, 1],    # 2s lose to every 1 (free)
+    [0, 1, 0, 1, 0],    # 1s beat every plain 0 (free), lose to 0* (free)
+    [0, 0, 0, 0, 0],    # plain 0s lose every pair across groups
+    [0, 0, 1, 1, 0],    # 0* beats every 1 and every plain 0 (free)
+], dtype=bool)
+
+
+class KomodTournament(RuleTournament):
+    """komod-hard's orientation as a block rule under its hidden permutation:
+    ``_KOMOD_GROUPS`` across groups, the near-regular tournament on the
+    within-group offsets inside the 2s, the 1s and the plain 0s."""
+
+    __slots__ = ("_group", "_offset", "_g")
+
+    def __init__(self, perm: np.ndarray):
+        n = len(perm)
+        super().__init__(n)
+        self._g = (n - 2) // 3
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
+        # positions 0, 1..g, g+1..2g, 2g+1..3g, 3g+1 are groups 0..4
+        self._group = 1 + (pos - 1) // self._g
+        self._offset = (pos - 1) % self._g
+
+    def beats(self, a, b):
+        ga, gb = self._group[a], self._group[b]
+        inside = _near_regular_beats(self._offset[a], self._offset[b], self._g)
+        return np.where(ga == gb, inside, _KOMOD_GROUPS[ga, gb])
 
 
 CONSTRUCTIONS = ("lemma1", "lemma2", "seq-hard", "komod-hard", "pivot-killer")
@@ -438,13 +578,15 @@ def adversary_from_spec(spec: dict, instance: Instance,
     if kind == "nonadaptive":
         policy = spec.get("policy", "random")
         if "seed" in spec and spec["seed"] is not None:
-            rng = RngSeed(int(spec["seed"])).generator()
+            rng = _seed_rng(spec["seed"])
         if policy in ("random", "seeded-random") and rng is None:
             raise ValueError("random policy needs a 'seed' in the spec or a generator")
         return build_nonadaptive(instance, policy, rng)
     if kind == "construction":
         name = spec.get("name")
         params = spec.get("params", {}) or {}
+        if not isinstance(params, dict):
+            raise ValueError("construction 'params' must be an object")
         if name == "pivot-killer":
             strategy: Adversary = PivotKiller()
             if params.get("memoized"):
@@ -459,6 +601,8 @@ def adversary_from_spec(spec: dict, instance: Instance,
                 "the supplied instance")
         return graph
     if kind == "explicit":
+        if not isinstance(spec.get("edges"), list):
+            raise ValueError("explicit spec needs an 'edges' list of [i, j, winner]")
         graph = TournamentGraph.from_edges(instance.n, spec["edges"])
         return graph.validate_for(instance)
     raise ValueError(f"unknown adversary kind {kind!r}")

@@ -67,10 +67,10 @@ def _adversary_spec(raw: Optional[str], have_construction: bool) -> dict:
             else {"kind": "nonadaptive", "policy": "random"}
     raw = raw.strip()
     if raw.startswith("{"):
-        return json.loads(raw)
+        return normalize_adversary(json.loads(raw))
     if raw.endswith(".json"):
         with open(raw, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return normalize_adversary(json.load(fh))
     return normalize_adversary(raw)
 
 

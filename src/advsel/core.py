@@ -46,7 +46,11 @@ class Instance:
     delta: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        try:
+            values = tuple(float(v) for v in self.values)
+        except OverflowError:
+            raise ValueError("all values must be finite") from None
+        object.__setattr__(self, "values", values)
         if len(self.values) < 1:
             raise ValueError("instance needs at least one value")
         if not (self.delta > 0):
@@ -87,7 +91,11 @@ class Instance:
             raise ValueError("instance 'values' must be an array of numbers")
         if not isinstance(delta, numbers.Real):
             raise ValueError("instance 'delta' must be a number")
-        return cls(values=tuple(values), delta=float(delta))
+        try:
+            delta = float(delta)
+        except OverflowError:
+            raise ValueError("instance 'delta' is out of float range") from None
+        return cls(values=tuple(values), delta=delta)
 
 
 @dataclass(frozen=True)

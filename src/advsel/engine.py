@@ -3,9 +3,10 @@
 Each function here replays the *same* generator draws as its session-based
 counterpart in ``algorithms``/``sorting`` and therefore produces an identical
 winner and query count for the same (instance, adversary, seed); the parity
-tests pin this down. Two adversary families are supported: frozen tournament
-matrices, and the pivot-killer strategy (whose answers are a deterministic
-function of values, indices, and the announced pivot).
+tests pin this down. Three adversary families are supported: frozen
+tournament matrices, tournaments given by a rule on the instance (answered on
+demand, with no n x n matrix), and the pivot-killer strategy (whose answers
+are a deterministic function of values, indices, and the announced pivot).
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import PivotKiller, TournamentGraph
+from .adversary import PivotKiller, PolicyTournament, RuleTournament, TournamentGraph
 from .algorithms import CombParams, KoModParams
 from .core import Instance
 
 __all__ = [
     "MatrixComparator",
+    "RuleComparator",
     "PivotKillerComparator",
     "comparator_for",
     "complete_tournament_fast",
@@ -51,35 +53,46 @@ class MatrixComparator:
         return self.matrix[np.ix_(items, items)].sum(axis=1)
 
 
-class PivotKillerComparator:
+class RuleComparator:
+    """Engine view of a rule-defined tournament: every answer is computed
+    from the rule when asked."""
+
+    def __init__(self, rule: RuleTournament):
+        self.rule = rule
+        self.n = rule.n
+
+    def beats(self, a, b):
+        return self.rule.beats(a, b)
+
+    def pivot_round_mask(self, items, pivot):
+        return self.rule.beats(items, pivot)
+
+    def wins_within(self, items):
+        return self.rule.wins_within(items)
+
+
+class PivotKillerComparator(RuleComparator):
     """Engine view of the pivot-killer strategy: the announced pivot loses
     every free query; free queries without a pivot go to the lower index."""
 
-    def __init__(self, values: np.ndarray, delta: float):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.delta = float(delta)
-        self.n = len(self.values)
-
-    def beats(self, a, b):
-        va, vb = self.values[a], self.values[b]
-        return (va - vb > self.delta) | ((np.abs(va - vb) <= self.delta) & (a < b))
+    def __init__(self, instance: Instance):
+        super().__init__(PolicyTournament(instance, "lower-index-wins"))
+        self.values = instance.values_array
+        self.delta = instance.delta
 
     def pivot_round_mask(self, items, pivot):
         return self.values[items] >= self.values[pivot] - self.delta
-
-    def wins_within(self, items):
-        sub = self.beats(items[:, None], items[None, :])
-        np.fill_diagonal(sub, False)
-        return sub.sum(axis=1)
 
 
 def comparator_for(instance: Instance, adversary):
     """Engine comparator for (instance, adversary), or None if this adversary
     has no vectorized form."""
+    if isinstance(adversary, RuleTournament):
+        return RuleComparator(adversary)
     if isinstance(adversary, TournamentGraph):
         return MatrixComparator(instance.values_array, instance.delta, adversary.matrix)
     if isinstance(adversary, PivotKiller):
-        return PivotKillerComparator(instance.values_array, instance.delta)
+        return PivotKillerComparator(instance)
     return None
 
 

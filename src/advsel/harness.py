@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .adversary import (ComparatorSession, TournamentGraph,
-                        adversary_from_spec)
+from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
+                        adversary_from_spec, fits_dense_budget)
 from .algorithms import (combined_select, complete_tournament, modified_knockout,
                          quick_select, sequential_select)
 from .core import Instance, RngSeed, is_t_sorted
@@ -202,6 +202,26 @@ def _build_adversary(spec: dict, instance, construction_graph, rng):
     return adversary_from_spec(spec, instance, rng)
 
 
+# n below which a rule adversary built for a single trial answers the engine
+# faster from a dense matrix: the matrix costs O(n^2) to build once, each
+# on-demand engine call a few numpy operations. q-sort makes about n engine
+# calls per trial, the other algorithms O(log n) or one. Measured crossovers
+# on a 2-core x86 box; see README.
+DENSE_BELOW_N = {"q-sort": 512}
+DENSE_BELOW_N_DEFAULT = 64
+
+
+def _engine_form(adversary, static: bool, algorithm: str):
+    """The dense matrix of a rule adversary where that is cheaper: when the
+    harness reuses it for every trial, or when n is small. Everything else
+    is returned as it is."""
+    if isinstance(adversary, RuleTournament) and fits_dense_budget(adversary.n) \
+            and (static or adversary.n < DENSE_BELOW_N.get(
+                algorithm, DENSE_BELOW_N_DEFAULT)):
+        return adversary.dense()
+    return adversary
+
+
 def _adversary_static(spec: dict, instance_static: bool) -> bool:
     if not instance_static:
         return False
@@ -212,7 +232,8 @@ def _adversary_static(spec: dict, instance_static: bool) -> bool:
         return True
     if kind == "construction":
         if spec.get("name") == "pivot-killer":
-            return not (spec.get("params") or {}).get("memoized")
+            params = spec.get("params") or {}
+            return isinstance(params, dict) and not params.get("memoized")
         return True
     return False
 
@@ -311,8 +332,9 @@ def _trial_block(config: TrialConfig, lo: int, hi: int,
         if static_adversary and cached_adv is not None:
             adversary = cached_adv
         else:
-            adversary = _build_adversary(adv_spec, instance, cgraph,
-                                         adversary_rngs.at(t))
+            adversary = _engine_form(
+                _build_adversary(adv_spec, instance, cgraph, adversary_rngs.at(t)),
+                static_adversary, config.algorithm)
             if static_adversary:
                 cached_adv = adversary
         alg_rng = alg_rngs.at(t)

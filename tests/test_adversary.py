@@ -80,7 +80,7 @@ class TestBuildNonadaptive:
         inst = Instance((0.0,) * 6)
         g1 = build_nonadaptive(inst, "random", RngSeed(9).generator())
         g2 = build_nonadaptive(inst, "random", RngSeed(9).generator())
-        assert np.array_equal(g1.matrix, g2.matrix)
+        assert np.array_equal(g1.dense().matrix, g2.dense().matrix)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ class TestBuildNonadaptive:
     def test_always_valid_and_complete(self, values, policy, seed):
         inst = Instance(tuple(float(v) for v in values))
         g = build_nonadaptive(inst, policy, RngSeed(seed).generator())
-        TournamentGraph(g.matrix, check=True)
+        TournamentGraph(g.dense().matrix, check=True)
         assert g.is_valid_for(inst)
 
 
@@ -139,12 +139,12 @@ class TestExhaustiveOracle:
 
         seen = set()
         for policy in ("larger-wins", "smaller-wins", "lower-index-wins"):
-            m = build_nonadaptive(inst, policy).matrix
+            m = build_nonadaptive(inst, policy).dense().matrix
             assert m.tobytes() in keys
             seen.add(m.tobytes())
         rng = RngSeed(5).generator()
         for _ in range(2500):
-            seen.add(build_nonadaptive(inst, "random", rng).matrix.tobytes())
+            seen.add(build_nonadaptive(inst, "random", rng).dense().matrix.tobytes())
             if len(seen) == len(keys):
                 break
         assert seen <= keys
@@ -222,7 +222,7 @@ class TestKomodHard:
         vals = list(inst.values)
         assert vals.count(3.0) == 1 and vals.count(2.0) == 4
         assert vals.count(1.0) == 4 and vals.count(0.0) == 5
-        g2 = TournamentGraph(g.matrix, check=True)
+        g2 = TournamentGraph(g.dense().matrix, check=True)
         assert g2.is_valid_for(inst)
 
     def test_orientation_rules(self):
@@ -250,7 +250,7 @@ class TestKomodHard:
     def test_smallest_case(self):
         inst, g = komod_hard_instance(5, seed=1)
         assert sorted(inst.values) == [0.0, 0.0, 1.0, 2.0, 3.0]
-        assert TournamentGraph(g.matrix, check=True).is_valid_for(inst)
+        assert TournamentGraph(g.dense().matrix, check=True).is_valid_for(inst)
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
@@ -259,7 +259,7 @@ class TestKomodHard:
     def test_graph_is_frozen(self):
         _, g = komod_hard_instance(5, seed=1)
         with pytest.raises(ValueError):
-            g.matrix[0, 1] = True
+            g.dense().matrix[0, 1] = True
 
 
 class TestSession:
@@ -362,7 +362,7 @@ class TestAdversarySpec:
             {"kind": "nonadaptive", "policy": "random", "seed": 5}, inst)
         g2 = adversary_from_spec(
             {"kind": "nonadaptive", "policy": "random", "seed": 5}, inst)
-        assert np.array_equal(g1.matrix, g2.matrix)
+        assert np.array_equal(g1.dense().matrix, g2.dense().matrix)
 
     def test_pivot_killer_spec(self):
         adv = adversary_from_spec(
@@ -388,3 +388,174 @@ class TestAdversarySpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             adversary_from_spec({"kind": "wat"}, Instance((0.0,)))
+
+
+def dense_policy_reference(inst, policy, rng=None):
+    """The dense build that rule-backed policies replaced: masks over the
+    whole n x n value-difference array, with the random policy's coins from
+    the same n x n draw."""
+    n = inst.n
+    v = inst.values_array
+    diff = v[:, None] - v[None, :]
+    forced = diff > inst.delta
+    free = (np.abs(diff) <= inst.delta) & ~np.eye(n, dtype=bool)
+    lower = np.arange(n)[:, None] < np.arange(n)[None, :]
+    if policy == "larger-wins":
+        pref = (diff > 0) | ((diff == 0) & lower)
+    elif policy == "smaller-wins":
+        pref = (diff < 0) | ((diff == 0) & lower)
+    elif policy == "lower-index-wins":
+        pref = lower
+    else:
+        coin = rng.integers(0, 2, size=(n, n), dtype=np.uint8).view(bool)
+        pref = (lower & coin) | (~lower & ~coin.T)
+    return forced | (free & pref)
+
+
+def assert_rule_matches(graph, want):
+    n = len(want)
+    idx = np.arange(n)
+    assert np.array_equal(graph.beats(idx[:, None], idx[None, :]), want)
+    assert np.array_equal(graph.dense().matrix, want)
+    assert np.array_equal(graph.out_degrees(), want.sum(axis=1))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert graph.winner(i, j) == (i if want[i, j] else j)
+
+
+POLICY_NAMES = ("larger-wins", "smaller-wins", "lower-index-wins", "random")
+G = 2.0 ** -20   # one step of the generators' dyadic grid
+
+
+class TestRuleMatchesDense:
+    """Every policy evaluated on demand answers exactly as the dense build,
+    on ties and on gaps of exactly delta."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("inst", [
+        Instance((0.0,)), Instance((0.0, 0.0)), Instance((0.0, 1.0)),
+        Instance((1.0, 0.0)), Instance((0.0, 1.0 + G)), Instance((3.0, 0.0, 3.0)),
+        Instance((0.0, 1.0, 2.0)), Instance((2.0, 2.0, 1.0)),
+        Instance((0.25, 1.25, 1.25 + G, 0.25 - G, 1.25)),
+        Instance((0.0, 0.5, 1.0, 0.5), delta=0.5),
+    ], ids=lambda i: f"{i.values}/{i.delta}")
+    def test_edge_instances(self, policy, inst):
+        seed = 11
+        graph = build_nonadaptive(inst, policy, RngSeed(seed).generator())
+        want = dense_policy_reference(inst, policy, RngSeed(seed).generator())
+        assert_rule_matches(graph, want)
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=12),
+           st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from(POLICY_NAMES),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=80, deadline=None)
+    def test_quarter_grid(self, ks, delta, policy, seed):
+        # values k/4 tie often and sit exactly delta apart often
+        inst = Instance(tuple(k / 4 for k in ks), delta=delta)
+        graph = build_nonadaptive(inst, policy, RngSeed(seed).generator())
+        want = dense_policy_reference(inst, policy, RngSeed(seed).generator())
+        assert_rule_matches(graph, want)
+
+    def test_dense_is_cached_and_frozen(self):
+        graph = build_nonadaptive(Instance((0.0, 1.0, 2.0)), "smaller-wins")
+        assert graph.dense() is graph.dense()
+        with pytest.raises(ValueError):
+            graph.dense().matrix[0, 1] = True
+
+    def test_no_matrix_attribute(self):
+        # only dense() makes a matrix; reading .matrix must not build one
+        graph = build_nonadaptive(Instance((0.0,) * 3), "lower-index-wins")
+        _, komod = komod_hard_instance(5, seed=1)
+        for g in (graph, komod):
+            assert getattr(g, "matrix", None) is None
+
+
+def komod_canonical_reference(n):
+    """komod-hard's canonical values and matrix, block by block, as the dense
+    construction built them."""
+    g = (n - 2) // 3
+    values = np.concatenate(([3.0], np.full(g, 2.0), np.ones(g), np.zeros(g), [0.0]))
+    s3, s2, s1, s0, star = (slice(0, 1), slice(1, 1 + g), slice(1 + g, 1 + 2 * g),
+                            slice(1 + 2 * g, 1 + 3 * g), n - 1)
+    canon = np.zeros((n, n), dtype=bool)
+    for win, lose in ((s3, s1), (s3, s0), (s3, star), (s2, s3), (s2, s0),
+                      (s2, star), (s1, s2), (s1, s0), (star, s1), (star, s0)):
+        canon[win, lose] = True
+    pos = np.arange(g)
+    dist = (pos[None, :] - pos[:, None]) % g
+    near_regular = (dist >= 1) & (dist <= (g - 1) // 2)
+    if g % 2 == 0:
+        near_regular |= (dist == g // 2) & (pos[:, None] < g // 2)
+    for sl in (s2, s1, s0):
+        canon[sl, sl] = near_regular
+    return values, canon
+
+
+class TestKomodRule:
+    @pytest.mark.parametrize("n", [5, 8, 11, 14, 602, 605])
+    def test_matches_scattered_canonical(self, n):
+        seed = 40 + n
+        inst, graph = komod_hard_instance(n, seed=seed)
+        perm = RngSeed(seed).generator().permutation(n)
+        values, canon = komod_canonical_reference(n)
+        want = np.zeros((n, n), dtype=bool)
+        want[np.ix_(perm, perm)] = canon
+        expect_values = np.empty(n)
+        expect_values[perm] = values
+        assert inst.values == tuple(expect_values)
+        if n > 100:
+            idx = np.arange(n)
+            assert np.array_equal(graph.beats(idx[:, None], idx[None, :]), want)
+            assert np.array_equal(graph.dense().matrix, want)
+        else:
+            assert_rule_matches(graph, want)
+
+
+class TestDenseBudget:
+    """Every dense n x n build checks DENSE_CELL_BUDGET before allocating."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        from advsel import adversary
+        monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 20)   # n <= 4
+
+    def test_random_coins(self):
+        build_nonadaptive(Instance((0.0,) * 4), "random", RngSeed(1).generator())
+        with pytest.raises(ValueError, match="budget"):
+            build_nonadaptive(Instance((0.0,) * 5), "random", RngSeed(1).generator())
+
+    def test_rule_answers_but_dense_refuses(self):
+        graph = build_nonadaptive(Instance((0.0,) * 5), "smaller-wins")
+        assert graph.winner(3, 1) == 1
+        assert list(graph.out_degrees()) == [4, 3, 2, 1, 0]
+        with pytest.raises(ValueError, match="budget"):
+            graph.dense()
+
+    def test_explicit_edges(self):
+        edges = [(i, j, i) for i in range(5) for j in range(i + 1, 5)]
+        with pytest.raises(ValueError, match="budget"):
+            TournamentGraph.from_edges(5, edges)
+
+    def test_lemma_constructions(self):
+        with pytest.raises(ValueError, match="budget"):
+            lemma_one_construction(5)
+        with pytest.raises(ValueError, match="budget"):
+            lemma_two_construction(5)
+
+    def test_komod_needs_no_matrix(self):
+        _, graph = komod_hard_instance(8, seed=2)
+        assert graph.out_degrees().sum() == 8 * 7 // 2
+        with pytest.raises(ValueError, match="budget"):
+            graph.dense()
+
+    def test_session_asks_rule_past_budget(self):
+        inst = Instance((0.0, 0.5, 3.0, 0.5, 1.0))
+        graph = build_nonadaptive(inst, "smaller-wins")
+        want = dense_policy_reference(inst, "smaller-wins")
+        s = ComparatorSession(inst, graph)
+        for i in range(5):
+            for j in range(5):
+                if i != j:
+                    assert s.query(i, j) == (i if want[i, j] else j)
+        assert s.violations == 0

@@ -124,7 +124,7 @@ class TestSequential:
         for perm in itertools.permutations(range(4)):
             champ = perm[0]
             for k in perm[1:]:
-                champ = k if g.matrix[k, champ] else champ
+                champ = k if g.dense().matrix[k, champ] else champ
             exact[inst.values[champ]] += 1
         assert exact == {0.0: 8, 1.0: 6, 2.0: 10}
         zeros = 0

@@ -111,6 +111,42 @@ class TestSelect:
                           "--algo", "compl", "--adversary", spec, "--seed", "1")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "explicit", "edges": 5}',
+        '{"kind": "explicit", "edges": [[0, null, 1]]}',
+        '{"kind": "explicit", "edges": [7]}',
+        '{"kind": "nonadaptive", "policy": "random", "seed": [1]}',
+        '{"kind": "construction", "name": "pivot-killer", "params": [1]}',
+        '{"kind": "construction", "name": "lemma1", "params": {"n": "x"}}',
+        '[1, 2]',
+    ])
+    def test_malformed_adversary_one_line_error(self, capsys, spec):
+        assert_one_line_input_error(
+            capsys, "select", "--gen", "zeros:3", "--algo", "compl",
+            "--adversary", spec, "--seed", "1")
+
+    def test_overflowing_instance_one_line_error(self, capsys, tmp_path):
+        for text in ('{"values": [1%s]}' % ("0" * 400),
+                     '{"values": [1.0], "delta": 1%s}' % ("0" * 400)):
+            bad = tmp_path / "big.json"
+            bad.write_text(text)
+            assert_one_line_input_error(
+                capsys, "select", "--file", str(bad), "--algo", "compl",
+                "--seed", "1")
+
+    def test_dense_budget_one_line_error(self, capsys, monkeypatch):
+        from advsel import adversary
+        monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 30)
+        # the random policy's coins are n x n
+        assert_one_line_input_error(
+            capsys, "select", "--gen", "zeros:6", "--algo", "q-select",
+            "--adversary", "random", "--seed", "1")
+        # a rule policy needs no matrix: the session asks it pair by pair
+        code, out = run_cli(capsys, "select", "--gen", "zeros:6", "--algo",
+                            "q-select", "--adversary", "smaller-wins",
+                            "--seed", "1", "--json")
+        assert code == EXIT_OK and json.loads(out)["queries"] >= 5
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         class Liar:
             def decide(self, instance, i, j, log, pivot):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from advsel import engine
-from advsel.adversary import ComparatorSession, PivotKiller, build_nonadaptive
+from advsel.adversary import (ComparatorSession, PivotKiller, build_nonadaptive,
+                              komod_hard_instance)
 from advsel.algorithms import (combined_select, complete_tournament,
                                modified_knockout, quick_select)
 from advsel.core import Instance, RngSeed
@@ -116,3 +117,39 @@ def test_no_engine_for_arbitrary_strategy():
             return i
 
     assert engine.comparator_for(Instance((0.0, 0.0)), Custom()) is None
+
+
+def rule_case(rng):
+    if rng.random() < 0.25:
+        n = int(rng.choice([5, 8, 11, 14, 38, 65]))
+        return komod_hard_instance(n, seed=int(rng.integers(2 ** 32)))
+    n = int(rng.integers(1, 70))
+    inst = Instance(tuple(float(v) for v in rng.integers(0, 8, size=n) / 4))
+    return inst, build_nonadaptive(inst, POLICIES[int(rng.integers(4))], rng)
+
+
+def run_all_fast(cmp_, seed):
+    eps = 0.25
+    runs = [
+        engine.complete_tournament_fast(cmp_, None, RngSeed(seed).generator()),
+        engine.modified_knockout_fast(cmp_, eps, None, RngSeed(seed).generator()),
+        engine.quick_select_fast(cmp_, None, RngSeed(seed).generator()),
+        engine.combined_select_fast(cmp_, eps, None, RngSeed(seed).generator()),
+        engine.complete_sort_fast(cmp_, None, RngSeed(seed).generator()),
+        engine.quick_sort_fast(cmp_, None, RngSeed(seed).generator()),
+    ]
+    return [(np.asarray(out).tolist(), q) for out, q in runs]
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_rule_and_matrix_comparators_agree(case):
+    """A rule evaluated on demand and its dense matrix drive every engine
+    algorithm through the same (output, queries)."""
+    rng = np.random.default_rng(1000 + case)
+    inst, rule = rule_case(rng)
+    on_demand = engine.comparator_for(inst, rule)
+    matrix = engine.comparator_for(inst, rule.dense())
+    assert isinstance(on_demand, engine.RuleComparator)
+    assert isinstance(matrix, engine.MatrixComparator)
+    seed = int(rng.integers(2 ** 32))
+    assert run_all_fast(on_demand, seed) == run_all_fast(matrix, seed)

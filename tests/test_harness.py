@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from advsel import harness
-from advsel.adversary import ComparatorSession, build_nonadaptive
+from advsel.adversary import ComparatorSession, PivotKiller, build_nonadaptive
 from advsel.algorithms import quick_select
-from advsel.core import RngSeed
+from advsel.core import Instance, RngSeed
 from advsel.generators import parse_generator
 from advsel.harness import (CSV_HEADER, TrialConfig, check_concentration,
                             csv_row, estimate, run_trials, wilson_interval)
@@ -157,6 +157,48 @@ class TestReproducibility:
             winner = quick_select(session, rng=root.generator(t, 2)).winner
             assert data.queries[t] == session.queries
             assert data.errors[t] == (inst.values[winner] < inst.max_value)
+
+    @pytest.mark.parametrize("algorithm,instance,adversary", [
+        ("q-select", "zeros:70", "random"),
+        ("q-sort", "uniform01:70", "smaller-wins"),
+        ("ko-mod", "komodhard:68", "construction"),
+        ("comb", "seqhard:3,4", "construction"),
+        ("compl-sort", "zeroone:70", "larger-wins"),
+    ])
+    def test_on_demand_and_dense_agree(self, monkeypatch, algorithm, instance,
+                                       adversary):
+        cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                          adversary=adversary, t=2.0, epsilon=0.2, trials=12,
+                          seed=15)
+        runs = []
+        for below in (0, 10 ** 9):   # every rule on demand, then every one dense
+            monkeypatch.setattr(harness, "DENSE_BELOW_N", {})
+            monkeypatch.setattr(harness, "DENSE_BELOW_N_DEFAULT", below)
+            runs.append(run_trials(cfg))
+        assert np.array_equal(runs[0].errors, runs[1].errors)
+        assert np.array_equal(runs[0].queries, runs[1].queries)
+
+    def test_when_rules_stay_dense(self, monkeypatch):
+        from advsel.adversary import RuleTournament, TournamentGraph
+        small = build_nonadaptive(Instance((0.0,) * 10), "smaller-wins")
+        large = build_nonadaptive(Instance((0.0,) * 600), "smaller-wins")
+
+        def dense(adv, static, algorithm="q-select"):
+            out = harness._engine_form(adv, static, algorithm)
+            return not isinstance(out, RuleTournament) and \
+                isinstance(out, TournamentGraph)
+
+        assert dense(small, static=False)          # below the crossover
+        assert not dense(large, static=False)       # per trial, large n
+        assert dense(large, static=True)            # reused by every trial
+        assert not dense(large, static=False, algorithm="q-sort")
+        assert dense(build_nonadaptive(Instance((0.0,) * 300), "larger-wins"),
+                     static=False, algorithm="q-sort")
+        from advsel import adversary
+        monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 50)
+        assert not dense(small, static=True)        # past the budget
+        killer = PivotKiller()
+        assert harness._engine_form(killer, True, "q-select") is killer
 
     def test_worker_count_capped_at_cores(self, monkeypatch):
         monkeypatch.setenv("ADVSEL_THREADS", "100000")

@@ -16,7 +16,8 @@ from typing import Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
-from .core import Instance, InvalidQueryError, QueryLog, RngSeed, forced_winner
+from .core import (Instance, InvalidQueryError, QueryBatches, QueryLog, RngSeed,
+                   forced_winner)
 
 __all__ = [
     "TournamentGraph",
@@ -27,6 +28,7 @@ __all__ = [
     "PivotKiller",
     "MemoizedStrategy",
     "ComparatorSession",
+    "comparator_for",
     "AdversaryProtocolError",
     "NONADAPTIVE_POLICIES",
     "build_nonadaptive",
@@ -76,11 +78,17 @@ class TournamentGraph:
     and ``matrix[j, i]`` holds for i != j; the diagonal is False.
     Subclasses answer from a rule instead and have no ``matrix``; callers
     that need one ask ``dense()``.
+
+    A graph answers whole batches: ``beats`` over index arrays, the
+    ``pivot_round_mask`` of a pivot round and the ``wins_within`` of a
+    round-robin. ``validate_for`` remembers the last instance it passed,
+    so a session checks a reused graph once.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_checked")
 
     def __init__(self, matrix: np.ndarray, check: bool = True):
+        self._checked: Optional[Instance] = None
         matrix = np.asarray(matrix, dtype=bool)
         if check:
             n = matrix.shape[0]
@@ -109,17 +117,20 @@ class TournamentGraph:
     def winner(self, i: int, j: int) -> int:
         return i if self.beats(i, j) else j
 
+    def pivot_round_mask(self, items, pivot):
+        """Which of ``items`` beat ``pivot`` (a fresh array)."""
+        return self.matrix[items, pivot]
+
+    def wins_within(self, items: np.ndarray) -> np.ndarray:
+        """Wins of each of ``items`` against the others."""
+        return self.matrix[np.ix_(items, items)].sum(axis=1)
+
     def out_degrees(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
 
-    def is_valid_for(self, instance: Instance) -> bool:
-        if instance.n != self.n:
-            return False
-        diff = instance.values_array[:, None] - instance.values_array[None, :]
-        # every pair with gap > delta must be oriented toward the larger value
-        return not ((diff > instance.delta) & ~self.dense().matrix).any()
-
     def validate_for(self, instance: Instance) -> "TournamentGraph":
+        """Raise ValueError unless every pair with a value gap above delta is
+        oriented toward the larger value."""
         if instance.n != self.n:
             raise ValueError(f"graph has {self.n} nodes, instance has {instance.n}")
         diff = instance.values_array[:, None] - instance.values_array[None, :]
@@ -130,6 +141,7 @@ class TournamentGraph:
                 f"forced pair misoriented: {j} beats {i} but value gap "
                 f"{instance.values[int(i)] - instance.values[int(j)]:g} > delta"
             )
+        self._checked = instance
         return self
 
     @classmethod
@@ -178,6 +190,7 @@ class RuleTournament(TournamentGraph):
     def __init__(self, n: int):
         self._n = n
         self._dense: Optional[TournamentGraph] = None
+        self._checked: Optional[Instance] = None
 
     @property
     def n(self) -> int:
@@ -185,6 +198,9 @@ class RuleTournament(TournamentGraph):
 
     def beats(self, a, b):
         raise NotImplementedError
+
+    def pivot_round_mask(self, items, pivot):
+        return self.beats(items, pivot)
 
     def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """beats over the grid rows x cols."""
@@ -215,6 +231,7 @@ class RuleTournament(TournamentGraph):
             for lo, block in self._blocks(idx, idx):
                 matrix[lo:lo + len(block)] = block
             self._dense = TournamentGraph(matrix, check=False)
+            self._dense._checked = self._checked
         return self._dense
 
     def decide(self, instance, i, j, log, pivot):
@@ -271,12 +288,17 @@ class MemoizedStrategy:
 Adversary = Union[TournamentGraph, AdaptiveStrategy]
 
 
-class ComparatorSession:
+class ComparatorSession(QueryBatches):
     """Query oracle binding an instance to one adversary.
 
     Enforces forced outcomes, logs every query, and counts queries. Answers
     from the adversary that disagree with a forced outcome are overridden and
     tallied in ``violations``. Single-owner: not safe for concurrent queries.
+
+    Algorithms ask whole batches (``pivot_round``, ``duel``, ``round_robin``).
+    A valid graph and the pivot-killer answer a batch in one vectorized call
+    (see ``comparator_for``); any other adversary is asked pair by pair, with
+    the pivot hint, in the same order. Both write the same log.
     """
 
     def __init__(self, instance: Instance, adversary: Adversary, record: bool = True):
@@ -292,10 +314,9 @@ class ComparatorSession:
         if isinstance(adversary, TournamentGraph):
             if adversary.n != instance.n:
                 raise ValueError("graph size does not match instance")
-            # a rule too large for a matrix is asked through decide()
-            if fits_dense_budget(adversary.n) or \
-                    not isinstance(adversary, RuleTournament):
-                self._matrix = adversary.dense().matrix
+            # a rule has no matrix: single queries go through decide()
+            self._matrix = getattr(adversary, "matrix", None)
+        self._bulk = comparator_for(instance, adversary)
 
     @property
     def n_items(self) -> int:
@@ -332,6 +353,49 @@ class ComparatorSession:
         self.log.append(i, j, answer)
         return answer
 
+    # Batches answered in one call. The answers need no forced-pair check:
+    # comparator_for hands out only adversaries that never violate the model.
+
+    def pivot_round(self, pivot: int, items: np.ndarray) -> np.ndarray:
+        bulk = self._bulk
+        if bulk is None:
+            return super().pivot_round(pivot, items)
+        self._pivot = pivot
+        mask = bulk.pivot_round_mask(items, pivot)
+        if self.log.recording:
+            others = items != pivot
+            rivals = items[others]
+            self.log.extend(pivot, rivals, np.where(mask[others], rivals, pivot))
+        else:
+            self.log.count += len(items) - 1
+        return mask
+
+    def duel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        bulk = self._bulk
+        if bulk is None:
+            return super().duel(a, b)
+        self._pivot = None
+        mask = bulk.beats(a, b)
+        if self.log.recording:
+            self.log.extend(a, b, np.where(mask, a, b))
+        else:
+            self.log.count += len(a)
+        return mask
+
+    def round_robin(self, items: np.ndarray) -> np.ndarray:
+        bulk = self._bulk
+        if bulk is None:
+            return super().round_robin(items)
+        self._pivot = None
+        m = len(items)
+        if self.log.recording:
+            rows, cols = np.triu_indices(m, 1)
+            a, b = items[rows], items[cols]
+            self.log.extend(a, b, np.where(bulk.beats(a, b), a, b))
+        else:
+            self.log.count += m * (m - 1) // 2
+        return bulk.wins_within(items)
+
 
 class PolicyTournament(RuleTournament):
     """A non-adaptive policy as a rule on the instance's values: a pair whose
@@ -349,6 +413,7 @@ class PolicyTournament(RuleTournament):
         self.instance, self.policy, self.coin = instance, policy, coin
         self._values = instance.values_array
         self._delta = instance.delta
+        self._checked = instance  # valid by construction
 
     def beats(self, a, b):
         coin = None
@@ -404,6 +469,38 @@ def build_nonadaptive(instance: Instance, free_edge_policy: str,
     return PolicyTournament(instance, policy, coin)
 
 
+class _PivotKillerRule(PolicyTournament):
+    """``PivotKiller``'s answers in closed form: in a pivot round every item
+    that is not forced to lose beats the pivot; other free pairs go to the
+    lower index."""
+
+    __slots__ = ()
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance, "lower-index-wins")
+
+    def pivot_round_mask(self, items, pivot):
+        values = self._values
+        return (values[items] >= values[pivot] - self._delta) & (items != pivot)
+
+
+def comparator_for(instance: Instance, adversary):
+    """What answers a session's batches in one call: the adversary itself if
+    it is a graph valid for ``instance``, the closed form of ``PivotKiller``,
+    or None, when every query must be asked pair by pair (a strategy that
+    reads the log, or a graph that would need its violations counted)."""
+    if isinstance(adversary, TournamentGraph):
+        if adversary._checked is not instance:
+            try:
+                adversary.validate_for(instance)
+            except ValueError:
+                return None
+        return adversary
+    if isinstance(adversary, PivotKiller):
+        return _PivotKillerRule(instance)
+    return None
+
+
 def _near_regular_beats(a, b, g: int):
     """Whether position a beats b in the tournament on ``g`` cyclic
     positions with out-degrees as equal as possible: a beats a+1 ..
@@ -439,6 +536,13 @@ def _require_odd(n: int) -> int:
     return n
 
 
+def _valid_pair(instance: Instance, graph):
+    """(instance, graph) of a construction whose graph is valid for its
+    instance by construction, so no session checks it again."""
+    graph._checked = instance
+    return instance, graph
+
+
 def _seed_rng(seed) -> np.random.Generator:
     if seed is None:
         return RngSeed(0).generator()
@@ -460,7 +564,8 @@ def lemma_one_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph
     rng = _seed_rng(seed)
     values = np.zeros(n)
     values[int(rng.integers(n))] = 1.0
-    return Instance(tuple(values)), TournamentGraph(_near_regular(n), check=False)
+    return _valid_pair(Instance(tuple(values)),
+                       TournamentGraph(_near_regular(n), check=False))
 
 
 def lemma_two_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
@@ -481,7 +586,7 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph
     matrix[np.ix_(perm, perm)] = canon
     values = np.empty(n)
     values[perm] = canon_values
-    return Instance(tuple(values)), TournamentGraph(matrix, check=False)
+    return _valid_pair(Instance(tuple(values)), TournamentGraph(matrix, check=False))
 
 
 def sequential_hard_instance(r: int, s: int) -> tuple[Instance, PolicyTournament]:
@@ -525,7 +630,7 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, "KomodTournament"]
     perm = rng.permutation(n)  # canonical position p becomes index perm[p]
     values = np.empty(n)
     values[perm] = canon_values
-    return Instance(tuple(values)), KomodTournament(perm)
+    return _valid_pair(Instance(tuple(values)), KomodTournament(perm))
 
 
 # Who beats whom between komod-hard's value groups, in canonical order
@@ -599,7 +704,7 @@ def adversary_from_spec(spec: dict, instance: Instance,
             raise ValueError(
                 f"construction {name} with params {params} does not reproduce "
                 "the supplied instance")
-        return graph
+        return _valid_pair(instance, graph)[1]
     if kind == "explicit":
         if not isinstance(spec.get("edges"), list):
             raise ValueError("explicit spec needs an 'edges' list of [i, j, winner]")

@@ -1,19 +1,21 @@
-"""Maximum-selection algorithms. Each one talks to the world only through a
-session's ``query`` (and ``announce_pivot``), so it runs unchanged against
-non-adaptive graphs, adaptive strategies, or the Scheffe comparator.
+"""Maximum-selection algorithms over index arrays. Each one talks to the
+world only through a session's batches (``pivot_round``, ``duel``,
+``round_robin``; ``query`` for sequential selection), so it runs unchanged
+against non-adaptive graphs, adaptive strategies, or the Scheffe comparator.
 
 Randomness comes from an explicit ``numpy.random.Generator``; the draw
-sequence is part of each algorithm's contract (the vectorized engine in
-``engine.py`` replays the exact same draws).
+sequence is part of each algorithm's contract.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+
+from .core import InvalidQueryError
 
 __all__ = [
     "SelectionResult",
@@ -74,12 +76,15 @@ class CombParams:
         return max(1, math.floor(raw))
 
 
-def _resolve(session, items) -> list[int]:
+def _resolve(session, items) -> np.ndarray:
+    """The items as an int64 array of indices into the session."""
     if items is None:
-        items = range(session.n_items)
-    items = [int(x) for x in items]
-    if not items:
+        return np.arange(session.n_items, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    if not len(items):
         raise ValueError("need at least one item")
+    if items.min() < 0 or items.max() >= session.n_items:
+        raise InvalidQueryError(f"items out of range for n={session.n_items}")
     return items
 
 
@@ -87,12 +92,17 @@ def _rng(rng) -> np.random.Generator:
     return rng if rng is not None else np.random.default_rng()
 
 
-def _pick_max_wins(items: Sequence[int], wins: Sequence[int], rng) -> int:
-    best = max(wins)
-    maxers = [x for x, w in zip(items, wins) if w == best]
+def _pick_max_wins(items: np.ndarray, wins: np.ndarray, rng) -> int:
+    maxers = items[wins == wins.max()]
     if len(maxers) == 1:
-        return maxers[0]
-    return maxers[int(rng.integers(len(maxers)))]
+        return int(maxers[0])
+    return int(maxers[int(rng.integers(len(maxers)))])
+
+
+def _round_robin_winner(session, items: np.ndarray, rng) -> int:
+    if len(items) == 1:
+        return int(items[0])
+    return _pick_max_wins(items, session.round_robin(items), rng)
 
 
 def complete_tournament(session, items=None, rng=None) -> SelectionResult:
@@ -100,18 +110,8 @@ def complete_tournament(session, items=None, rng=None) -> SelectionResult:
     (ties broken uniformly). The output value is always within 2 of the
     maximum, against any adversary."""
     items = _resolve(session, items)
-    rng = _rng(rng)
-    m = len(items)
-    if m == 1:
-        return SelectionResult(items[0], 0, rounds=1)
-    session.announce_pivot(None)
-    wins = [0] * m
     start = session.queries
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = session.query(items[a], items[b])
-            wins[a if w == items[a] else b] += 1
-    winner = _pick_max_wins(items, wins, rng)
+    winner = _round_robin_winner(session, items, _rng(rng))
     return SelectionResult(winner, session.queries - start, rounds=1)
 
 
@@ -120,33 +120,35 @@ def sequential_select(session, items=None, rng=None) -> SelectionResult:
     of the last comparison. Exactly n-1 queries."""
     items = _resolve(session, items)
     rng = _rng(rng)
+    if len(items) == 1:
+        return SelectionResult(int(items[0]), 0, rounds=1)
+    session.announce_pivot(None)
+    visit = items[rng.permutation(len(items))].tolist()
+    start = session.queries
+    champ = visit[0]
+    for x in visit[1:]:
+        champ = session.query(x, champ)
+    return SelectionResult(champ, session.queries - start, rounds=1)
+
+
+def _knockout_round(session, items: np.ndarray, rng) -> np.ndarray:
     m = len(items)
     if m == 1:
-        return SelectionResult(items[0], 0, rounds=1)
-    session.announce_pivot(None)
-    order = rng.permutation(m)
-    start = session.queries
-    champ = items[order[0]]
-    for k in range(1, m):
-        champ = session.query(items[order[k]], champ)
-    return SelectionResult(champ, session.queries - start, rounds=1)
+        return items
+    perm = rng.permutation(m)
+    half = m // 2
+    a = items[perm[0:2 * half:2]]
+    b = items[perm[1:2 * half:2]]
+    survivors = np.where(session.duel(a, b), a, b)
+    if m % 2:
+        survivors = np.append(survivors, items[perm[m - 1]])
+    return survivors
 
 
 def knockout_round(session, items, rng) -> list[int]:
     """Pair the items of one random perfect matching and keep the winners;
     an odd leftover gets a bye. floor(m/2) queries, ceil(m/2) survivors."""
-    items = _resolve(session, items)
-    m = len(items)
-    if m == 1:
-        return list(items)
-    session.announce_pivot(None)
-    perm = rng.permutation(m)
-    survivors = []
-    for t in range(m // 2):
-        survivors.append(session.query(items[perm[2 * t]], items[perm[2 * t + 1]]))
-    if m % 2:
-        survivors.append(items[perm[m - 1]])
-    return survivors
+    return _knockout_round(session, _resolve(session, items), rng).tolist()
 
 
 def modified_knockout(session, epsilon: float, items=None, rng=None,
@@ -159,57 +161,52 @@ def modified_knockout(session, epsilon: float, items=None, rng=None,
     if params is None:
         params = KoModParams.compute(epsilon, len(items))
     start = session.queries
-    x = list(items)
-    saved: list[int] = []
-    rounds = 0
+    x = items
+    saved = []
     while len(x) > params.n1:
         picked = rng.choice(len(x), size=params.n1, replace=False)
-        saved.extend(x[p] for p in picked)
-        x = knockout_round(session, x, rng)
-        rounds += 1
-    seen = set(x)
-    final = list(x)
-    for y in saved:
-        if y not in seen:
-            seen.add(y)
-            final.append(y)
-    result = complete_tournament(session, final, rng)
-    return SelectionResult(result.winner, session.queries - start, rounds=rounds + 1)
+        saved.append(x[picked])
+        x = _knockout_round(session, x, rng)
+    final = x
+    if saved:
+        pool = np.concatenate(saved)
+        # first occurrence within the pool, in pool order
+        _, first = np.unique(pool, return_index=True)
+        pool = pool[np.sort(first)]
+        in_x = np.zeros(session.n_items, dtype=bool)
+        in_x[x] = True
+        final = np.concatenate([x, pool[~in_x[pool]]])
+    winner = _round_robin_winner(session, final, rng)
+    return SelectionResult(winner, session.queries - start, rounds=len(saved) + 1)
+
+
+def _quickselect_round(session, items: np.ndarray, rng) -> np.ndarray:
+    m = len(items)
+    if m == 1:
+        return items
+    p = int(rng.integers(m))
+    survivors = items[session.pivot_round(int(items[p]), items)]
+    return survivors if len(survivors) else items[p:p + 1]
 
 
 def quickselect_round(session, items, rng) -> list[int]:
     """Pick a random pivot and compare it to everything else; keep whatever
     beat the pivot, or the pivot itself if nothing did."""
-    items = _resolve(session, items)
-    m = len(items)
-    if m == 1:
-        return list(items)
-    p = int(rng.integers(m))
-    pivot = items[p]
-    session.announce_pivot(pivot)
-    winners = []
-    for k in range(m):
-        if k == p:
-            continue
-        w = session.query(pivot, items[k])
-        if w == items[k]:
-            winners.append(items[k])
-    return winners if winners else [pivot]
+    return _quickselect_round(session, _resolve(session, items), rng).tolist()
 
 
 def quick_select(session, items=None, rng=None) -> SelectionResult:
     """Iterate quickselect rounds down to a single survivor. Zero-error
     2-approximation against any adversary; expected queries below 2n against
     non-adaptive ones."""
-    items = _resolve(session, items)
+    x = _resolve(session, items)
     rng = _rng(rng)
     start = session.queries
-    x = list(items)
     rounds = 0
     while len(x) > 1:
-        x = quickselect_round(session, x, rng)
+        x = _quickselect_round(session, x, rng)
         rounds += 1
-    return SelectionResult(x[0], session.queries - start, rounds=rounds)
+    return SelectionResult(int(x[0]), session.queries - start, rounds=rounds)
 
 
 def combined_select(session, epsilon: float, items=None, rng=None,
@@ -224,13 +221,12 @@ def combined_select(session, epsilon: float, items=None, rng=None,
     ``record_sizes``, if given, receives the field size at the start of every
     round plus the final size.
     """
-    items = _resolve(session, items)
+    x = _resolve(session, items)
     rng = _rng(rng)
     if params is None:
         params = CombParams(epsilon=epsilon)
     qs_reps = params.qs_reps()
     start = session.queries
-    x = list(items)
     i = 0
     while len(x) > 1:
         i += 1
@@ -238,26 +234,24 @@ def combined_select(session, epsilon: float, items=None, rng=None,
         if record_sizes is not None:
             record_sizes.append(n_i)
         for _ in range(qs_reps):
-            x = quickselect_round(session, x, rng)
+            x = _quickselect_round(session, x, rng)
         if len(x) > params.shrink_threshold * n_i:
             reps = params.ko_reps(i)
             m = len(x)
-            wins = [0] * m
-            session.announce_pivot(None)
+            half = m // 2
+            wins = np.zeros(m, dtype=np.int64)
             for _ in range(reps):
                 perm = rng.permutation(m)
-                for t in range(m // 2):
-                    a, b = perm[2 * t], perm[2 * t + 1]
-                    w = session.query(x[a], x[b])
-                    wins[a if w == x[a] else b] += 1
+                pa = perm[0:2 * half:2]
+                pb = perm[1:2 * half:2]
+                wins[np.where(session.duel(x[pa], x[pb]), pa, pb)] += 1
                 if m % 2:
                     wins[perm[m - 1]] += 1  # bye counts as a win
-            threshold = params.win_fraction * reps
-            keep = [x[p] for p in range(m) if wins[p] > threshold]
-            if keep:
-                x = keep
+            keep = wins > params.win_fraction * reps
+            if keep.any():
+                x = x[keep]
             else:
-                x = [_pick_max_wins(x, wins, rng)]
+                x = np.array([_pick_max_wins(x, wins, rng)], dtype=np.int64)
     if record_sizes is not None:
         record_sizes.append(len(x))
-    return SelectionResult(x[0], session.queries - start, rounds=i)
+    return SelectionResult(int(x[0]), session.queries - start, rounds=i)

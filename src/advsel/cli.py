@@ -13,16 +13,14 @@ import sys
 from typing import Optional
 
 from .adversary import ComparatorSession
-from .algorithms import (combined_select, complete_tournament, modified_knockout,
-                         quick_select, sequential_select)
 from .core import Instance, RngSeed, is_t_sorted
 from .generators import parse_generator
-from .harness import (CSV_HEADER, TrialConfig, csv_row,
-                      normalize_adversary, run_trials, _build_adversary)
+from .harness import (CSV_HEADER, SELECTORS, SORTERS, TrialConfig, csv_row,
+                      normalize_adversary, run_algorithm, run_trials,
+                      _build_adversary)
 from .report import bound_report
 from .scheffe import (candidates_from_json, l1_distance, sample,
                       scheffe_quickselect, scheffe_tournament)
-from .sorting import complete_sort, quick_sort
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,20 +72,6 @@ def _adversary_spec(raw: Optional[str], have_construction: bool) -> dict:
     return normalize_adversary(raw)
 
 
-_SELECTORS = {
-    "compl": lambda sess, rng, eps: complete_tournament(sess, rng=rng),
-    "seq": lambda sess, rng, eps: sequential_select(sess, rng=rng),
-    "ko-mod": lambda sess, rng, eps: modified_knockout(sess, eps, rng=rng),
-    "q-select": lambda sess, rng, eps: quick_select(sess, rng=rng),
-    "comb": lambda sess, rng, eps: combined_select(sess, eps, rng=rng),
-}
-
-_SORTERS = {
-    "compl-sort": lambda sess, rng: complete_sort(sess, rng=rng),
-    "q-sort": lambda sess, rng: quick_sort(sess, rng=rng),
-}
-
-
 def _run_single(args, sorting: bool) -> int:
     seed = _resolve_seed(args)
     root = RngSeed(seed)
@@ -95,9 +79,9 @@ def _run_single(args, sorting: bool) -> int:
     spec = _adversary_spec(args.adversary, cgraph is not None)
     adversary = _build_adversary(spec, instance, cgraph, root.generator(1))
     session = ComparatorSession(instance, adversary)
-    rng = root.generator(2)
+    result = run_algorithm(args.algo, session, root.generator(2),
+                           getattr(args, "epsilon", None))
     if sorting:
-        result = _SORTERS[args.algo](session, rng)
         order = list(result.order)
         values = [instance.values[i] for i in order]
         record = {
@@ -108,7 +92,6 @@ def _run_single(args, sorting: bool) -> int:
             "seed": seed, "violations": session.violations,
         }
     else:
-        result = _SELECTORS[args.algo](session, rng, args.epsilon)
         value = instance.values[result.winner]
         record = {
             "command": "select", "algorithm": args.algo, "n": instance.n,
@@ -123,14 +106,14 @@ def _run_single(args, sorting: bool) -> int:
 
 
 def _cmd_select(args) -> int:
-    if args.algo not in _SELECTORS:
-        raise InputError(f"--algo must be one of {tuple(_SELECTORS)}")
+    if args.algo not in SELECTORS:
+        raise InputError(f"--algo must be one of {SELECTORS}")
     return _run_single(args, sorting=False)
 
 
 def _cmd_sort(args) -> int:
-    if args.algo not in _SORTERS:
-        raise InputError(f"--algo must be one of {tuple(_SORTERS)}")
+    if args.algo not in SORTERS:
+        raise InputError(f"--algo must be one of {SORTERS}")
     return _run_single(args, sorting=True)
 
 

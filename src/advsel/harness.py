@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import engine
 from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
                         adversary_from_spec, fits_dense_budget)
 from .algorithms import (combined_select, complete_tournament, modified_knockout,
@@ -36,6 +36,7 @@ __all__ = [
     "TrialSummary",
     "TrialData",
     "ALGORITHM_IDS",
+    "run_algorithm",
     "estimate",
     "run_trials",
     "check_concentration",
@@ -70,6 +71,19 @@ def normalize_adversary(spec) -> dict:
     raise ValueError("adversary spec must be a name or a JSON object")
 
 
+def _check_number(name: str, value, kind) -> None:
+    """A config number must be of ``kind`` (booleans are not numbers here),
+    and a real one must fit a float, as the trials compute with it."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if kind is numbers.Real:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is out of float range") from None
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte-Carlo experiment: algorithm, instance source, adversary spec,
@@ -88,6 +102,11 @@ class TrialConfig:
         if self.algorithm not in ALGORITHM_IDS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"expected one of {ALGORITHM_IDS}")
+        for name in ("seed", "stream", "trials"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        _check_number("t", self.t, numbers.Real)
+        if self.epsilon is not None:
+            _check_number("epsilon", self.epsilon, numbers.Real)
         if not 1 <= self.trials <= 2 ** 32:
             # a trial index is one 32-bit word of its generator's spawn key
             raise ValueError("trials must be between 1 and 2**32")
@@ -109,11 +128,7 @@ class TrialConfig:
         return cls(**obj)
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm, "instance": self.instance,
-            "adversary": self.adversary, "t": self.t, "epsilon": self.epsilon,
-            "trials": self.trials, "seed": self.seed, "stream": self.stream,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -202,11 +217,11 @@ def _build_adversary(spec: dict, instance, construction_graph, rng):
     return adversary_from_spec(spec, instance, rng)
 
 
-# n below which a rule adversary built for a single trial answers the engine
-# faster from a dense matrix: the matrix costs O(n^2) to build once, each
-# on-demand engine call a few numpy operations. q-sort makes about n engine
-# calls per trial, the other algorithms O(log n) or one. Measured crossovers
-# on a 2-core x86 box; see README.
+# n below which a rule adversary built for a single trial answers a session's
+# batches faster from a dense matrix: the matrix costs O(n^2) to build once,
+# each on-demand batch a few numpy operations. q-sort asks about n batches
+# per trial, the other algorithms O(log n) or one. Measured crossovers on a
+# 2-core x86 box; see README.
 DENSE_BELOW_N = {"q-sort": 512}
 DENSE_BELOW_N_DEFAULT = 64
 
@@ -238,43 +253,26 @@ def _adversary_static(spec: dict, instance_static: bool) -> bool:
     return False
 
 
-def _run_canonical(algorithm, session, rng, epsilon, record_sizes):
+def run_algorithm(algorithm: str, session, rng, epsilon=None,
+                  record_sizes: Optional[list] = None):
+    """Run one algorithm, by id, on a session: its ``SelectionResult`` or
+    ``SortResult``. The algorithms are looked up in this module when called."""
     if algorithm == "compl":
-        return complete_tournament(session, rng=rng).winner
+        return complete_tournament(session, rng=rng)
     if algorithm == "seq":
-        return sequential_select(session, rng=rng).winner
+        return sequential_select(session, rng=rng)
     if algorithm == "ko-mod":
-        return modified_knockout(session, epsilon, rng=rng).winner
+        return modified_knockout(session, epsilon, rng=rng)
     if algorithm == "q-select":
-        return quick_select(session, rng=rng).winner
+        return quick_select(session, rng=rng)
     if algorithm == "comb":
-        return combined_select(session, epsilon, rng=rng,
-                               record_sizes=record_sizes).winner
+        return combined_select(session, epsilon, rng=rng, record_sizes=record_sizes)
     if algorithm == "compl-sort":
-        return complete_sort(session, rng=rng).order
+        return complete_sort(session, rng=rng)
     if algorithm == "q-sort":
-        return quick_sort(session, rng=rng).order
-    raise AssertionError(algorithm)
-
-
-def _run_engine(algorithm, cmp, rng, epsilon, record_sizes):
-    if algorithm == "compl":
-        return engine.complete_tournament_fast(cmp, None, rng)
-    if algorithm == "ko-mod":
-        return engine.modified_knockout_fast(cmp, epsilon, None, rng)
-    if algorithm == "q-select":
-        return engine.quick_select_fast(cmp, None, rng)
-    if algorithm == "comb":
-        return engine.combined_select_fast(cmp, epsilon, None, rng,
-                                           record_sizes=record_sizes)
-    if algorithm == "compl-sort":
-        return engine.complete_sort_fast(cmp, None, rng)
-    if algorithm == "q-sort":
-        return engine.quick_sort_fast(cmp, None, rng)
-    return None
-
-
-ENGINE_ALGORITHMS = ("compl", "ko-mod", "q-select", "comb", "compl-sort", "q-sort")
+        return quick_sort(session, rng=rng)
+    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of "
+                     f"{ALGORITHM_IDS}")
 
 
 # trials whose generator states are derived in one step
@@ -302,8 +300,7 @@ class _TrialStreams:
         return self.generator
 
 
-def _trial_block(config: TrialConfig, lo: int, hi: int,
-                 collect_sizes: bool, use_engine: bool = True):
+def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
     """Run trials lo..hi-1 and return (errors, queries, round_sizes)."""
     source = _InstanceSource(config.instance)
     adv_spec = normalize_adversary(config.adversary)
@@ -337,32 +334,25 @@ def _trial_block(config: TrialConfig, lo: int, hi: int,
                 static_adversary, config.algorithm)
             if static_adversary:
                 cached_adv = adversary
-        alg_rng = alg_rngs.at(t)
         sizes: Optional[list] = [] if collect_sizes else None
-
-        cmp = engine.comparator_for(instance, adversary) if use_engine else None
-        if cmp is not None and config.algorithm in ENGINE_ALGORITHMS:
-            out, q = _run_engine(config.algorithm, cmp, alg_rng, config.epsilon, sizes)
-        else:
-            session = ComparatorSession(instance, adversary, record=False)
-            out = _run_canonical(config.algorithm, session, alg_rng,
-                                 config.epsilon, sizes)
-            q = session.queries
+        session = ComparatorSession(instance, adversary, record=False)
+        result = run_algorithm(config.algorithm, session, alg_rngs.at(t),
+                               config.epsilon, sizes)
         k = t - lo
-        queries[k] = q
+        queries[k] = result.queries
         if is_sort:
-            errors[k] = not is_t_sorted([instance.values[i] for i in out], config.t)
+            errors[k] = not is_t_sorted([instance.values[i] for i in result.order],
+                                        config.t)
         else:
-            errors[k] = instance.values[int(out)] < instance.max_value - config.t
+            errors[k] = instance.values[result.winner] < instance.max_value - config.t
         if collect_sizes:
             all_sizes.append(sizes)
     return errors, queries, all_sizes
 
 
 def _worker(args):
-    config_dict, lo, hi, collect_sizes, use_engine = args
-    cfg = TrialConfig(**config_dict)
-    return _trial_block(cfg, lo, hi, collect_sizes, use_engine)
+    config_dict, lo, hi, collect_sizes = args
+    return _trial_block(TrialConfig(**config_dict), lo, hi, collect_sizes)
 
 
 def _worker_count() -> int:
@@ -376,19 +366,18 @@ def _worker_count() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def run_trials(config: TrialConfig, collect_sizes: bool = False,
-               use_engine: bool = True) -> TrialData:
+def run_trials(config: TrialConfig, collect_sizes: bool = False) -> TrialData:
     """Execute all trials of a config. Honors ADVSEL_THREADS for process
     parallelism; results are identical for any worker count."""
     start = time.perf_counter()
     workers = min(_worker_count(), config.trials)
     if workers <= 1 or config.trials < 4 * workers:
         errors, queries, sizes = _trial_block(config, 0, config.trials,
-                                              collect_sizes, use_engine)
+                                              collect_sizes)
     else:
         bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
         jobs = [(config.to_dict(), int(bounds[w]), int(bounds[w + 1]),
-                 collect_sizes, use_engine) for w in range(workers)]
+                 collect_sizes) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker, jobs))
         errors = np.concatenate([p[0] for p in parts])

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import quick_select
+from .algorithms import complete_tournament, quick_select
+from .core import QueryBatches
 
 __all__ = [
     "DiscreteDistribution",
@@ -134,10 +135,11 @@ def scheffe_test(p1: DiscreteDistribution, p2: DiscreteDistribution,
     return ScheffeOutcome(winner, m1, m2, mu)
 
 
-class _ScheffeSession:
+class _ScheffeSession(QueryBatches):
     """Adapter exposing the pairwise test through the comparator-session
     interface so selection algorithms run on candidates unchanged. Each
-    unordered pair is evaluated in canonical (lower index first) order."""
+    unordered pair is evaluated in canonical (lower index first) order, one
+    test per query, batches included."""
 
     def __init__(self, candidates: Sequence[DiscreteDistribution], samples: SampleSet):
         self.candidates = list(candidates)
@@ -166,20 +168,11 @@ def scheffe_tournament(candidates: Sequence[DiscreteDistribution],
                        samples: SampleSet, rng=None) -> ScheffeSelection:
     """Round-robin of pairwise tests; returns the candidate with the most
     wins (seeded-random tie-break). Theta(n^2 k) work."""
-    n = len(candidates)
-    if n == 0:
+    if len(candidates) == 0:
         raise ValueError("need at least one candidate")
-    if rng is None:
-        rng = np.random.default_rng()
     session = _ScheffeSession(candidates, samples)
-    wins = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            wins[session.query(a, b)] += 1
-    best = max(wins)
-    maxers = [c for c in range(n) if wins[c] == best]
-    winner = maxers[0] if len(maxers) == 1 else maxers[int(rng.integers(len(maxers)))]
-    return ScheffeSelection(winner, session.tests)
+    result = complete_tournament(session, rng=rng)
+    return ScheffeSelection(result.winner, session.tests)
 
 
 def scheffe_quickselect(candidates: Sequence[DiscreteDistribution],

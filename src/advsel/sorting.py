@@ -25,18 +25,13 @@ def complete_sort(session, items=None, rng=None) -> SortResult:
     rng = _rng(rng)
     m = len(items)
     if m == 1:
-        return SortResult((items[0],), 0)
-    session.announce_pivot(None)
+        return SortResult((int(items[0]),), 0)
     start = session.queries
-    wins = np.zeros(m, dtype=np.int64)
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = session.query(items[a], items[b])
-            wins[a if w == items[a] else b] += 1
+    wins = session.round_robin(items)
     tie_rank = np.empty(m, dtype=np.int64)
     tie_rank[rng.permutation(m)] = np.arange(m)
     order = np.lexsort((tie_rank, -wins))
-    return SortResult(tuple(items[p] for p in order), session.queries - start)
+    return SortResult(tuple(items[order].tolist()), session.queries - start)
 
 
 def quick_sort(session, items=None, rng=None) -> SortResult:
@@ -46,32 +41,28 @@ def quick_sort(session, items=None, rng=None) -> SortResult:
     items = _resolve(session, items)
     rng = _rng(rng)
     start = session.queries
-    order: list[int] = []
-    # explicit stack (winners segment processed first) so deep partitions
-    # cannot hit the recursion limit
-    stack: list[tuple[bool, object]] = [(False, list(items))]
+    out = items.copy()  # a single item is already in place
+    # segments of two or more items wait with their offset in `out` on an
+    # explicit stack, so deep partitions cannot hit the recursion limit;
+    # pivots and single items are written straight to theirs. The winners'
+    # side is popped first, so the draws come in depth-first order.
+    stack = [(items, 0)] if len(items) > 1 else []
     while stack:
-        emit, payload = stack.pop()
-        if emit:
-            order.append(payload)  # type: ignore[arg-type]
-            continue
-        arr: list[int] = payload  # type: ignore[assignment]
-        if len(arr) <= 1:
-            order.extend(arr)
-            continue
+        arr, begin = stack.pop()
         p = int(rng.integers(len(arr)))
-        pivot = arr[p]
-        session.announce_pivot(pivot)
-        winners, losers = [], []
-        for k, x in enumerate(arr):
-            if k == p:
-                continue
-            w = session.query(pivot, x)
-            (winners if w == x else losers).append(x)
-        stack.append((False, losers))
-        stack.append((True, pivot))
-        stack.append((False, winners))
-    return SortResult(tuple(order), session.queries - start)
+        beat = session.pivot_round(int(arr[p]), arr)
+        winners = arr[beat]
+        lost = ~beat
+        lost[p] = False
+        losers = arr[lost]
+        mid = begin + len(winners)
+        out[mid] = arr[p]
+        for seg, offset in ((losers, mid + 1), (winners, begin)):
+            if len(seg) > 1:
+                stack.append((seg, offset))
+            elif len(seg):
+                out[offset] = seg[0]
+    return SortResult(tuple(out.tolist()), session.queries - start)
 
 
 def exact_expected_queries(n: int) -> float:

@@ -379,7 +379,7 @@ def test_c11_lemma_one_validity():
         inst, g = lemma_one_construction(n, seed=SEED)
         TournamentGraph(g.matrix, check=True)
         assert (g.out_degrees() == (n - 1) // 2).all()
-        assert g.is_valid_for(inst)
+        g.validate_for(inst)
     # any index-symmetric algorithm is reduced to a uniform guess: measured
     # error at t < 1 should sit at 1 - 1/n (4-sigma band)
     rates = {}

@@ -25,7 +25,7 @@ class TestTournamentGraph:
         inst, g = fig1()
         assert g.winner(3, 0) == 3
         assert g.winner(0, 2) == 0
-        assert g.is_valid_for(inst)
+        g.validate_for(inst)
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ class TestBuildNonadaptive:
         inst = Instance(tuple(float(v) for v in values))
         g = build_nonadaptive(inst, policy, RngSeed(seed).generator())
         TournamentGraph(g.dense().matrix, check=True)
-        assert g.is_valid_for(inst)
+        g.validate_for(inst)
 
 
 def enumerate_valid_orientations(inst):
@@ -156,7 +156,7 @@ class TestLemmaOne:
     def test_regular_and_valid(self, n):
         inst, g = lemma_one_construction(n, seed=2)
         assert (g.out_degrees() == (n - 1) // 2).all()
-        assert g.is_valid_for(inst)
+        g.validate_for(inst)
         assert sorted(inst.values) == [0.0] * (n - 1) + [1.0]
 
     def test_n3_is_a_cycle(self):
@@ -175,7 +175,7 @@ class TestLemmaTwo:
         m = (n - 1) // 2
         assert (g.out_degrees() == m).all()
         g2 = TournamentGraph(g.matrix, check=True)
-        assert g2.is_valid_for(inst)
+        g2.validate_for(inst)
         vals = np.array(inst.values)
         assert sorted(inst.values) == [0.0] * m + [1.0] * m + [2.0]
         two = int(np.argmax(vals))
@@ -223,7 +223,7 @@ class TestKomodHard:
         assert vals.count(3.0) == 1 and vals.count(2.0) == 4
         assert vals.count(1.0) == 4 and vals.count(0.0) == 5
         g2 = TournamentGraph(g.dense().matrix, check=True)
-        assert g2.is_valid_for(inst)
+        g2.validate_for(inst)
 
     def test_orientation_rules(self):
         inst, g = komod_hard_instance(14, seed=3)
@@ -250,7 +250,7 @@ class TestKomodHard:
     def test_smallest_case(self):
         inst, g = komod_hard_instance(5, seed=1)
         assert sorted(inst.values) == [0.0, 0.0, 1.0, 2.0, 3.0]
-        assert TournamentGraph(g.dense().matrix, check=True).is_valid_for(inst)
+        TournamentGraph(g.dense().matrix, check=True).validate_for(inst)
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):

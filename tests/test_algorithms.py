@@ -11,7 +11,7 @@ from advsel.algorithms import (CombParams, KoModParams, combined_select,
                                complete_tournament, knockout_round,
                                modified_knockout, quick_select,
                                quickselect_round, sequential_select)
-from advsel.core import Instance, RngSeed
+from advsel.core import Instance, InvalidQueryError, RngSeed
 
 from test_adversary import enumerate_valid_orientations, fig1
 
@@ -86,6 +86,15 @@ class TestCompleteTournament:
         _, sess = session_for((0,))
         with pytest.raises(ValueError):
             complete_tournament(sess, items=[])
+
+    def test_out_of_range_items_rejected(self):
+        # a graph answers whole batches by indexing, where -1 would wrap
+        _, sess = session_for((0, 0, 0))
+        for algorithm in (complete_tournament, quick_select, sequential_select):
+            for items in ([-1, 0], [0, 3]):
+                with pytest.raises(InvalidQueryError):
+                    algorithm(sess, items=items)
+        assert sess.queries == 0
 
 
 class TestSequential:

@@ -1,20 +1,49 @@
-"""The vectorized engine must replay the exact transcript of the canonical
-session-based algorithms: same winner/order, same query count, same field
-sizes, for the same (instance, adversary, seed)."""
+"""Batch answers: a graph or the pivot-killer answering a session's whole
+pivot round, matching or round-robin in one call must give the same result,
+query count, violations and log as the same adversary asked one query at a
+time, for the same (instance, adversary, seed)."""
 
 import numpy as np
 import pytest
 
-from advsel import engine
-from advsel.adversary import (ComparatorSession, PivotKiller, build_nonadaptive,
+from advsel.adversary import (ComparatorSession, PivotKiller, TournamentGraph,
+                              build_nonadaptive, comparator_for,
                               komod_hard_instance)
 from advsel.algorithms import (combined_select, complete_tournament,
-                               modified_knockout, quick_select)
+                               modified_knockout, quick_select,
+                               sequential_select)
 from advsel.core import Instance, RngSeed
 from advsel.sorting import complete_sort, quick_sort
 
 POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins", "random",
             "pivot-killer")
+
+
+class PairByPair:
+    """The same adversary behind a strategy with no batch form, so the
+    session asks it one query at a time."""
+
+    def __init__(self, adversary):
+        self.adversary = adversary
+
+    def decide(self, instance, i, j, log, pivot):
+        if isinstance(self.adversary, TournamentGraph):
+            return self.adversary.winner(i, j)
+        return self.adversary.decide(instance, i, j, log, pivot)
+
+
+def transcript(inst, adv, run, seed):
+    session = ComparatorSession(inst, adv)
+    result = run(session, RngSeed(seed).generator())
+    log = [(r.left, r.right, r.winner, r.ordinal) for r in session.log]
+    return result, session.queries, session.violations, log
+
+
+def assert_batches_match_pairs(inst, adv, run, seed):
+    assert comparator_for(inst, adv) is not None
+    assert comparator_for(inst, PairByPair(adv)) is None
+    assert transcript(inst, adv, run, seed) == \
+        transcript(inst, PairByPair(adv), run, seed)
 
 
 def make_case(rng):
@@ -29,45 +58,28 @@ def make_case(rng):
 
 
 CASES = [make_case(np.random.default_rng(i)) for i in range(60)]
+EPS = 0.25
+SELECTORS = [
+    lambda s, r: complete_tournament(s, rng=r),
+    lambda s, r: quick_select(s, rng=r),
+    lambda s, r: modified_knockout(s, EPS, rng=r),
+    lambda s, r: combined_select(s, EPS, rng=r),
+]
+SORTERS = [lambda s, r: quick_sort(s, rng=r), lambda s, r: complete_sort(s, rng=r)]
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_selection_parity(case):
     inst, adv, seed = CASES[case]
-    cmp_ = engine.comparator_for(inst, adv)
-    assert cmp_ is not None
-    eps = 0.25
-    for canonical, fast in [
-        (lambda s, r: complete_tournament(s, rng=r),
-         lambda r: engine.complete_tournament_fast(cmp_, None, r)),
-        (lambda s, r: quick_select(s, rng=r),
-         lambda r: engine.quick_select_fast(cmp_, None, r)),
-        (lambda s, r: modified_knockout(s, eps, rng=r),
-         lambda r: engine.modified_knockout_fast(cmp_, eps, None, r)),
-        (lambda s, r: combined_select(s, eps, rng=r),
-         lambda r: engine.combined_select_fast(cmp_, eps, None, r)),
-    ]:
-        sess = ComparatorSession(inst, adv, record=False)
-        res = canonical(sess, RngSeed(seed).generator())
-        w, q = fast(RngSeed(seed).generator())
-        assert (res.winner, sess.queries) == (w, q)
+    for run in SELECTORS:
+        assert_batches_match_pairs(inst, adv, run, seed)
 
 
 @pytest.mark.parametrize("case", range(0, len(CASES), 2))
 def test_sort_parity(case):
     inst, adv, seed = CASES[case]
-    cmp_ = engine.comparator_for(inst, adv)
-    sess = ComparatorSession(inst, adv, record=False)
-    res = quick_sort(sess, rng=RngSeed(seed).generator())
-    order, q = engine.quick_sort_fast(cmp_, None, RngSeed(seed).generator())
-    assert res.order == tuple(order.tolist())
-    assert sess.queries == q
-
-    sess = ComparatorSession(inst, adv, record=False)
-    res = complete_sort(sess, rng=RngSeed(seed).generator())
-    order, q = engine.complete_sort_fast(cmp_, None, RngSeed(seed).generator())
-    assert res.order == tuple(order.tolist())
-    assert sess.queries == q
+    for run in SORTERS:
+        assert_batches_match_pairs(inst, adv, run, seed)
 
 
 # sizes where quick-sort segments are all pivots and single items, and an
@@ -82,17 +94,9 @@ EDGE_INSTANCES = [Instance((0.0,)), Instance((0.0, 3.0)), Instance((2.0, 2.0)),
 def test_small_and_all_equal_parity(inst, kind):
     rng = np.random.default_rng(inst.n)
     adv = PivotKiller() if kind == "pivot-killer" else build_nonadaptive(inst, kind, rng)
-    cmp_ = engine.comparator_for(inst, adv)
     for seed in range(8):
-        sess = ComparatorSession(inst, adv, record=False)
-        res = quick_sort(sess, rng=RngSeed(seed).generator())
-        order, q = engine.quick_sort_fast(cmp_, None, RngSeed(seed).generator())
-        assert (res.order, sess.queries) == (tuple(order.tolist()), q)
-
-        sess = ComparatorSession(inst, adv, record=False)
-        res = quick_select(sess, rng=RngSeed(seed).generator())
-        w, q = engine.quick_select_fast(cmp_, None, RngSeed(seed).generator())
-        assert (res.winner, sess.queries) == (w, q)
+        for run in (SORTERS[0], SELECTORS[1]):
+            assert_batches_match_pairs(inst, adv, run, seed)
 
 
 def test_comb_round_sizes_parity():
@@ -101,14 +105,13 @@ def test_comb_round_sizes_parity():
         n = int(rng.integers(2, 50))
         inst = Instance(tuple(float(v) for v in rng.integers(0, 3, size=n)))
         adv = build_nonadaptive(inst, "smaller-wins")
-        cmp_ = engine.comparator_for(inst, adv)
         seed = int(rng.integers(2 ** 32))
-        s_canon, s_fast = [], []
-        combined_select(ComparatorSession(inst, adv, record=False), 0.1,
-                        rng=RngSeed(seed).generator(), record_sizes=s_canon)
-        engine.combined_select_fast(cmp_, 0.1, None, RngSeed(seed).generator(),
-                                    record_sizes=s_fast)
-        assert s_canon == [int(x) for x in s_fast]
+        sizes = []
+        for a in (adv, PairByPair(adv)):
+            sizes.append([])
+            combined_select(ComparatorSession(inst, a, record=False), 0.1,
+                            rng=RngSeed(seed).generator(), record_sizes=sizes[-1])
+        assert sizes[0] == sizes[1]
 
 
 def test_no_engine_for_arbitrary_strategy():
@@ -116,7 +119,20 @@ def test_no_engine_for_arbitrary_strategy():
         def decide(self, instance, i, j, log, pivot):
             return i
 
-    assert engine.comparator_for(Instance((0.0, 0.0)), Custom()) is None
+    assert comparator_for(Instance((0.0, 0.0)), Custom()) is None
+
+
+def test_misoriented_graph_is_asked_pair_by_pair():
+    """A graph that contradicts a forced pair gets no batch form, so every
+    violation is counted and overridden as by single queries."""
+    inst = Instance((0.0, 5.0, 0.0))
+    graph = TournamentGraph(np.triu(np.ones((3, 3), dtype=bool), 1))
+    assert comparator_for(inst, graph) is None
+    session = ComparatorSession(inst, graph)
+    assert complete_sort(session, rng=RngSeed(0).generator()).order[0] == 1
+    assert session.violations == 1
+    fine = Instance((0.0, 0.0, 0.0))
+    assert comparator_for(fine, graph) is graph
 
 
 def rule_case(rng):
@@ -128,28 +144,19 @@ def rule_case(rng):
     return inst, build_nonadaptive(inst, POLICIES[int(rng.integers(4))], rng)
 
 
-def run_all_fast(cmp_, seed):
-    eps = 0.25
-    runs = [
-        engine.complete_tournament_fast(cmp_, None, RngSeed(seed).generator()),
-        engine.modified_knockout_fast(cmp_, eps, None, RngSeed(seed).generator()),
-        engine.quick_select_fast(cmp_, None, RngSeed(seed).generator()),
-        engine.combined_select_fast(cmp_, eps, None, RngSeed(seed).generator()),
-        engine.complete_sort_fast(cmp_, None, RngSeed(seed).generator()),
-        engine.quick_sort_fast(cmp_, None, RngSeed(seed).generator()),
-    ]
-    return [(np.asarray(out).tolist(), q) for out, q in runs]
+def run_all(inst, adv, seed):
+    runs = [*SELECTORS, *SORTERS, lambda s, r: sequential_select(s, rng=r)]
+    return [transcript(inst, adv, run, seed) for run in runs]
 
 
 @pytest.mark.parametrize("case", range(40))
 def test_rule_and_matrix_comparators_agree(case):
-    """A rule evaluated on demand and its dense matrix drive every engine
-    algorithm through the same (output, queries)."""
+    """A rule evaluated on demand and its dense matrix drive every algorithm
+    through the same transcript."""
     rng = np.random.default_rng(1000 + case)
     inst, rule = rule_case(rng)
-    on_demand = engine.comparator_for(inst, rule)
-    matrix = engine.comparator_for(inst, rule.dense())
-    assert isinstance(on_demand, engine.RuleComparator)
-    assert isinstance(matrix, engine.MatrixComparator)
+    dense = rule.dense()
+    assert comparator_for(inst, rule) is rule
+    assert comparator_for(inst, dense) is dense
     seed = int(rng.integers(2 ** 32))
-    assert run_all_fast(on_demand, seed) == run_all_fast(matrix, seed)
+    assert run_all(inst, rule, seed) == run_all(inst, dense, seed)

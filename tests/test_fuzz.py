@@ -1,7 +1,8 @@
-"""Fuzzing of the CLI's inputs: generator specs, instance JSON and adversary
-JSON. Whatever the input, ``advsel select``/``sort`` ends with exit code 0, 2
-or 3 and never with an uncaught exception. Sizes stay small and every run is
-in this process, so no example can allocate much or start workers."""
+"""Fuzzing of the CLI's inputs: generator specs, instance JSON, adversary
+JSON and bench configs. Whatever the input, ``advsel select``/``sort``/
+``bench`` ends with exit code 0, 2 or 3 and never with an uncaught
+exception. Sizes and trial counts stay small and every run is in this
+process, so no example can allocate much or start workers."""
 
 import contextlib
 import io
@@ -113,3 +114,31 @@ def test_instance_and_adversary_json(instance, adversary, algo):
         if adversary is not None:
             argv.append(f"--adversary={adversary_arg(adversary)}")
         assert_clean(argv)
+
+
+BENCH_BASE = {"algorithm": "ko-mod", "instance": "zeros:6",
+              "adversary": "smaller-wins", "t": 2.0, "epsilon": 0.1,
+              "trials": 3, "seed": 1, "stream": 0}
+
+
+@given(st.sampled_from(sorted(BENCH_BASE)), junk)
+@settings(max_examples=150, deadline=None)
+def test_bench_config_fields(field, value):
+    config = dict(BENCH_BASE, **{field: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert_clean(["bench", "--config", path])
+
+
+def test_bench_config_wrong_types_exit_2():
+    for field, value in (("epsilon", "0.1"), ("epsilon", [0.1]), ("seed", "1"),
+                         ("seed", True), ("trials", 2.0), ("t", None)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(dict(BENCH_BASE, **{field: value}), fh)
+            code, err = run_cli(["bench", "--config", path])
+        assert code == EXIT_INPUT, (field, value)
+        assert err.startswith("error:") and err.count("\n") == 1, err

@@ -43,6 +43,12 @@ class TestConfig:
         with pytest.raises(ValueError):  # a trial index past one 32-bit word
             TrialConfig(algorithm="compl", instance="zeros:4",
                         adversary="random", trials=2 ** 32 + 1)
+        for bad in ({"seed": "1"}, {"seed": True}, {"stream": 1.0},
+                    {"trials": 2.0}, {"t": "2"}, {"t": 10 ** 400},
+                    {"epsilon": [0.1]}, {"epsilon": False}):
+            with pytest.raises(ValueError):
+                TrialConfig(algorithm="compl", instance="zeros:4",
+                            adversary="random", **bad)
 
     def test_json_requires_seed(self):
         with pytest.raises(ValueError):
@@ -124,14 +130,6 @@ class TestReproducibility:
         a, b = run_trials(cfg), run_trials(cfg)
         assert np.array_equal(a.errors, b.errors)
         assert np.array_equal(a.queries, b.queries)
-
-    def test_engine_and_canonical_paths_agree(self):
-        cfg = TrialConfig(algorithm="q-select", instance="uniform01:30",
-                          adversary="smaller-wins", t=2.0, trials=80, seed=12)
-        fast = run_trials(cfg, use_engine=True)
-        slow = run_trials(cfg, use_engine=False)
-        assert np.array_equal(fast.errors, slow.errors)
-        assert np.array_equal(fast.queries, slow.queries)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         cfg = TrialConfig(algorithm="q-select", instance="zeros:40",

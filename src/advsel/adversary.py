@@ -16,8 +16,7 @@ from typing import Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
-from .core import (Instance, InvalidQueryError, QueryBatches, QueryLog, RngSeed,
-                   forced_winner)
+from .core import Instance, InvalidQueryError, QueryBatches, QueryLog, RngSeed
 
 __all__ = [
     "TournamentGraph",
@@ -258,9 +257,13 @@ class PivotKiller:
     lower index; forced queries obey the model."""
 
     def decide(self, instance, i, j, log, pivot):
-        w = forced_winner(instance, i, j)
-        if w is not None:
-            return w
+        values = instance.values
+        n = len(values)
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise InvalidQueryError(f"invalid query ({i}, {j}) for n={n}")
+        gap = values[i] - values[j]
+        if gap > instance.delta or -gap > instance.delta:
+            return i if gap > 0 else j
         if pivot == i:
             return j
         if pivot == j:

@@ -138,10 +138,10 @@ def _cmd_bench(args) -> int:
         "n": n, "trials": summary.trials, "error_rate": summary.error_rate,
         "ci_lo": summary.error_ci95[0], "ci_hi": summary.error_ci95[1],
         "q_mean": summary.query_mean, "q_max": summary.query_max,
-        "seed": config.seed,
+        "seed": config.seed, "violations": data.violations,
     }
     _emit(record, args.json)
-    return EXIT_OK
+    return EXIT_VIOLATION if data.violations else EXIT_OK
 
 
 def _peek_n(config: TrialConfig) -> int:

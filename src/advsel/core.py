@@ -115,11 +115,26 @@ class QueryRecord:
             raise ValueError("winner must be one of the queried indices")
 
 
+def _checked_record(left: int, right: int, winner: int, ordinal: int) -> QueryRecord:
+    """A QueryRecord for a pair the session already checked: the fields are
+    stored directly, without running ``__post_init__`` again."""
+    rec = object.__new__(QueryRecord)
+    fields = rec.__dict__
+    fields["left"] = left
+    fields["right"] = right
+    fields["winner"] = winner
+    fields["ordinal"] = ordinal
+    return rec
+
+
 class QueryLog:
     """Ordered transcript of comparisons plus a running count.
 
     Recording the full transcript can be switched off for bulk Monte-Carlo
-    runs; the count is always maintained.
+    runs; the count is always maintained. ``append`` and ``extend`` trust
+    their caller (a session, which has already checked each pair): they
+    store the pair and winner as given, without the checks of a direct
+    ``QueryRecord(...)``. ``validate_log`` rejects a bad record afterwards.
     """
 
     __slots__ = ("records", "count", "recording")
@@ -131,7 +146,7 @@ class QueryLog:
 
     def append(self, left: int, right: int, winner: int) -> None:
         if self.recording:
-            self.records.append(QueryRecord(left, right, winner, self.count))
+            self.records.append(_checked_record(left, right, winner, self.count))
         self.count += 1
 
     def extend(self, left, right, winner) -> None:
@@ -140,9 +155,8 @@ class QueryLog:
         left, right, winner = (a.tolist() for a in
                                np.broadcast_arrays(left, right, winner))
         if self.recording:
-            self.records.extend(
-                QueryRecord(a, b, w, self.count + k)
-                for k, (a, b, w) in enumerate(zip(left, right, winner)))
+            self.records.extend(map(_checked_record, left, right, winner,
+                                    range(self.count, self.count + len(right))))
         self.count += len(right)
 
     def __len__(self) -> int:
@@ -322,10 +336,16 @@ def is_t_approx(output_value: float, instance: Instance, t: float) -> bool:
 def validate_log(instance: Instance, log: QueryLog) -> None:
     """Assert every recorded answer obeys the forced-outcome rule.
 
-    Raises ValueError on the first record whose pair has a gap above delta
-    but whose winner is not the larger value's index.
+    Raises ValueError on the first record whose winner is not in its pair,
+    or whose pair has a gap above delta but whose winner is not the larger
+    value's index; InvalidQueryError on a pair of equal or out-of-range
+    indices.
     """
     for rec in log:
+        if rec.winner not in (rec.left, rec.right):
+            raise ValueError(
+                f"record {rec.ordinal}: winner {rec.winner} is not in the "
+                f"pair ({rec.left}, {rec.right})")
         want = forced_winner(instance, rec.left, rec.right)
         if want is not None and rec.winner != want:
             raise ValueError(

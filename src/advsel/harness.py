@@ -150,6 +150,7 @@ class TrialData:
     queries: np.ndarray         # int per trial
     round_sizes: list           # per trial list of field sizes (comb only)
     wall_time: float
+    violations: int = 0         # forced answers the adversary got wrong, all trials
 
     def summary(self) -> TrialSummary:
         trials = len(self.errors)
@@ -301,7 +302,8 @@ class _TrialStreams:
 
 
 def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
-    """Run trials lo..hi-1 and return (errors, queries, round_sizes)."""
+    """Run trials lo..hi-1 and return (errors, queries, round_sizes,
+    violations)."""
     source = _InstanceSource(config.instance)
     adv_spec = normalize_adversary(config.adversary)
     is_sort = config.algorithm in SORTERS
@@ -312,6 +314,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
     errors = np.zeros(hi - lo, dtype=bool)
     queries = np.zeros(hi - lo, dtype=np.int64)
     all_sizes: list = []
+    violations = 0
 
     # (seed, stream, trial, role) streams; a static build draws only once
     root = RngSeed(config.seed, config.stream)
@@ -340,6 +343,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
                                config.epsilon, sizes)
         k = t - lo
         queries[k] = result.queries
+        violations += session.violations
         if is_sort:
             errors[k] = not is_t_sorted([instance.values[i] for i in result.order],
                                         config.t)
@@ -347,7 +351,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
             errors[k] = instance.values[result.winner] < instance.max_value - config.t
         if collect_sizes:
             all_sizes.append(sizes)
-    return errors, queries, all_sizes
+    return errors, queries, all_sizes, violations
 
 
 def _worker(args):
@@ -372,8 +376,8 @@ def run_trials(config: TrialConfig, collect_sizes: bool = False) -> TrialData:
     start = time.perf_counter()
     workers = min(_worker_count(), config.trials)
     if workers <= 1 or config.trials < 4 * workers:
-        errors, queries, sizes = _trial_block(config, 0, config.trials,
-                                              collect_sizes)
+        errors, queries, sizes, violations = _trial_block(
+            config, 0, config.trials, collect_sizes)
     else:
         bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
         jobs = [(config.to_dict(), int(bounds[w]), int(bounds[w + 1]),
@@ -383,8 +387,9 @@ def run_trials(config: TrialConfig, collect_sizes: bool = False) -> TrialData:
         errors = np.concatenate([p[0] for p in parts])
         queries = np.concatenate([p[1] for p in parts])
         sizes = [s for p in parts for s in p[2]]
+        violations = sum(p[3] for p in parts)
     return TrialData(errors=errors, queries=queries, round_sizes=sizes,
-                     wall_time=time.perf_counter() - start)
+                     wall_time=time.perf_counter() - start, violations=violations)
 
 
 def estimate(config: TrialConfig) -> TrialSummary:

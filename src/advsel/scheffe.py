@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+_OUTSIDE_SUPPORT = "sample index outside the candidates' support"
 
 
 class DiscreteDistribution:
@@ -77,6 +79,13 @@ class SampleSet:
         if len(self.samples) != self.k:
             raise ValueError("k must equal the number of samples")
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """How many samples fell on each index 0..max: built once, O(k)."""
+        if self.k and self.samples.min() < 0:
+            raise ValueError(_OUTSIDE_SUPPORT)
+        return np.bincount(self.samples)
+
 
 @dataclass(frozen=True)
 class ScheffeOutcome:
@@ -116,21 +125,31 @@ def sample(p: DiscreteDistribution, k: int, rng: np.random.Generator) -> SampleS
     return SampleSet(np.minimum(idx, p.support_size - 1), k)
 
 
+def _sample_counts(samples: SampleSet, support_size: int) -> np.ndarray:
+    """The samples' histogram, checked against a support of m atoms; it may
+    be shorter than m, up to the largest sample index."""
+    counts = samples.counts
+    if len(counts) > support_size:
+        raise ValueError(_OUTSIDE_SUPPORT)
+    return counts
+
+
 def scheffe_test(p1: DiscreteDistribution, p2: DiscreteDistribution,
                  samples: SampleSet) -> ScheffeOutcome:
     """Compare two candidates on the witness set S = {x : p1(x) > p2(x)}:
     whichever assigns S a mass closer to the empirical frequency wins,
-    with ties going to the first argument."""
+    with ties going to the first argument.
+
+    The empirical mass is read from the sample set's histogram, built at its
+    first test, so a test costs O(m) for a support of m atoms, not O(k).
+    """
     _check_support(p1, p2)
+    counts = _sample_counts(samples, p1.support_size)
     s_set = p1.probs > p2.probs
     m1 = float(p1.probs[s_set].sum())
     m2 = float(p2.probs[s_set].sum())
-    if samples.k:
-        if samples.samples.max() >= p1.support_size:
-            raise ValueError("sample index outside the candidates' support")
-        mu = float(s_set[samples.samples].mean())
-    else:
-        mu = 0.0
+    # an exact count divided once by k: the mean of the samples' membership
+    mu = int(counts[s_set[:len(counts)]].sum()) / samples.k if samples.k else 0.0
     winner = 0 if abs(m1 - mu) <= abs(m2 - mu) else 1
     return ScheffeOutcome(winner, m1, m2, mu)
 
@@ -167,7 +186,8 @@ class _ScheffeSession(QueryBatches):
 def scheffe_tournament(candidates: Sequence[DiscreteDistribution],
                        samples: SampleSet, rng=None) -> ScheffeSelection:
     """Round-robin of pairwise tests; returns the candidate with the most
-    wins (seeded-random tie-break). Theta(n^2 k) work."""
+    wins (seeded-random tie-break). Theta(k + n^2 m) work for k samples on
+    a support of m atoms."""
     if len(candidates) == 0:
         raise ValueError("need at least one candidate")
     session = _ScheffeSession(candidates, samples)
@@ -178,7 +198,7 @@ def scheffe_tournament(candidates: Sequence[DiscreteDistribution],
 def scheffe_quickselect(candidates: Sequence[DiscreteDistribution],
                         samples: SampleSet, rng=None) -> ScheffeSelection:
     """Quick-select over candidates with the Scheffe test as the comparator;
-    expected Theta(n k) work since the induced tournament is fixed."""
+    expected Theta(k + n m) work since the induced tournament is fixed."""
     if len(candidates) == 0:
         raise ValueError("need at least one candidate")
     if samples.k < 1 and len(candidates) > 1:
@@ -194,11 +214,10 @@ def induced_tournament_matrix(candidates: Sequence[DiscreteDistribution],
     (entry [i, j] True iff i wins the canonical-order test against j)."""
     n = len(candidates)
     probs = np.stack([c.probs for c in candidates])
+    counts = _sample_counts(samples, probs.shape[1])
+    emp = np.zeros(probs.shape[1])
     if samples.k:
-        counts = np.bincount(samples.samples, minlength=probs.shape[1])
-        emp = counts / samples.k
-    else:
-        emp = np.zeros(probs.shape[1])
+        emp[:len(counts)] = counts / samples.k
     matrix = np.zeros((n, n), dtype=bool)
     for a in range(n):
         s_sets = probs[a][None, :] > probs[a + 1:]          # (n-a-1, m)

@@ -351,6 +351,21 @@ class TestPivotKiller:
         s.announce_pivot(None)
         assert s.query(2, 1) == 1
 
+    @pytest.mark.parametrize("i,j", [(0, 0), (-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_decide_rejects_bad_pairs(self, i, j):
+        with pytest.raises(InvalidQueryError):
+            PivotKiller().decide(Instance((0.0, 0.0, 5.0)), i, j, None, None)
+
+    def test_decide_forced_and_free(self):
+        # gaps of exactly delta are free; past it the larger value wins
+        inst = Instance((0.0, 1.0, 2.5), delta=1.0)
+        killer = PivotKiller()
+        assert killer.decide(inst, 0, 2, None, 0) == 2
+        assert killer.decide(inst, 2, 0, None, 2) == 2
+        assert killer.decide(inst, 0, 1, None, 0) == 1
+        assert killer.decide(inst, 1, 0, None, 0) == 1
+        assert killer.decide(inst, 1, 0, None, None) == 0
+
 
 class TestAdversarySpec:
     def test_nonadaptive_spec(self):

@@ -192,8 +192,27 @@ class TestBench:
         assert code == EXIT_OK
         rec = json.loads(out)
         assert rec["error_rate"] == 0.0 and rec["q_mean"] == 28.0
+        assert rec["violations"] == 0
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 2 and lines[0].startswith("algorithm,")
+
+    def test_violation_exit_code(self, capsys, tmp_path, monkeypatch):
+        class Liar:
+            def decide(self, instance, i, j, log, pivot):
+                return min(i, j)
+
+        import advsel.harness as harness_mod
+        monkeypatch.delenv("ADVSEL_THREADS", raising=False)
+        monkeypatch.setattr(harness_mod, "_build_adversary",
+                            lambda spec, inst, g, rng: Liar())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"algorithm": "compl",
+                                        "instance": "distinct:4",
+                                        "adversary": "lower-index-wins",
+                                        "trials": 3, "seed": 1}))
+        code, out = run_cli(capsys, "bench", "--config", str(cfg_path), "--json")
+        assert code == EXIT_VIOLATION
+        assert json.loads(out)["violations"] > 0
 
     def test_seedless_config_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from advsel.core import (Instance, InvalidQueryError, QueryLog, QueryRecord,
-                         RngSeed, forced_winner, is_t_approx, is_t_sorted)
+                         RngSeed, forced_winner, is_t_approx, is_t_sorted,
+                         validate_log)
 
 
 class TestInstance:
@@ -149,6 +151,31 @@ class TestQueryLog:
         log.append(2, 1, 1)
         assert log.count == 2
         assert [r.ordinal for r in log] == [0, 1]
+
+    def test_logged_records_match_constructed_ones(self):
+        log = QueryLog()
+        log.append(3, 1, 1)
+        log.extend(2, np.array([0, 4]), np.array([2, 4]))
+        want = [QueryRecord(3, 1, 1, 0), QueryRecord(2, 0, 2, 1),
+                QueryRecord(2, 4, 4, 2)]
+        assert log.records == want
+        assert [hash(r) for r in log] == [hash(r) for r in want]
+        assert [repr(r) for r in log] == [repr(r) for r in want]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            log.records[0].winner = 3
+
+    def test_append_and_extend_trust_their_caller(self):
+        # bad pairs are stored as given; validate_log rejects them afterwards
+        inst = Instance((0.0, 0.0, 0.0))
+        for left, right, winner in ((0, 1, 7), (2, 2, 2)):
+            for log_pair in (QueryLog.append, lambda log, a, b, w:
+                             log.extend(a, np.array([b]), w)):
+                log = QueryLog()
+                log_pair(log, left, right, winner)
+                rec = log.records[0]
+                assert (rec.left, rec.right, rec.winner) == (left, right, winner)
+                with pytest.raises(ValueError):
+                    validate_log(inst, log)
 
     def test_count_only_mode(self):
         log = QueryLog(recording=False)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -244,3 +245,41 @@ class TestCsv:
         assert len(fields) == len(CSV_HEADER.split(","))
         assert fields[0] == "compl" and fields[-1] == "true"
         assert fields[4] == ""  # no epsilon
+
+
+class _Liar:
+    """Answers every query with the lower index, forced or not."""
+
+    def decide(self, instance, i, j, log, pivot):
+        return min(i, j)
+
+
+class TestViolations:
+    @pytest.fixture()
+    def liar(self, monkeypatch):
+        monkeypatch.delenv("ADVSEL_THREADS", raising=False)
+        monkeypatch.setattr(harness, "_build_adversary",
+                            lambda spec, inst, g, rng: _Liar())
+        return TrialConfig(algorithm="compl", instance="distinct:5",
+                           adversary="lower-index-wins", trials=8, seed=3)
+
+    def test_counted_over_all_trials(self, liar):
+        inst, _ = parse_generator("distinct:5", RngSeed(3).generator(0, 0))
+        session = ComparatorSession(inst, _Liar(), record=False)
+        harness.complete_tournament(session)
+        assert session.violations > 0
+        assert run_trials(liar).violations == 8 * session.violations
+
+    def test_clean_run_has_none(self):
+        cfg = TrialConfig(algorithm="q-select", instance="zeros:20",
+                          adversary="pivot-killer", trials=5, seed=3)
+        assert run_trials(cfg).violations == 0
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched adversary only when forked")
+    def test_merged_across_workers(self, liar, monkeypatch):
+        serial = run_trials(liar).violations
+        monkeypatch.setenv("ADVSEL_THREADS", "2")
+        if harness._worker_count() < 2:
+            pytest.skip("one core: the trials run in one block")
+        assert run_trials(liar).violations == serial

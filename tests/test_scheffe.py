@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advsel.core import RngSeed
-from advsel.scheffe import (DiscreteDistribution, SampleSet,
-                            candidates_from_json, candidates_to_json,
-                            induced_tournament_matrix, l1_distance,
-                            planted_suite, sample, scheffe_quickselect,
-                            scheffe_test, scheffe_tournament)
+from advsel.scheffe import (DiscreteDistribution, SampleSet, ScheffeOutcome,
+                            _ScheffeSession, candidates_from_json,
+                            candidates_to_json, induced_tournament_matrix,
+                            l1_distance, planted_suite, sample,
+                            scheffe_quickselect, scheffe_test,
+                            scheffe_tournament)
 
 
 def dist(*probs):
@@ -121,6 +122,89 @@ class TestScheffeTest:
             bound = 3 * min(l1_distance(p1, p0), l1_distance(p2, p0)) + additive
             violations += l1_distance(chosen, p0) > bound
         assert violations / trials < eps
+
+
+def gather_test(p1, p2, samples):
+    """The Scheffe test as a gather over every sample: the reference the
+    histogram form must match bit for bit."""
+    s_set = p1.probs > p2.probs
+    m1 = float(p1.probs[s_set].sum())
+    m2 = float(p2.probs[s_set].sum())
+    mu = float(s_set[samples.samples].mean()) if samples.k else 0.0
+    return ScheffeOutcome(0 if abs(m1 - mu) <= abs(m2 - mu) else 1, m1, m2, mu)
+
+
+@st.composite
+def scheffe_inputs(draw):
+    """Candidates on a support of 2..6 atoms with weights from a few small
+    integers, so atoms tie across candidates (strict witness sets) and some
+    candidates coincide (empty ones), plus k samples for k in {0, 1, small,
+    10^4}."""
+    m = draw(st.integers(2, 6))
+    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+    cands = [DiscreteDistribution(np.array(w) / sum(w))
+             for w in draw(st.lists(weights, min_size=2, max_size=6))]
+    cands.append(cands[draw(st.integers(0, len(cands) - 1))])
+    k = draw(st.sampled_from([0, 1, 2, 7, 100, 10_000]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return cands, SampleSet(RngSeed(seed).generator().integers(0, m, k), k)
+
+
+class TestHistogramForm:
+    @given(scheffe_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_session_and_test_match_the_gather(self, inputs):
+        cands, smp = inputs
+        session = _ScheffeSession(cands, smp)
+        for a in range(len(cands)):
+            for b in range(a + 1, len(cands)):
+                want = gather_test(cands[a], cands[b], smp)
+                assert scheffe_test(cands[a], cands[b], smp) == want
+                expected = (a, b)[want.winner]
+                assert session.query(a, b) == session.query(b, a) == expected
+        assert session.tests == len(cands) * (len(cands) - 1)
+
+    def test_out_of_range_sample_raises_on_first_test(self):
+        cands = [dist(0.5, 0.5), dist(1.0, 0.0)]
+        for bad in ([0, 2], [1, -1]):
+            smp = SampleSet(np.array(bad), 2)
+            session = _ScheffeSession(cands, smp)
+            with pytest.raises(ValueError, match="outside"):
+                session.query(0, 1)
+            assert session.tests == 0
+            with pytest.raises(ValueError, match="outside"):
+                scheffe_test(cands[0], cands[1], smp)
+            with pytest.raises(ValueError, match="outside"):
+                induced_tournament_matrix(cands, smp)
+            for select in (scheffe_tournament, scheffe_quickselect):
+                with pytest.raises(ValueError, match="outside"):
+                    select(cands, smp, RngSeed(0).generator())
+
+    def test_histogram_built_once_per_sample_set(self):
+        rng = RngSeed(23).generator()
+        p0, cands = planted_suite(6, 5, 0.1, rng)
+        smp = sample(p0, 300, rng)
+        scheffe_tournament(cands, smp, RngSeed(0).generator())
+        counts = smp.counts
+        assert counts.sum() == 300 and len(counts) <= 5
+        scheffe_quickselect(cands, smp, RngSeed(0).generator())
+        induced_tournament_matrix(cands, smp)
+        assert smp.counts is counts
+
+    def test_single_candidate_never_reads_samples(self):
+        bad = SampleSet(np.array([7, -3]), 2)
+        for select in (scheffe_tournament, scheffe_quickselect):
+            sel = select([dist(1.0)], bad, RngSeed(0).generator())
+            assert (sel.winner, sel.tests) == (0, 0)
+
+    def test_support_mismatch_raises(self):
+        smp = SampleSet(np.array([0, 1]), 2)
+        narrow, wide = dist(1.0, 0.0), dist(0.25, 0.25, 0.5)
+        with pytest.raises(ValueError, match="support sizes differ"):
+            scheffe_test(narrow, wide, smp)
+        for select in (scheffe_tournament, scheffe_quickselect):
+            with pytest.raises(ValueError, match="support sizes differ"):
+                select([narrow, narrow, wide], smp, RngSeed(0).generator())
 
 
 class TestInducedTournament:

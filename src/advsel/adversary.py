@@ -16,7 +16,8 @@ from typing import Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
-from .core import Instance, InvalidQueryError, QueryBatches, QueryLog, RngSeed
+from .core import (Instance, InvalidQueryError, QueryBatches, QueryLog, RngSeed,
+                   check_number)
 
 __all__ = [
     "TournamentGraph",
@@ -151,7 +152,7 @@ class TournamentGraph:
         seen = np.zeros((n, n), dtype=bool)
         for edge in edges:
             try:
-                i, j, w = (int(x) for x in edge)
+                i, j, w = (check_number("an edge index", x) for x in edge)
             except (TypeError, ValueError):
                 raise ValueError(f"bad edge {edge!r}: expected [i, j, winner] "
                                  "integers") from None
@@ -522,16 +523,8 @@ def _near_regular(g: int) -> np.ndarray:
     return _near_regular_beats(pos[:, None], pos[None, :], g)
 
 
-def _spec_int(value, what: str) -> int:
-    """An integer parameter of a spec, or a ValueError naming it."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _require_odd(n: int) -> int:
-    n = _spec_int(n, "n")
+    n = check_number("n", n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"construction needs odd n >= 3, got {n}")
     if n > MAX_CONSTRUCTION_SIZE:
@@ -553,7 +546,7 @@ def _seed_rng(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, RngSeed):
         return seed.generator()
-    return RngSeed(_spec_int(seed, "seed")).generator()
+    return RngSeed(check_number("seed", seed)).generator()
 
 
 def lemma_one_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
@@ -596,7 +589,7 @@ def sequential_hard_instance(r: int, s: int) -> tuple[Instance, PolicyTournament
     """Layered instance of n = r^s values (one s, then r^(s-m) - r^(s-m-1)
     copies of each m < s) paired with the min-on-ties adversary, on which
     sequential selection almost always walks down to a 0."""
-    r, s = _spec_int(r, "r"), _spec_int(s, "s")
+    r, s = check_number("r", r), check_number("s", s)
     if r < 2 or s < 1:
         raise ValueError("need r >= 2 and s >= 1")
     # r^s >= 2^s, so a large s is rejected before the power is taken
@@ -621,7 +614,7 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, "KomodTournament"]
     than lower-index-wins: a single dominant 1 would otherwise out-win 0* in
     the final round-robin and the construction would lose its teeth.
     """
-    n = _spec_int(n, "n")
+    n = check_number("n", n)
     if n < 5 or (n - 2) % 3 != 0:
         raise ValueError(f"need n - 2 divisible by 3 and n >= 5, got {n}")
     if n > MAX_CONSTRUCTION_SIZE:

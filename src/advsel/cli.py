@@ -13,11 +13,10 @@ import sys
 from typing import Optional
 
 from .adversary import ComparatorSession
-from .core import Instance, RngSeed, is_t_sorted
-from .generators import parse_generator
-from .harness import (CSV_HEADER, SELECTORS, SORTERS, TrialConfig, csv_row,
-                      normalize_adversary, run_algorithm, run_trials,
-                      _build_adversary)
+from .core import RngSeed, is_t_sorted
+from .harness import (CSV_HEADER, SELECTORS, SORTERS, TrialConfig,
+                      build_instance, csv_row, normalize_adversary,
+                      run_algorithm, run_trials, _build_adversary)
 from .report import bound_report
 from .scheffe import (candidates_from_json, l1_distance, sample,
                       scheffe_quickselect, scheffe_tournament)
@@ -50,12 +49,11 @@ def _resolve_seed(args) -> int:
 def _load_instance(args, rng):
     if getattr(args, "file", None):
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                return Instance.from_json(fh.read()), None
+            return build_instance({"file": args.file}, rng)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise InputError(f"cannot load instance {args.file}: {exc}") from exc
     if getattr(args, "gen", None):
-        return parse_generator(args.gen, rng)
+        return build_instance(args.gen, rng)
     raise InputError("need --file or --gen")
 
 
@@ -145,10 +143,7 @@ def _cmd_bench(args) -> int:
 
 
 def _peek_n(config: TrialConfig) -> int:
-    from .harness import _InstanceSource
-    src = _InstanceSource(config.instance)
-    inst, _ = src.build(RngSeed(config.seed).generator(0))
-    return inst.n
+    return build_instance(config.instance, RngSeed(config.seed).generator(0))[0].n
 
 
 def _cmd_scheffe(args) -> int:

@@ -24,6 +24,7 @@ __all__ = [
     "QueryBatches",
     "RngSeed",
     "InvalidQueryError",
+    "check_number",
     "forced_winner",
     "is_t_approx",
     "is_t_sorted",
@@ -33,6 +34,22 @@ __all__ = [
 
 class InvalidQueryError(ValueError):
     """A query violated the comparator preconditions (i == j or bad index)."""
+
+
+def check_number(name: str, value, kind=numbers.Integral):
+    """``value`` of an input field if it is of ``kind`` (booleans are not
+    numbers here), and a real one fits a float, as the code computes with it;
+    otherwise a ValueError naming the field. An integer comes back as int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if kind is numbers.Integral:
+        return int(value)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range") from None
+    return value
 
 
 @dataclass(frozen=True)

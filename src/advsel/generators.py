@@ -22,9 +22,13 @@ __all__ = [
     "make_zeroone",
     "parse_generator",
     "GENERATOR_NAMES",
+    "MAX_INSTANCE_SIZE",
 ]
 
 GRID = 2 ** 20
+
+# most items any generator spec may ask for, checked before anything is built
+MAX_INSTANCE_SIZE = 2 ** 24
 
 # name -> number of integer arguments after the colon
 _ARITY = {"zeros": 1, "distinct": 1, "uniform01": 1, "zeroone": 1,
@@ -73,6 +77,12 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     if len(args) != _ARITY[name]:
         raise ValueError(f"generator {name!r} takes {_ARITY[name]} "
                          f"integer argument(s), got {spec!r}")
+    # seqhard has r^s items; an exponent of the bound's bit length is past it
+    n = args[0] if name != "seqhard" else \
+        max(abs(args[0]), 1) ** min(max(args[1], 0), MAX_INSTANCE_SIZE.bit_length())
+    if n > MAX_INSTANCE_SIZE:
+        raise ValueError(f"generator {spec!r} asks for more than "
+                         f"{MAX_INSTANCE_SIZE} items")
     if name == "zeros":
         return make_zeros(*args), None
     if name == "distinct":

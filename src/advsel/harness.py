@@ -8,6 +8,12 @@ identical results regardless of worker count, because every trial derives its
 own generators from (seed, stream, trial-index) seed sequences. A block of
 trials derives those generator states together, bit-identical to seeding each
 one through ``SeedSequence``.
+
+Reuse rule: a block builds its first trial's instance and adversary, and
+keeps a build for every later trial exactly when nothing drew from that
+trial's generator, so the build is the same for every trial. Only graphs are
+kept as adversaries, and only with a kept instance: strategies can hold
+per-session state and are rebuilt for every trial.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
                         adversary_from_spec, fits_dense_budget)
 from .algorithms import (combined_select, complete_tournament, modified_knockout,
                          quick_select, sequential_select)
-from .core import Instance, RngSeed, is_t_sorted
+from .core import Instance, RngSeed, check_number, is_t_sorted
 from .generators import parse_generator
 from .sorting import complete_sort, quick_sort
 
@@ -36,6 +42,7 @@ __all__ = [
     "TrialSummary",
     "TrialData",
     "ALGORITHM_IDS",
+    "build_instance",
     "run_algorithm",
     "estimate",
     "run_trials",
@@ -71,19 +78,6 @@ def normalize_adversary(spec) -> dict:
     raise ValueError("adversary spec must be a name or a JSON object")
 
 
-def _check_number(name: str, value, kind) -> None:
-    """A config number must be of ``kind`` (booleans are not numbers here),
-    and a real one must fit a float, as the trials compute with it."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    if kind is numbers.Real:
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"{name} is out of float range") from None
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte-Carlo experiment: algorithm, instance source, adversary spec,
@@ -103,10 +97,10 @@ class TrialConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"expected one of {ALGORITHM_IDS}")
         for name in ("seed", "stream", "trials"):
-            _check_number(name, getattr(self, name), numbers.Integral)
-        _check_number("t", self.t, numbers.Real)
+            check_number(name, getattr(self, name))
+        check_number("t", self.t, numbers.Real)
         if self.epsilon is not None:
-            _check_number("epsilon", self.epsilon, numbers.Real)
+            check_number("epsilon", self.epsilon, numbers.Real)
         if not 1 <= self.trials <= 2 ** 32:
             # a trial index is one 32-bit word of its generator's spawn key
             raise ValueError("trials must be between 1 and 2**32")
@@ -182,32 +176,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
 
-class _InstanceSource:
-    """Builds the per-trial instance (and construction graph, when the source
-    is one of the named constructions)."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        if isinstance(cfg, str):
-            name = cfg.partition(":")[0]
-            self.kind = "generator"
-            self.static = name in ("zeros", "distinct", "seqhard")
-        elif isinstance(cfg, dict) and "file" in cfg:
-            self.kind = "file"
-            self.static = True
-        elif isinstance(cfg, dict) and "values" in cfg:
-            self.kind = "inline"
-            self.static = True
-        else:
-            raise ValueError(f"bad instance source {cfg!r}")
-
-    def build(self, rng) -> tuple[Instance, Optional[TournamentGraph]]:
-        if self.kind == "generator":
-            return parse_generator(self.cfg, rng)
-        if self.kind == "file":
-            with open(self.cfg["file"], "r", encoding="utf-8") as fh:
-                return Instance.from_json(fh.read()), None
-        return Instance.from_json(self.cfg), None
+def build_instance(source, rng) -> tuple[Instance, Optional[TournamentGraph]]:
+    """The instance a source names, and the graph that comes with a named
+    construction: a generator string, ``{"file": path}`` or ``{"values": ...}``."""
+    if isinstance(source, str):
+        return parse_generator(source, rng)
+    if isinstance(source, dict) and "file" in source:
+        with open(source["file"], "r", encoding="utf-8") as fh:
+            return Instance.from_json(fh.read()), None
+    if isinstance(source, dict) and "values" in source:
+        return Instance.from_json(source), None
+    raise ValueError(f"bad instance source {source!r}")
 
 
 def _build_adversary(spec: dict, instance, construction_graph, rng):
@@ -227,31 +206,15 @@ DENSE_BELOW_N = {"q-sort": 512}
 DENSE_BELOW_N_DEFAULT = 64
 
 
-def _engine_form(adversary, static: bool, algorithm: str):
+def _engine_form(adversary, kept: bool, algorithm: str):
     """The dense matrix of a rule adversary where that is cheaper: when the
-    harness reuses it for every trial, or when n is small. Everything else
+    harness keeps it for every trial, or when n is small. Everything else
     is returned as it is."""
     if isinstance(adversary, RuleTournament) and fits_dense_budget(adversary.n) \
-            and (static or adversary.n < DENSE_BELOW_N.get(
+            and (kept or adversary.n < DENSE_BELOW_N.get(
                 algorithm, DENSE_BELOW_N_DEFAULT)):
         return adversary.dense()
     return adversary
-
-
-def _adversary_static(spec: dict, instance_static: bool) -> bool:
-    if not instance_static:
-        return False
-    kind = spec.get("kind")
-    if kind == "nonadaptive":
-        return spec.get("policy") not in ("random", "seeded-random") or "seed" in spec
-    if kind == "explicit":
-        return True
-    if kind == "construction":
-        if spec.get("name") == "pivot-killer":
-            params = spec.get("params") or {}
-            return isinstance(params, dict) and not params.get("memoized")
-        return True
-    return False
 
 
 def run_algorithm(algorithm: str, session, rng, epsilon=None,
@@ -282,13 +245,14 @@ _SEED_CHUNK = 1024
 
 class _TrialStreams:
     """The generators of one role for the trials of a block: one PCG64 and
-    Generator, set to each trial's state in turn. States are derived
-    ``chunk`` trials at a time, so memory stays bounded on long blocks."""
+    Generator, set to each trial's state in turn. The first trial's state is
+    derived alone, as a kept build needs no other; later states are derived
+    ``_SEED_CHUNK`` trials at a time, so memory stays bounded."""
 
-    def __init__(self, root: RngSeed, role: int, hi: int, chunk: int):
-        self.root, self.role, self.hi, self.chunk = root, role, hi, chunk
-        self.first = 0
-        self.states: list[dict] = []
+    def __init__(self, root: RngSeed, role: int, lo: int, hi: int):
+        self.root, self.role, self.hi = root, role, hi
+        self.first = lo
+        self.states = root.pcg64_states(lo, lo + 1, role)
         self.generator = np.random.Generator(np.random.PCG64(0))
 
     def at(self, t: int) -> np.random.Generator:
@@ -296,47 +260,45 @@ class _TrialStreams:
         if not 0 <= k < len(self.states):
             self.first, k = t, 0
             self.states = self.root.pcg64_states(
-                t, min(t + self.chunk, self.hi), self.role)
-        self.generator.bit_generator.state = self.states[k]
+                t, min(t + _SEED_CHUNK, self.hi), self.role)
+        self.current = self.states[k]
+        self.generator.bit_generator.state = self.current
         return self.generator
+
+    def drew(self) -> bool:
+        """Whether anything drew from the generator since ``at`` set it."""
+        return self.generator.bit_generator.state != self.current
 
 
 def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
     """Run trials lo..hi-1 and return (errors, queries, round_sizes,
     violations)."""
-    source = _InstanceSource(config.instance)
     adv_spec = normalize_adversary(config.adversary)
     is_sort = config.algorithm in SORTERS
-    static_instance = source.static
-    static_adversary = _adversary_static(adv_spec, static_instance)
-    cached_instance = cached_graph = cached_adv = None
-
     errors = np.zeros(hi - lo, dtype=bool)
     queries = np.zeros(hi - lo, dtype=np.int64)
     all_sizes: list = []
     violations = 0
 
-    # (seed, stream, trial, role) streams; a static build draws only once
+    # (seed, stream, trial, role) streams
     root = RngSeed(config.seed, config.stream)
-    instance_rngs = _TrialStreams(root, 0, hi, 1 if static_instance else _SEED_CHUNK)
-    adversary_rngs = _TrialStreams(root, 1, hi, 1 if static_adversary else _SEED_CHUNK)
-    alg_rngs = _TrialStreams(root, 2, hi, _SEED_CHUNK)
+    instance_rngs, adversary_rngs, alg_rngs = (
+        _TrialStreams(root, role, lo, hi) for role in range(3))
+    keep_instance = keep_adversary = False
 
     for t in range(lo, hi):
-        if static_instance and cached_instance is not None:
-            instance, cgraph = cached_instance, cached_graph
-        else:
-            instance, cgraph = source.build(instance_rngs.at(t))
-            if static_instance:
-                cached_instance, cached_graph = instance, cgraph
-        if static_adversary and cached_adv is not None:
-            adversary = cached_adv
-        else:
-            adversary = _engine_form(
-                _build_adversary(adv_spec, instance, cgraph, adversary_rngs.at(t)),
-                static_adversary, config.algorithm)
-            if static_adversary:
-                cached_adv = adversary
+        if not keep_instance:
+            instance, cgraph = build_instance(config.instance, instance_rngs.at(t))
+        if not keep_adversary:
+            adversary = _build_adversary(adv_spec, instance, cgraph,
+                                         adversary_rngs.at(t))
+            if t == lo:
+                # a build that drew nothing is the same for every trial;
+                # strategies can hold per-session state, so only graphs stay
+                keep_instance = not instance_rngs.drew()
+                keep_adversary = keep_instance and not adversary_rngs.drew() \
+                    and isinstance(adversary, TournamentGraph)
+            adversary = _engine_form(adversary, keep_adversary, config.algorithm)
         sizes: Optional[list] = [] if collect_sizes else None
         session = ComparatorSession(instance, adversary, record=False)
         result = run_algorithm(config.algorithm, session, alg_rngs.at(t),

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import complete_tournament, quick_select
-from .core import QueryBatches
+from .core import QueryBatches, check_number
 
 __all__ = [
     "DiscreteDistribution",
@@ -45,12 +45,15 @@ class DiscreteDistribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        arr = np.asarray(probs, dtype=np.float64)
+        try:
+            arr = np.asarray(probs, dtype=np.float64)
+        except (TypeError, OverflowError):
+            raise ValueError("probs must be a sequence of numbers") from None
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError("probs must be a nonempty 1-d sequence")
         if (arr < 0).any():
             raise ValueError("probabilities must be non-negative")
-        if abs(arr.sum() - 1.0) > _SUM_TOL:
+        if not abs(arr.sum() - 1.0) <= _SUM_TOL:   # a NaN sum fails too
             raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -274,7 +277,11 @@ def candidates_to_json(p0: DiscreteDistribution,
 def candidates_from_json(text: str | dict) -> tuple[DiscreteDistribution,
                                                     list[DiscreteDistribution]]:
     obj = json.loads(text) if isinstance(text, str) else text
-    support = int(obj["support"])
+    if not isinstance(obj, dict):
+        raise ValueError("candidates JSON must be an object")
+    if not isinstance(obj.get("candidates"), list):
+        raise ValueError("'candidates' must be a list of probability vectors")
+    support = check_number("support", obj["support"])
     p0 = DiscreteDistribution(obj["p0"])
     candidates = [DiscreteDistribution(c) for c in obj["candidates"]]
     for d in (p0, *candidates):

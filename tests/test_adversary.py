@@ -31,6 +31,11 @@ class TestTournamentGraph:
         with pytest.raises(ValueError):
             TournamentGraph.from_edges(3, [(0, 1, 0)])
 
+    def test_non_integer_edge_rejected(self):
+        for edge in ((0, 1.9, 1), (True, 0, 0), (0, float("inf"), 1), (0, "1", 1)):
+            with pytest.raises(ValueError):
+                TournamentGraph.from_edges(2, [edge])
+
     def test_double_edge_rejected(self):
         with pytest.raises(ValueError):
             TournamentGraph.from_edges(2, [(0, 1, 0), (1, 0, 1)])

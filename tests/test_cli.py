@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from advsel.adversary import lemma_one_construction
 from advsel.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from advsel.core import Instance, RngSeed
 from advsel.scheffe import candidates_to_json, planted_suite
@@ -92,6 +93,18 @@ class TestSelect:
         assert_one_line_input_error(
             capsys, "select", "--algo", "q-select", "--gen", gen, "--seed", "1")
 
+    def test_oversized_generator_one_line_error(self, capsys):
+        assert_one_line_input_error(
+            capsys, "select", "--algo", "q-select", "--gen", f"zeros:{10 ** 20}",
+            "--seed", "1")
+
+    def test_generator_size_checked_before_the_build(self, monkeypatch):
+        from advsel import generators
+        monkeypatch.setattr(generators, "MAX_INSTANCE_SIZE", 10)
+        assert generators.parse_generator("distinct:10")[0].n == 10
+        with pytest.raises(ValueError):
+            generators.parse_generator("distinct:11")
+
     def test_non_array_values_one_line_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"values": 5}')
@@ -115,14 +128,22 @@ class TestSelect:
         '{"kind": "explicit", "edges": 5}',
         '{"kind": "explicit", "edges": [[0, null, 1]]}',
         '{"kind": "explicit", "edges": [7]}',
+        '{"kind": "explicit", "edges": [[0, Infinity, 1]]}',
         '{"kind": "nonadaptive", "policy": "random", "seed": [1]}',
         '{"kind": "construction", "name": "pivot-killer", "params": [1]}',
         '{"kind": "construction", "name": "lemma1", "params": {"n": "x"}}',
         '[1, 2]',
+        '{"kind": "nonadaptive", "policy": "random", "seed": true}',
+        '{"kind": "nonadaptive", "policy": "random", "seed": 2.7}',
+        '{"kind": "nonadaptive", "policy": "random", "seed": "3"}',
+        '{"kind": "construction", "name": "lemma1", "params": {"n": 5.9}}',
     ])
-    def test_malformed_adversary_one_line_error(self, capsys, spec):
+    def test_malformed_adversary_one_line_error(self, capsys, tmp_path, spec):
+        # lemma1's instance for n = 5, which a truncated n = 5.9 would rebuild
+        path = tmp_path / "lemma1.json"
+        path.write_text(lemma_one_construction(5)[0].to_json())
         assert_one_line_input_error(
-            capsys, "select", "--gen", "zeros:3", "--algo", "compl",
+            capsys, "select", "--file", str(path), "--algo", "compl",
             "--adversary", spec, "--seed", "1")
 
     def test_overflowing_instance_one_line_error(self, capsys, tmp_path):
@@ -248,6 +269,14 @@ class TestScheffe:
                                     "candidates": [[1.0, 0.0]]}))
         code, _ = run_cli(capsys, "scheffe", "--file", str(path), "--k", "10")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("text", ["[]", '{"support": 2, "p0": [0.5, 0.5], '
+                                      '"candidates": 5}'])
+    def test_malformed_candidates_one_line_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
+                                    "--k", "10")
 
 
 class TestReport:

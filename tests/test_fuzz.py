@@ -1,8 +1,9 @@
 """Fuzzing of the CLI's inputs: generator specs, instance JSON, adversary
-JSON and bench configs. Whatever the input, ``advsel select``/``sort``/
-``bench`` ends with exit code 0, 2 or 3 and never with an uncaught
-exception. Sizes and trial counts stay small and every run is in this
-process, so no example can allocate much or start workers."""
+JSON, bench configs and Scheffe candidates JSON. Whatever the input,
+``advsel select``/``sort``/``bench`` ends with exit code 0, 2 or 3,
+``advsel scheffe`` with 0 or 2, and none with an uncaught exception. Sizes
+and trial counts stay small and every run is in this process, so no example
+can allocate much or start workers."""
 
 import contextlib
 import io
@@ -141,4 +142,32 @@ def test_bench_config_wrong_types_exit_2():
                 json.dump(dict(BENCH_BASE, **{field: value}), fh)
             code, err = run_cli(["bench", "--config", path])
         assert code == EXIT_INPUT, (field, value)
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+valid_probs = st.sampled_from([[1.0], [0.5, 0.5], [0.25] * 4])
+probs = st.one_of(valid_probs, valid_probs, st.lists(number, max_size=4),
+                  st.lists(st.just({}), min_size=1, max_size=1), junk)
+candidates_json = st.one_of(
+    st.fixed_dictionaries(
+        {"support": st.one_of(st.integers(1, 4), st.integers(1, 4), junk),
+         "p0": probs,
+         "candidates": st.one_of(st.lists(probs, max_size=4),
+                                 st.lists(probs, max_size=4), junk)}),
+    st.lists(probs, max_size=2), junk)
+
+
+@given(candidates_json, st.integers(-2, 50),
+       st.sampled_from(["tournament", "quickselect"]))
+@settings(max_examples=150, deadline=None)
+def test_scheffe_candidates_json(candidates, k, method):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "candidates.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(candidates, fh)
+        code, err = run_cli(["scheffe", "--file", path, "--k", str(k),
+                             "--method", method, "--seed", "5"])
+    assert code in (EXIT_OK, EXIT_INPUT), (candidates, code)
+    assert "Traceback" not in err, candidates
+    if code == EXIT_INPUT:
         assert err.startswith("error:") and err.count("\n") == 1, err

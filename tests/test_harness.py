@@ -141,6 +141,31 @@ class TestReproducibility:
         assert np.array_equal(serial.errors, parallel.errors)
         assert np.array_equal(serial.queries, parallel.queries)
 
+    @pytest.mark.parametrize("adversary", [
+        {"kind": "nonadaptive"},
+        {"kind": "nonadaptive", "policy": "random", "seed": None},
+        "random", "smaller-wins",
+    ], ids=["default-policy", "null-seed", "random", "smaller-wins"])
+    def test_block_split_does_not_change_results(self, adversary):
+        # what a worker runs: a block may start at any trial
+        cfg = TrialConfig(algorithm="q-select", instance="zeros:30",
+                          adversary=adversary, t=2.0, trials=40, seed=3)
+        whole = harness._trial_block(cfg, 0, 40, False)
+        parts = [harness._trial_block(cfg, 0, 17, False),
+                 harness._trial_block(cfg, 17, 40, False)]
+        for field in (0, 1):     # errors, queries
+            assert np.array_equal(whole[field],
+                                  np.concatenate([p[field] for p in parts]))
+
+    def test_memoized_strategy_is_rebuilt_every_trial(self):
+        # a memo shared across trials would answer later trials from the first
+        cfg = TrialConfig(algorithm="q-select", instance="zeros:30",
+                          adversary={"kind": "construction",
+                                     "name": "pivot-killer",
+                                     "params": {"memoized": True}},
+                          trials=4, seed=3)
+        assert run_trials(cfg).queries.tolist() == [math.comb(30, 2)] * 4
+
     def test_block_streams_match_per_trial_seeding(self, monkeypatch):
         # a chunk of 3 puts state-derivation boundaries inside the run
         monkeypatch.setattr(harness, "_SEED_CHUNK", 3)

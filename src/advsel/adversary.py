@@ -12,12 +12,12 @@ disagreement as a model violation.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union, runtime_checkable
+from typing import Callable, NamedTuple, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
-from .core import (Instance, InvalidQueryError, QueryBatches, QueryLog, RngSeed,
-                   check_number)
+from .core import (MAX_INSTANCE_SIZE, Instance, InvalidQueryError, QueryBatches,
+                   QueryLog, RngSeed, check_choice, check_keys, check_number)
 
 __all__ = [
     "TournamentGraph",
@@ -36,6 +36,10 @@ __all__ = [
     "lemma_two_construction",
     "sequential_hard_instance",
     "komod_hard_instance",
+    "Construction",
+    "CONSTRUCTION_TABLE",
+    "SHORTHAND",
+    "parse_adversary",
     "adversary_from_spec",
     "DENSE_CELL_BUDGET",
     "fits_dense_budget",
@@ -44,7 +48,8 @@ __all__ = [
 
 NONADAPTIVE_POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins", "random")
 
-# Dense-matrix graphs get unwieldy past this size.
+# Most items of lemma1 and lemma2, whose regular tournament is built from
+# int64 n x n temporaries.
 MAX_CONSTRUCTION_SIZE = 4096
 
 # Most cells (one byte each) an n x n matrix may have. Every dense build checks
@@ -449,7 +454,7 @@ class PolicyTournament(RuleTournament):
         return (d > self._delta) | ((np.abs(d) <= self._delta) & pref)
 
 
-def build_nonadaptive(instance: Instance, free_edge_policy: str,
+def build_nonadaptive(instance: Instance, policy: str,
                       rng=None) -> PolicyTournament:
     """Complete, valid, frozen graph with free pairs oriented per policy.
 
@@ -460,9 +465,8 @@ def build_nonadaptive(instance: Instance, free_edge_policy: str,
     be a Generator, an RngSeed, or a plain seed; only ``random`` uses it.
     The graph is a rule on the values; only ``random`` stores n x n coins.
     """
-    policy = "random" if free_edge_policy == "seeded-random" else free_edge_policy
     if policy not in NONADAPTIVE_POLICIES:
-        raise ValueError(f"unknown policy {free_edge_policy!r}")
+        raise ValueError(f"unknown policy {policy!r}")
     if policy != "random":
         return PolicyTournament(instance, policy)
     if rng is None:
@@ -524,7 +528,6 @@ def _near_regular(g: int) -> np.ndarray:
 
 
 def _require_odd(n: int) -> int:
-    n = check_number("n", n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"construction needs odd n >= 3, got {n}")
     if n > MAX_CONSTRUCTION_SIZE:
@@ -585,17 +588,22 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph
     return _valid_pair(Instance(tuple(values)), TournamentGraph(matrix, check=False))
 
 
+def _layered_size(r: int, s: int) -> int:
+    """Items of ``sequential_hard_instance(r, s)``: r^s, at most MAX_INSTANCE_SIZE."""
+    if r < 2 or s < 1:
+        raise ValueError("need r >= 2 and s >= 1")
+    # r^s >= 2^s, so a large s is rejected before the power is taken
+    if s >= MAX_INSTANCE_SIZE.bit_length() or r ** s > MAX_INSTANCE_SIZE:
+        raise ValueError(f"{r}^{s} items is more than MAX_INSTANCE_SIZE "
+                         f"({MAX_INSTANCE_SIZE})")
+    return r ** s
+
+
 def sequential_hard_instance(r: int, s: int) -> tuple[Instance, PolicyTournament]:
     """Layered instance of n = r^s values (one s, then r^(s-m) - r^(s-m-1)
     copies of each m < s) paired with the min-on-ties adversary, on which
     sequential selection almost always walks down to a 0."""
-    r, s = check_number("r", r), check_number("s", s)
-    if r < 2 or s < 1:
-        raise ValueError("need r >= 2 and s >= 1")
-    # r^s >= 2^s, so a large s is rejected before the power is taken
-    if s >= MAX_CONSTRUCTION_SIZE.bit_length() or r ** s > MAX_CONSTRUCTION_SIZE:
-        raise ValueError(f"{r}^{s} exceeds construction size cap {MAX_CONSTRUCTION_SIZE}")
-    n = r ** s
+    n = _layered_size(r, s)
     values = np.empty(n)
     values[0] = s
     for m in range(s - 1, -1, -1):
@@ -614,11 +622,8 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, "KomodTournament"]
     than lower-index-wins: a single dominant 1 would otherwise out-win 0* in
     the final round-robin and the construction would lose its teeth.
     """
-    n = check_number("n", n)
     if n < 5 or (n - 2) % 3 != 0:
         raise ValueError(f"need n - 2 divisible by 3 and n >= 5, got {n}")
-    if n > MAX_CONSTRUCTION_SIZE:
-        raise ValueError(f"n={n} exceeds construction size cap {MAX_CONSTRUCTION_SIZE}")
     rng = _seed_rng(seed)
     g = (n - 2) // 3
     # canonical order: [3] [2]*g [1]*g [0]*g [0*]
@@ -663,60 +668,109 @@ class KomodTournament(RuleTournament):
         return np.where(ga == gb, inside, _KOMOD_GROUPS[ga, gb])
 
 
-CONSTRUCTIONS = ("lemma1", "lemma2", "seq-hard", "komod-hard", "pivot-killer")
+class Construction(NamedTuple):
+    """A named instance builder: its integer params, in order, whether a seed
+    follows them, and ``size``, the item count of the params (default: the first)."""
+
+    builder: Callable
+    params: tuple[str, ...]
+    seeded: bool
+    size: Optional[Callable[..., int]] = None
+
+    def items(self, args) -> int:
+        return self.size(*args) if self.size else args[0]
+
+    def build(self, args, seed=None):
+        return self.builder(*args, seed) if self.seeded else self.builder(*args)
+
+
+# name -> what a {"kind": "construction"} spec builds from its "params" (and an optional
+# "seed" when seeded). "pivot-killer" is adaptive: its one param is the flag "memoized".
+CONSTRUCTION_TABLE = {
+    "lemma1": Construction(lemma_one_construction, ("n",), True),
+    "lemma2": Construction(lemma_two_construction, ("n",), True),
+    "seq-hard": Construction(sequential_hard_instance, ("r", "s"), False,
+                             _layered_size),
+    "komod-hard": Construction(komod_hard_instance, ("n",), True),
+}
+
+SHORTHAND = {
+    **{policy: {"kind": "nonadaptive", "policy": policy}
+       for policy in NONADAPTIVE_POLICIES},
+    "pivot-killer": {"kind": "construction", "name": "pivot-killer"},
+    # the graph that came with the instance's construction
+    "construction": {"kind": "construction"},
+}
+
+
+def _seed(seed) -> Optional[int]:
+    return None if seed is None else check_number("seed", seed)
+
+
+def parse_adversary(spec) -> dict:
+    """The checked dict of a shorthand name or JSON spec: each key of its kind, of the
+    right type; an unknown key, kind, policy or construction is a ValueError naming
+    it. A construction named None is the graph that came with the instance."""
+    if isinstance(spec, str):
+        spec = SHORTHAND[check_choice("adversary shorthand", spec, SHORTHAND)]
+    if not isinstance(spec, dict):
+        raise ValueError("adversary spec must be a shorthand name or a JSON object")
+    kind = check_choice("adversary spec kind", spec.get("kind"),
+                        ("nonadaptive", "construction", "explicit"))
+    if kind == "nonadaptive":
+        checked = {"kind": kind, "seed": _seed(spec.get("seed")),
+                   "policy": check_choice("policy", spec.get("policy", "random"),
+                                          NONADAPTIVE_POLICIES)}
+    elif kind == "explicit":
+        if not isinstance(spec.get("edges"), list):
+            raise ValueError("explicit spec needs an 'edges' list of [i, j, winner]")
+        checked = {"kind": kind, "edges": spec["edges"]}
+    else:
+        name = spec.get("name")
+        checked = {"kind": kind, "name": name,
+                   "params": _construction_params(name, spec.get("params") or {})}
+    check_keys(f"{kind} adversary spec", spec, checked)
+    return checked
+
+
+def _construction_params(name, params) -> dict:
+    if not isinstance(params, dict):
+        raise ValueError("construction 'params' must be an object")
+    if name is None or name == "pivot-killer":
+        check_keys(f"{name or 'nameless construction'} params", params,
+                   ("memoized",) if name else ())
+        memoized = params.get("memoized", False)
+        if not isinstance(memoized, bool):
+            raise ValueError(f"{name} param 'memoized' must be true or false, "
+                             f"got {memoized!r}")
+        return {"memoized": memoized} if name else {}
+    entry = CONSTRUCTION_TABLE[check_choice(
+        "construction", name, (*CONSTRUCTION_TABLE, "pivot-killer"))]
+    check_keys(f"{name} params", params, entry.params + ("seed",) * entry.seeded)
+    checked = {p: check_number(f"{name} param {p!r}", params.get(p))
+               for p in entry.params}
+    if entry.seeded:
+        checked["seed"] = _seed(params.get("seed"))
+    return checked
 
 
 def adversary_from_spec(spec: dict, instance: Instance,
                         rng: Optional[np.random.Generator] = None) -> Adversary:
-    """Resolve an adversary spec (the JSON wire format) against an instance.
-
-    Construction graphs are rebuilt from their params and must reproduce the
-    given instance's values; explicit edge lists are validated against it.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("adversary spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "nonadaptive":
-        policy = spec.get("policy", "random")
-        if "seed" in spec and spec["seed"] is not None:
-            rng = _seed_rng(spec["seed"])
-        if policy in ("random", "seeded-random") and rng is None:
-            raise ValueError("random policy needs a 'seed' in the spec or a generator")
-        return build_nonadaptive(instance, policy, rng)
-    if kind == "construction":
-        name = spec.get("name")
-        params = spec.get("params", {}) or {}
-        if not isinstance(params, dict):
-            raise ValueError("construction 'params' must be an object")
-        if name == "pivot-killer":
-            strategy: Adversary = PivotKiller()
-            if params.get("memoized"):
-                strategy = MemoizedStrategy(strategy)
-            return strategy
-        if name not in CONSTRUCTIONS:
-            raise ValueError(f"unknown construction {name!r}")
-        built_inst, graph = build_construction(name, params)
-        if built_inst.values != instance.values or built_inst.delta != instance.delta:
-            raise ValueError(
-                f"construction {name} with params {params} does not reproduce "
-                "the supplied instance")
-        return _valid_pair(instance, graph)[1]
-    if kind == "explicit":
-        if not isinstance(spec.get("edges"), list):
-            raise ValueError("explicit spec needs an 'edges' list of [i, j, winner]")
-        graph = TournamentGraph.from_edges(instance.n, spec["edges"])
-        return graph.validate_for(instance)
-    raise ValueError(f"unknown adversary kind {kind!r}")
-
-
-def build_construction(name: str, params: dict) -> tuple[Instance, TournamentGraph]:
-    """Instantiate a named hard construction from its JSON params."""
-    if name == "lemma1":
-        return lemma_one_construction(params["n"], params.get("seed"))
-    if name == "lemma2":
-        return lemma_two_construction(params["n"], params.get("seed"))
-    if name == "seq-hard":
-        return sequential_hard_instance(params["r"], params["s"])
-    if name == "komod-hard":
-        return komod_hard_instance(params["n"], params.get("seed"))
-    raise ValueError(f"unknown construction {name!r}")
+    """Build a spec checked by ``parse_adversary`` for an instance: a construction must
+    rebuild it (item count compared first), an explicit edge list is validated on it."""
+    if spec["kind"] == "nonadaptive":
+        rng = rng if spec["seed"] is None else _seed_rng(spec["seed"])
+        return build_nonadaptive(instance, spec["policy"], rng)
+    if spec["kind"] == "explicit":
+        return TournamentGraph.from_edges(instance.n, spec["edges"]).validate_for(instance)
+    name, params = spec["name"], spec["params"]
+    if name == "pivot-killer":
+        return MemoizedStrategy(PivotKiller()) if params["memoized"] else PivotKiller()
+    entry = CONSTRUCTION_TABLE[name]
+    args = [params[p] for p in entry.params]
+    if entry.items(args) == instance.n:
+        built, graph = entry.build(args, params.get("seed"))
+        if built.values == instance.values and built.delta == instance.delta:
+            return _valid_pair(instance, graph)[1]
+    raise ValueError(f"construction {name} with params {params} does not "
+                     "reproduce the supplied instance")

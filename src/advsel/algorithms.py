@@ -51,6 +51,8 @@ class KoModParams:
         if not (0 < epsilon < 1):
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         raw = (1.0 / epsilon) * math.log(1.0 / epsilon) * math.log2(max(n, 2))
+        if not math.isfinite(raw):
+            raise ValueError(f"epsilon {epsilon} is too small: the pool size overflows")
         return cls(epsilon=epsilon, n1=max(2, math.ceil(raw)))
 
 
@@ -65,8 +67,9 @@ class CombParams:
     win_fraction: float = 3.0 / 4.0
 
     def __post_init__(self):
-        if not (0 < self.epsilon < 1):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not (0 < self.epsilon < 1) or math.isinf(1.0 / self.epsilon):
+            raise ValueError(f"epsilon must be in (0, 1) with a finite 1/epsilon, "
+                             f"got {self.epsilon}")
 
     def qs_reps(self) -> int:
         return max(1, math.floor(self.beta1 * math.log2(1.0 / self.epsilon)))

@@ -12,11 +12,12 @@ import secrets
 import sys
 from typing import Optional
 
-from .adversary import ComparatorSession
-from .core import RngSeed, is_t_sorted
+from .adversary import SHORTHAND, ComparatorSession, parse_adversary
+from .core import RngSeed, check_choice, is_t_sorted
+from .generators import GENERATOR_NAMES
 from .harness import (CSV_HEADER, SELECTORS, SORTERS, TrialConfig,
-                      build_instance, csv_row, normalize_adversary,
-                      run_algorithm, run_trials, _build_adversary)
+                      build_instance, csv_row, run_algorithm, run_trials,
+                      _build_adversary)
 from .report import bound_report
 from .scheffe import (candidates_from_json, l1_distance, sample,
                       scheffe_quickselect, scheffe_tournament)
@@ -26,11 +27,7 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 
-class InputError(ValueError):
-    pass
-
-
-def _emit(record: dict, as_json: bool, order: Optional[list] = None) -> None:
+def _emit(record: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(record, sort_keys=True))
         return
@@ -41,42 +38,44 @@ def _emit(record: dict, as_json: bool, order: Optional[list] = None) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return secrets.randbits(62)
+    return args.seed if args.seed is not None else secrets.randbits(62)
 
 
 def _load_instance(args, rng):
-    if getattr(args, "file", None):
+    if args.file:
         try:
             return build_instance({"file": args.file}, rng)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise InputError(f"cannot load instance {args.file}: {exc}") from exc
-    if getattr(args, "gen", None):
+            raise ValueError(f"cannot load instance {args.file}: {exc}") from exc
+    if args.gen:
         return build_instance(args.gen, rng)
-    raise InputError("need --file or --gen")
+    raise ValueError("need --file or --gen")
 
 
 def _adversary_spec(raw: Optional[str], have_construction: bool) -> dict:
-    if raw is None:
-        return {"kind": "construction"} if have_construction \
-            else {"kind": "nonadaptive", "policy": "random"}
+    """The checked spec of --adversary: a shorthand, inline JSON or a .json path."""
+    if raw is None:  # the construction's own graph, or the default policy
+        return parse_adversary({"kind": "construction" if have_construction
+                                else "nonadaptive"})
     raw = raw.strip()
     if raw.startswith("{"):
-        return normalize_adversary(json.loads(raw))
-    if raw.endswith(".json"):
+        raw = json.loads(raw)
+    elif raw.endswith(".json"):
         with open(raw, "r", encoding="utf-8") as fh:
-            return normalize_adversary(json.load(fh))
-    return normalize_adversary(raw)
+            raw = json.load(fh)
+    return parse_adversary(raw)
 
 
-def _run_single(args, sorting: bool) -> int:
+def _run_single(args) -> int:
+    check_choice("--algo", args.algo, args.algorithms)
+    sorting = args.command == "sort"
     seed = _resolve_seed(args)
     root = RngSeed(seed)
     instance, cgraph = _load_instance(args, root.generator(0))
     spec = _adversary_spec(args.adversary, cgraph is not None)
     adversary = _build_adversary(spec, instance, cgraph, root.generator(1))
-    session = ComparatorSession(instance, adversary)
+    # the output reads counts only, so no query record is kept
+    session = ComparatorSession(instance, adversary, record=False)
     result = run_algorithm(args.algo, session, root.generator(2),
                            getattr(args, "epsilon", None))
     if sorting:
@@ -103,47 +102,30 @@ def _run_single(args, sorting: bool) -> int:
     return EXIT_VIOLATION if session.violations else EXIT_OK
 
 
-def _cmd_select(args) -> int:
-    if args.algo not in SELECTORS:
-        raise InputError(f"--algo must be one of {SELECTORS}")
-    return _run_single(args, sorting=False)
-
-
-def _cmd_sort(args) -> int:
-    if args.algo not in SORTERS:
-        raise InputError(f"--algo must be one of {SORTERS}")
-    return _run_single(args, sorting=True)
-
-
 def _cmd_bench(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = TrialConfig.from_json(fh.read())
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise InputError(f"bad trial config: {exc}") from exc
+        raise ValueError(f"bad trial config: {exc}") from exc
     data = run_trials(config)
     summary = data.summary()
     adv = config.adversary if isinstance(config.adversary, str) \
         else json.dumps(config.adversary, sort_keys=True)
     inst_label = config.instance if isinstance(config.instance, str) else "custom"
-    n = _peek_n(config)
-    row = csv_row(config.algorithm, adv, n, config.t, config.epsilon, summary, True)
+    row = csv_row(config.algorithm, adv, data.n, config.t, config.epsilon, summary, True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n" + row + "\n")
     record = {
         "command": "bench", "algorithm": config.algorithm, "instance": inst_label,
-        "n": n, "trials": summary.trials, "error_rate": summary.error_rate,
+        "n": data.n, "trials": summary.trials, "error_rate": summary.error_rate,
         "ci_lo": summary.error_ci95[0], "ci_hi": summary.error_ci95[1],
         "q_mean": summary.query_mean, "q_max": summary.query_max,
         "seed": config.seed, "violations": data.violations,
     }
     _emit(record, args.json)
     return EXIT_VIOLATION if data.violations else EXIT_OK
-
-
-def _peek_n(config: TrialConfig) -> int:
-    return build_instance(config.instance, RngSeed(config.seed).generator(0))[0].n
 
 
 def _cmd_scheffe(args) -> int:
@@ -153,12 +135,10 @@ def _cmd_scheffe(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             p0, candidates = candidates_from_json(fh.read())
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"cannot load candidates {args.file}: {exc}") from exc
+        raise ValueError(f"cannot load candidates {args.file}: {exc}") from exc
     samples = sample(p0, args.k, root.generator(0))
-    if args.method == "tournament":
-        sel = scheffe_tournament(candidates, samples, root.generator(1))
-    else:
-        sel = scheffe_quickselect(candidates, samples, root.generator(1))
+    select = scheffe_tournament if args.method == "tournament" else scheffe_quickselect
+    sel = select(candidates, samples, root.generator(1))
     dists = [l1_distance(c, p0) for c in candidates]
     chosen = dists[sel.winner]
     best = min(dists)
@@ -187,29 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="maximum selection and sorting with adversarial comparators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, sorting=False):
+    for command, what, algorithms in (("select", "one maximum-selection", SELECTORS),
+                                      ("sort", "one sort", SORTERS)):
+        p = sub.add_parser(command, help=f"run {what}")
         p.add_argument("--file", help="instance JSON file")
-        p.add_argument("--gen", help="generator spec, e.g. zeros:10, uniform01:100, "
-                                     "lemma1:5, lemma2:5, seqhard:3,3, komodhard:3002")
-        p.add_argument("--adversary", help="smaller-wins | larger-wins | "
-                       "lower-index-wins | random | pivot-killer | inline JSON | "
-                       "path to a .json spec (default: the construction's graph, "
-                       "or 'random')")
+        p.add_argument("--gen", help="generator spec NAME:N[,N], NAME one of "
+                       + " | ".join(GENERATOR_NAMES))
+        p.add_argument("--adversary", help=" | ".join(SHORTHAND)
+                       + " | inline JSON | path to a .json spec (default: the "
+                       "construction's graph, or random)")
         p.add_argument("--seed", type=int, help="master seed (echoed; random if omitted)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("select", help="run one maximum-selection")
-    add_common(p)
-    p.add_argument("--algo", required=True,
-                   help="compl | seq | ko-mod | q-select | comb")
-    p.add_argument("--epsilon", type=float, default=0.1,
-                   help="error budget for ko-mod/comb (default 0.1)")
-    p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("sort", help="run one sort")
-    add_common(p, sorting=True)
-    p.add_argument("--algo", required=True, help="compl-sort | q-sort")
-    p.set_defaults(func=_cmd_sort)
+        p.add_argument("--algo", required=True, help=" | ".join(algorithms))
+        if command == "select":
+            p.add_argument("--epsilon", type=float, default=0.1,
+                           help="error budget for ko-mod/comb (default 0.1)")
+        p.set_defaults(func=_run_single, algorithms=algorithms)
 
     p = sub.add_parser("bench", help="Monte-Carlo trials from a config file")
     p.add_argument("--config", required=True, help="TrialConfig JSON (seed required)")
@@ -246,8 +219,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

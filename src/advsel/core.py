@@ -25,11 +25,18 @@ __all__ = [
     "RngSeed",
     "InvalidQueryError",
     "check_number",
+    "check_keys",
+    "check_choice",
+    "MAX_INSTANCE_SIZE",
     "forced_winner",
     "is_t_approx",
     "is_t_sorted",
     "validate_log",
 ]
+
+
+# most items an instance or a Scheffe sample set may have, checked before the build
+MAX_INSTANCE_SIZE = 2 ** 24
 
 
 class InvalidQueryError(ValueError):
@@ -50,6 +57,20 @@ def check_number(name: str, value, kind=numbers.Integral):
     except OverflowError:
         raise ValueError(f"{name} is out of float range") from None
     return value
+
+
+def check_choice(what: str, value, choices):
+    """``value`` if it is one of the names ``choices``, else a ValueError."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r} (expected one of "
+                         f"{', '.join(choices)})")
+    return value
+
+
+def check_keys(what: str, obj: dict, allowed) -> None:
+    """A ValueError for any key of ``obj`` outside ``allowed``: none is ignored."""
+    for key in obj:
+        check_choice(f"{what} key", key, allowed)
 
 
 @dataclass(frozen=True)
@@ -103,17 +124,13 @@ class Instance:
         obj = json.loads(text) if isinstance(text, str) else text
         if not isinstance(obj, dict) or "values" not in obj:
             raise ValueError("instance JSON must be an object with a 'values' array")
-        values, delta = obj["values"], obj.get("delta", 1.0)
+        check_keys("instance JSON", obj, ("values", "delta"))
+        values = obj["values"]
         if not isinstance(values, (list, tuple)) or \
                 not all(isinstance(v, numbers.Real) for v in values):
             raise ValueError("instance 'values' must be an array of numbers")
-        if not isinstance(delta, numbers.Real):
-            raise ValueError("instance 'delta' must be a number")
-        try:
-            delta = float(delta)
-        except OverflowError:
-            raise ValueError("instance 'delta' is out of float range") from None
-        return cls(values=tuple(values), delta=delta)
+        delta = check_number("instance 'delta'", obj.get("delta", 1.0), numbers.Real)
+        return cls(values=tuple(values), delta=float(delta))
 
 
 @dataclass(frozen=True)

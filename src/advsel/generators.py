@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import (TournamentGraph, build_construction)
-from .core import Instance
+from .adversary import CONSTRUCTION_TABLE, Construction, TournamentGraph
+from .core import MAX_INSTANCE_SIZE, Instance, check_choice
 
 __all__ = [
     "make_zeros",
@@ -27,40 +27,39 @@ __all__ = [
 
 GRID = 2 ** 20
 
-# most items any generator spec may ask for, checked before anything is built
-MAX_INSTANCE_SIZE = 2 ** 24
-
-# name -> number of integer arguments after the colon
-_ARITY = {"zeros": 1, "distinct": 1, "uniform01": 1, "zeroone": 1,
-          "lemma1": 1, "lemma2": 1, "seqhard": 2, "komodhard": 1}
-GENERATOR_NAMES = tuple(_ARITY)
-
 
 def make_zeros(n: int) -> Instance:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return Instance((0.0,) * n)
 
 
 def make_distinct(n: int) -> Instance:
     """Distinct values with every pairwise gap above delta, ascending by
     index: comparisons are all forced (noiseless)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return Instance(tuple(2.0 * i for i in range(n)))
 
 
 def make_uniform01(n: int, rng: np.random.Generator) -> Instance:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return Instance(tuple(rng.integers(0, GRID + 1, size=n) / GRID))
 
 
 def make_zeroone(n: int, rng: np.random.Generator) -> Instance:
     """Each value an independent fair coin in {0, 1}: every pair is free."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return Instance(tuple(rng.integers(0, 2, size=n).astype(float)))
+
+
+# name -> entry: a spec's integer arguments are its params (a seeded entry also gets
+# the generator); a construction's generator is that construction's own entry
+_GENERATORS = {
+    "zeros": Construction(make_zeros, ("n",), False),
+    "distinct": Construction(make_distinct, ("n",), False),
+    "uniform01": Construction(make_uniform01, ("n",), True),
+    "zeroone": Construction(make_zeroone, ("n",), True),
+    "lemma1": CONSTRUCTION_TABLE["lemma1"],
+    "lemma2": CONSTRUCTION_TABLE["lemma2"],
+    "seqhard": CONSTRUCTION_TABLE["seq-hard"],
+    "komodhard": CONSTRUCTION_TABLE["komod-hard"],
+}
+GENERATOR_NAMES = tuple(_GENERATORS)
 
 
 def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
@@ -68,35 +67,18 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     """Build an instance (and, for the named constructions, its graph) from a
     spec string like ``zeros:10``, ``uniform01:100`` or ``seqhard:3,3``."""
     name, _, arg = spec.partition(":")
-    if name not in _ARITY:
-        raise ValueError(f"unknown generator {name!r} (expected one of {GENERATOR_NAMES})")
+    entry = _GENERATORS[check_choice("generator", name, GENERATOR_NAMES)]
     try:
         args = [int(a) for a in arg.split(",")] if arg else []
     except ValueError:
         raise ValueError(f"bad generator arguments in {spec!r}") from None
-    if len(args) != _ARITY[name]:
-        raise ValueError(f"generator {name!r} takes {_ARITY[name]} "
+    if len(args) != len(entry.params):
+        raise ValueError(f"generator {name!r} takes {len(entry.params)} "
                          f"integer argument(s), got {spec!r}")
-    # seqhard has r^s items; an exponent of the bound's bit length is past it
-    n = args[0] if name != "seqhard" else \
-        max(abs(args[0]), 1) ** min(max(args[1], 0), MAX_INSTANCE_SIZE.bit_length())
-    if n > MAX_INSTANCE_SIZE:
-        raise ValueError(f"generator {spec!r} asks for more than "
+    if not 1 <= entry.items(args) <= MAX_INSTANCE_SIZE:
+        raise ValueError(f"generator {spec!r} must ask for 1 to "
                          f"{MAX_INSTANCE_SIZE} items")
-    if name == "zeros":
-        return make_zeros(*args), None
-    if name == "distinct":
-        return make_distinct(*args), None
-    if name == "uniform01":
-        if rng is None:
-            raise ValueError("uniform01 needs a generator (pass a seed)")
-        return make_uniform01(args[0], rng), None
-    if name == "zeroone":
-        if rng is None:
-            raise ValueError("zeroone needs a generator (pass a seed)")
-        return make_zeroone(args[0], rng), None
-    if name in ("lemma1", "lemma2"):
-        return build_construction(name, {"n": args[0], "seed": rng})
-    if name == "seqhard":
-        return build_construction("seq-hard", {"r": args[0], "s": args[1]})
-    return build_construction("komod-hard", {"n": args[0], "seed": rng})
+    if entry.seeded and rng is None:
+        raise ValueError(f"{name} draws from a generator (pass a seed)")
+    built = entry.build(args, rng)
+    return built if isinstance(built, tuple) else (built, None)

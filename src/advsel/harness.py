@@ -30,10 +30,11 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
-                        adversary_from_spec, fits_dense_budget)
+                        adversary_from_spec, fits_dense_budget, parse_adversary)
 from .algorithms import (combined_select, complete_tournament, modified_knockout,
                          quick_select, sequential_select)
-from .core import Instance, RngSeed, check_number, is_t_sorted
+from .core import (Instance, RngSeed, check_choice, check_keys, check_number,
+                   is_t_sorted)
 from .generators import parse_generator
 from .sorting import complete_sort, quick_sort
 
@@ -56,27 +57,6 @@ SELECTORS = ("compl", "seq", "ko-mod", "q-select", "comb")
 SORTERS = ("compl-sort", "q-sort")
 ALGORITHM_IDS = SELECTORS + SORTERS
 
-ADVERSARY_SHORTHAND = {
-    "larger-wins": {"kind": "nonadaptive", "policy": "larger-wins"},
-    "smaller-wins": {"kind": "nonadaptive", "policy": "smaller-wins"},
-    "lower-index-wins": {"kind": "nonadaptive", "policy": "lower-index-wins"},
-    "random": {"kind": "nonadaptive", "policy": "random"},
-    "pivot-killer": {"kind": "construction", "name": "pivot-killer"},
-    # the graph that came with the instance's construction
-    "construction": {"kind": "construction"},
-}
-
-
-def normalize_adversary(spec) -> dict:
-    if isinstance(spec, str):
-        try:
-            return ADVERSARY_SHORTHAND[spec]
-        except KeyError:
-            raise ValueError(f"unknown adversary shorthand {spec!r}") from None
-    if isinstance(spec, dict):
-        return spec
-    raise ValueError("adversary spec must be a name or a JSON object")
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -93,9 +73,7 @@ class TrialConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHM_IDS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; "
-                             f"expected one of {ALGORITHM_IDS}")
+        check_choice("algorithm", self.algorithm, ALGORITHM_IDS)
         for name in ("seed", "stream", "trials"):
             check_number(name, getattr(self, name))
         check_number("t", self.t, numbers.Real)
@@ -106,7 +84,7 @@ class TrialConfig:
             raise ValueError("trials must be between 1 and 2**32")
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        normalize_adversary(self.adversary)
+        parse_adversary(self.adversary)
         if self.algorithm in ("ko-mod", "comb") and self.epsilon is None:
             raise ValueError(f"{self.algorithm} needs epsilon")
 
@@ -115,10 +93,7 @@ class TrialConfig:
         obj = json.loads(text) if isinstance(text, str) else dict(text)
         if "seed" not in obj:
             raise ValueError("trial config must carry an explicit seed")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+        check_keys("trial config", obj, cls.__dataclass_fields__)
         return cls(**obj)
 
     def to_dict(self) -> dict:
@@ -145,6 +120,7 @@ class TrialData:
     round_sizes: list           # per trial list of field sizes (comb only)
     wall_time: float
     violations: int = 0         # forced answers the adversary got wrong, all trials
+    n: int = 0                  # items of the instance
 
     def summary(self) -> TrialSummary:
         trials = len(self.errors)
@@ -181,7 +157,8 @@ def build_instance(source, rng) -> tuple[Instance, Optional[TournamentGraph]]:
     construction: a generator string, ``{"file": path}`` or ``{"values": ...}``."""
     if isinstance(source, str):
         return parse_generator(source, rng)
-    if isinstance(source, dict) and "file" in source:
+    if isinstance(source, dict) and set(source) == {"file"} \
+            and isinstance(source["file"], str):
         with open(source["file"], "r", encoding="utf-8") as fh:
             return Instance.from_json(fh.read()), None
     if isinstance(source, dict) and "values" in source:
@@ -190,7 +167,8 @@ def build_instance(source, rng) -> tuple[Instance, Optional[TournamentGraph]]:
 
 
 def _build_adversary(spec: dict, instance, construction_graph, rng):
-    if spec.get("kind") == "construction" and "name" not in spec:
+    """A checked spec's adversary; a nameless construction is the instance's graph."""
+    if spec["kind"] == "construction" and spec["name"] is None:
         if construction_graph is None:
             raise ValueError("adversary 'construction' needs a construction instance")
         return construction_graph
@@ -221,22 +199,14 @@ def run_algorithm(algorithm: str, session, rng, epsilon=None,
                   record_sizes: Optional[list] = None):
     """Run one algorithm, by id, on a session: its ``SelectionResult`` or
     ``SortResult``. The algorithms are looked up in this module when called."""
-    if algorithm == "compl":
-        return complete_tournament(session, rng=rng)
-    if algorithm == "seq":
-        return sequential_select(session, rng=rng)
     if algorithm == "ko-mod":
         return modified_knockout(session, epsilon, rng=rng)
-    if algorithm == "q-select":
-        return quick_select(session, rng=rng)
     if algorithm == "comb":
         return combined_select(session, epsilon, rng=rng, record_sizes=record_sizes)
-    if algorithm == "compl-sort":
-        return complete_sort(session, rng=rng)
-    if algorithm == "q-sort":
-        return quick_sort(session, rng=rng)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of "
-                     f"{ALGORITHM_IDS}")
+    run = {"compl": complete_tournament, "seq": sequential_select,
+           "q-select": quick_select, "compl-sort": complete_sort,
+           "q-sort": quick_sort}[check_choice("algorithm", algorithm, ALGORITHM_IDS)]
+    return run(session, rng=rng)
 
 
 # trials whose generator states are derived in one step
@@ -272,8 +242,8 @@ class _TrialStreams:
 
 def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
     """Run trials lo..hi-1 and return (errors, queries, round_sizes,
-    violations)."""
-    adv_spec = normalize_adversary(config.adversary)
+    violations, n)."""
+    adv_spec = parse_adversary(config.adversary)
     is_sort = config.algorithm in SORTERS
     errors = np.zeros(hi - lo, dtype=bool)
     queries = np.zeros(hi - lo, dtype=np.int64)
@@ -313,7 +283,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
             errors[k] = instance.values[result.winner] < instance.max_value - config.t
         if collect_sizes:
             all_sizes.append(sizes)
-    return errors, queries, all_sizes, violations
+    return errors, queries, all_sizes, violations, instance.n
 
 
 def _worker(args):
@@ -338,7 +308,7 @@ def run_trials(config: TrialConfig, collect_sizes: bool = False) -> TrialData:
     start = time.perf_counter()
     workers = min(_worker_count(), config.trials)
     if workers <= 1 or config.trials < 4 * workers:
-        errors, queries, sizes, violations = _trial_block(
+        errors, queries, sizes, violations, n = _trial_block(
             config, 0, config.trials, collect_sizes)
     else:
         bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
@@ -349,9 +319,10 @@ def run_trials(config: TrialConfig, collect_sizes: bool = False) -> TrialData:
         errors = np.concatenate([p[0] for p in parts])
         queries = np.concatenate([p[1] for p in parts])
         sizes = [s for p in parts for s in p[2]]
-        violations = sum(p[3] for p in parts)
+        violations, n = sum(p[3] for p in parts), parts[0][4]
     return TrialData(errors=errors, queries=queries, round_sizes=sizes,
-                     wall_time=time.perf_counter() - start, violations=violations)
+                     wall_time=time.perf_counter() - start, violations=violations,
+                     n=n)
 
 
 def estimate(config: TrialConfig) -> TrialSummary:
@@ -374,12 +345,12 @@ def check_concentration(n: int, k_values, trials: int, adversary_spec,
     """Empirical quick-select tail Pr(Q > kn) against the analytic bound
     e^{-(k-k') ln k'} with k' = max(e, k/2); flags any tail exceeding its
     bound by more than 3 binomial standard errors. Non-adaptive only."""
-    spec = normalize_adversary(adversary_spec)
-    if spec.get("kind") == "construction" and spec.get("name") == "pivot-killer":
+    # on zeros:n the one construction that builds is the adaptive pivot-killer
+    if parse_adversary(adversary_spec)["kind"] == "construction":
         raise ValueError("the concentration bound holds for non-adaptive "
                          "adversaries only")
     config = TrialConfig(algorithm="q-select", instance=f"zeros:{n}",
-                         adversary=spec, t=2.0, trials=trials, seed=seed)
+                         adversary=adversary_spec, t=2.0, trials=trials, seed=seed)
     data = run_trials(config)
     rows = []
     for k in k_values:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import complete_tournament, quick_select
-from .core import QueryBatches, check_number
+from .core import MAX_INSTANCE_SIZE, QueryBatches, check_number
 
 __all__ = [
     "DiscreteDistribution",
@@ -119,9 +119,9 @@ def l1_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 
 def sample(p: DiscreteDistribution, k: int, rng: np.random.Generator) -> SampleSet:
-    """k i.i.d. draws by inverse CDF over the support order."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    """k <= MAX_INSTANCE_SIZE i.i.d. draws by inverse CDF over the support order."""
+    if not 0 <= k <= MAX_INSTANCE_SIZE:
+        raise ValueError(f"k must be between 0 and {MAX_INSTANCE_SIZE}, got {k}")
     cdf = np.cumsum(p.probs)
     u = rng.random(k)
     idx = np.searchsorted(cdf, u, side="right")

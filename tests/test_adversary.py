@@ -9,8 +9,14 @@ from advsel.adversary import (AdversaryProtocolError, ComparatorSession,
                               MemoizedStrategy, PivotKiller, TournamentGraph,
                               adversary_from_spec, build_nonadaptive,
                               komod_hard_instance, lemma_one_construction,
-                              lemma_two_construction, sequential_hard_instance)
+                              lemma_two_construction, parse_adversary,
+                              sequential_hard_instance)
 from advsel.core import Instance, InvalidQueryError, RngSeed
+from advsel.generators import parse_generator
+
+
+def from_spec(spec, instance):
+    return adversary_from_spec(parse_adversary(spec), instance)
 
 
 def fig1():
@@ -375,17 +381,17 @@ class TestPivotKiller:
 class TestAdversarySpec:
     def test_nonadaptive_spec(self):
         inst = Instance((0.0,) * 4)
-        g = adversary_from_spec(
+        g = from_spec(
             {"kind": "nonadaptive", "policy": "smaller-wins"}, inst)
         assert isinstance(g, TournamentGraph)
-        g1 = adversary_from_spec(
+        g1 = from_spec(
             {"kind": "nonadaptive", "policy": "random", "seed": 5}, inst)
-        g2 = adversary_from_spec(
+        g2 = from_spec(
             {"kind": "nonadaptive", "policy": "random", "seed": 5}, inst)
         assert np.array_equal(g1.dense().matrix, g2.dense().matrix)
 
     def test_pivot_killer_spec(self):
-        adv = adversary_from_spec(
+        adv = from_spec(
             {"kind": "construction", "name": "pivot-killer"}, Instance((0.0,)))
         assert isinstance(adv, PivotKiller)
 
@@ -393,21 +399,38 @@ class TestAdversarySpec:
         inst, g = lemma_two_construction(5, seed=11)
         spec = {"kind": "construction", "name": "lemma2",
                 "params": {"n": 5, "seed": 11}}
-        got = adversary_from_spec(spec, inst)
+        got = from_spec(spec, inst)
         assert np.array_equal(got.matrix, g.matrix)
         with pytest.raises(ValueError):
-            adversary_from_spec(spec, Instance((0.0,) * 5))
+            from_spec(spec, Instance((0.0,) * 5))
 
     def test_explicit_spec_validated(self):
         inst = Instance((2.0, 0.0))
-        ok = adversary_from_spec({"kind": "explicit", "edges": [[0, 1, 0]]}, inst)
+        ok = from_spec({"kind": "explicit", "edges": [[0, 1, 0]]}, inst)
         assert ok.winner(0, 1) == 0
         with pytest.raises(ValueError):
-            adversary_from_spec({"kind": "explicit", "edges": [[0, 1, 1]]}, inst)
+            from_spec({"kind": "explicit", "edges": [[0, 1, 1]]}, inst)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            adversary_from_spec({"kind": "wat"}, Instance((0.0,)))
+            from_spec({"kind": "wat"}, Instance((0.0,)))
+
+    @pytest.mark.parametrize("generator,name,params", [
+        ("seqhard:3,3", "seq-hard", {"r": 3, "s": 3}),
+        ("komodhard:11", "komod-hard", {"n": 11, "seed": 5}),
+    ])
+    def test_generator_matches_its_construction_spec(self, generator, name,
+                                                      params):
+        inst, graph = parse_generator(
+            generator, RngSeed(params.get("seed", 0)).generator())
+        # the spec's build raises unless it reproduces inst's values
+        built = from_spec({"kind": "construction", "name": name,
+                           "params": params}, inst)
+        assert np.array_equal(built.dense().matrix, graph.dense().matrix)
+
+    def test_komodhard_builds_past_the_construction_cap(self):
+        inst, graph = parse_generator("komodhard:4097", RngSeed(1).generator())
+        assert inst.n == 4097 and graph.winner(0, 1) in (0, 1)
 
 
 def dense_policy_reference(inst, policy, rng=None):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -28,6 +29,11 @@ def assert_one_line_input_error(capsys, *argv):
     assert code == EXIT_INPUT
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+# every pair of lemma1's n = 5 items, the lower index winning: all are free
+LEMMA1_EDGES = [[i, j, i] for i in range(5) for j in range(i + 1, 5)]
 
 
 class TestSelect:
@@ -137,18 +143,27 @@ class TestSelect:
         '{"kind": "nonadaptive", "policy": "random", "seed": 2.7}',
         '{"kind": "nonadaptive", "policy": "random", "seed": "3"}',
         '{"kind": "construction", "name": "lemma1", "params": {"n": 5.9}}',
+        '{"kind": "nonadaptive", "polcy": "smaller-wins"}',
+        '{"kind": "construction", "name": "pivot-killer", "parms": {}}',
+        '{"kind": "construction", "name": "lemma1"}',
+        '{"kind": "construction", "name": "pivot-killer", '
+        '"params": {"memoized": "no"}}',
+        json.dumps({"kind": "explicit", "edges": LEMMA1_EDGES, "edge": []}),
     ])
     def test_malformed_adversary_one_line_error(self, capsys, tmp_path, spec):
         # lemma1's instance for n = 5, which a truncated n = 5.9 would rebuild
         path = tmp_path / "lemma1.json"
         path.write_text(lemma_one_construction(5)[0].to_json())
-        assert_one_line_input_error(
+        err = assert_one_line_input_error(
             capsys, "select", "--file", str(path), "--algo", "compl",
             "--adversary", spec, "--seed", "1")
+        # a sentence naming what is wrong, not the bare repr of a missing key
+        assert not re.fullmatch(r"error: '\w*'\n", err)
 
     def test_overflowing_instance_one_line_error(self, capsys, tmp_path):
         for text in ('{"values": [1%s]}' % ("0" * 400),
-                     '{"values": [1.0], "delta": 1%s}' % ("0" * 400)):
+                     '{"values": [1.0], "delta": 1%s}' % ("0" * 400),
+                     '{"values": [0, 1.5, 3], "detla": 2}'):
             bad = tmp_path / "big.json"
             bad.write_text(text)
             assert_one_line_input_error(
@@ -277,6 +292,11 @@ class TestScheffe:
         path.write_text(text)
         assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
                                     "--k", "10")
+
+    def test_oversized_k_one_line_error(self, capsys, cands_file):
+        # checked before the samples are allocated: 745 GiB of uniforms
+        assert_one_line_input_error(capsys, "scheffe", "--file", cands_file,
+                                    "--k", str(10 ** 11))
 
 
 class TestReport:

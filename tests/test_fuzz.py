@@ -3,17 +3,21 @@ JSON, bench configs and Scheffe candidates JSON. Whatever the input,
 ``advsel select``/``sort``/``bench`` ends with exit code 0, 2 or 3,
 ``advsel scheffe`` with 0 or 2, and none with an uncaught exception. Sizes
 and trial counts stay small and every run is in this process, so no example
-can allocate much or start workers."""
+can allocate much or start workers: ``seqhard:r,s`` reaches millions of
+items for the arguments drawn here, so generator specs run under a cap of
+4096 items (lemma1's and lemma2's own cap)."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advsel import generators
 from advsel.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from advsel.generators import GENERATOR_NAMES
 
@@ -63,6 +67,8 @@ spec_object = st.fixed_dictionaries(
         "edges": st.one_of(st.lists(st.one_of(
             st.lists(index, min_size=3, max_size=3), junk), max_size=6),
             junk),
+        # no kind allows it
+        "polcy": st.one_of(small_int, junk),
     })
 adversary_json = st.one_of(
     st.sampled_from(["smaller-wins", "larger-wins", "lower-index-wins",
@@ -73,7 +79,8 @@ adversary_json = st.one_of(
 def run_cli(argv) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), \
+            mock.patch.object(generators, "MAX_INSTANCE_SIZE", 4096):
         code = main(argv)
     return code, err.getvalue()
 
@@ -135,7 +142,8 @@ def test_bench_config_fields(field, value):
 
 def test_bench_config_wrong_types_exit_2():
     for field, value in (("epsilon", "0.1"), ("epsilon", [0.1]), ("seed", "1"),
-                         ("seed", True), ("trials", 2.0), ("t", None)):
+                         ("seed", True), ("trials", 2.0), ("t", None),
+                         ("epsilon", 5e-324)):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
             with open(path, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ __all__ = [
     "TournamentGraph",
     "RuleTournament",
     "PolicyTournament",
-    "KomodTournament",
+    "ConstructionTournament",
     "AdaptiveStrategy",
     "PivotKiller",
     "MemoizedStrategy",
@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 NONADAPTIVE_POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins", "random")
-
-# Most items of lemma1 and lemma2, whose regular tournament is built from
-# int64 n x n temporaries.
-MAX_CONSTRUCTION_SIZE = 4096
 
 # Most cells (one byte each) an n x n matrix may have. Every dense build checks
 # it before allocating, so an oversized input is a ValueError, not an attempt
@@ -232,9 +228,12 @@ class RuleTournament(TournamentGraph):
         if self._dense is None:
             check_dense_budget(self._n, f"a dense copy of {type(self).__name__}")
             idx = np.arange(self._n)
-            matrix = np.empty((self._n, self._n), dtype=bool)
-            for lo, block in self._blocks(idx, idx):
-                matrix[lo:lo + len(block)] = block
+            if self._n * self._n <= _BLOCK_CELLS:
+                matrix = self._beats_grid(idx, idx)
+            else:
+                matrix = np.empty((self._n, self._n), dtype=bool)
+                for lo, block in self._blocks(idx, idx):
+                    matrix[lo:lo + len(block)] = block
             self._dense = TournamentGraph(matrix, check=False)
             self._dense._checked = self._checked
         return self._dense
@@ -514,24 +513,51 @@ def _near_regular_beats(a, b, g: int):
     positions with out-degrees as equal as possible: a beats a+1 ..
     a+floor((g-1)/2), and for even g the antipodal pair goes to the lower
     position."""
-    dist = (b - a) % g
-    beats = (dist >= 1) & (dist <= (g - 1) // 2)
+    step = (b - a - 1) % g  # b is a + 1 + step cyclically
+    beats = step < (g - 1) // 2
     if g % 2 == 0:
-        beats |= (dist == g // 2) & (a < g // 2)
+        beats |= (step == g // 2 - 1) & (a < g // 2)
     return beats
 
 
-def _near_regular(g: int) -> np.ndarray:
-    check_dense_budget(g, "a regular tournament")
-    pos = np.arange(g)
-    return _near_regular_beats(pos[:, None], pos[None, :], g)
+class ConstructionTournament(RuleTournament):
+    """A named construction's orientation as a rule under its hidden
+    permutation: canonical position p is index ``perm[p]``. Positions fall
+    into value groups of the given ``sizes``, each of one item or of the same
+    size g. ``table[x, y]`` says whether group x beats group y; inside a group
+    the near-regular tournament on the g within-group offsets decides.
+    lemma1 and lemma2 are one group of n with no table, lemma1 with no
+    ``perm`` (the identity); a table needs a ``perm``."""
+
+    __slots__ = ("_group", "_offset", "_g", "_table")
+
+    def __init__(self, sizes, perm: Optional[np.ndarray] = None,
+                 table: Optional[np.ndarray] = None):
+        n = sum(sizes)
+        super().__init__(n)
+        self._g, self._table, self._group = max(sizes), table, None
+        # each item's offset in its group; None: one group in index order
+        self._offset = None if perm is None else np.empty_like(perm)
+        if perm is not None:
+            self._offset[perm] = np.arange(n)  # the canonical positions
+        if table is not None:
+            starts = np.cumsum(sizes) - sizes
+            self._group = np.repeat(np.arange(len(sizes)), sizes)[self._offset]
+            self._offset -= starts[self._group]
+
+    def beats(self, a, b):
+        offset = self._offset
+        inside = _near_regular_beats(a if offset is None else offset[a],
+                                     b if offset is None else offset[b], self._g)
+        if self._table is None:
+            return inside
+        ga, gb = self._group[a], self._group[b]
+        return np.where(ga == gb, inside, self._table[ga, gb])
 
 
 def _require_odd(n: int) -> int:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"construction needs odd n >= 3, got {n}")
-    if n > MAX_CONSTRUCTION_SIZE:
-        raise ValueError(f"n={n} exceeds construction size cap {MAX_CONSTRUCTION_SIZE}")
     return n
 
 
@@ -552,7 +578,7 @@ def _seed_rng(seed) -> np.random.Generator:
     return RngSeed(check_number("seed", seed)).generator()
 
 
-def lemma_one_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
+def lemma_one_construction(n: int, seed=None) -> tuple[Instance, ConstructionTournament]:
     """Regular tournament over a hidden permutation of (1, 0, ..., 0).
 
     Every index beats the next (n-1)/2 indices cyclically, so all out-degrees
@@ -563,11 +589,10 @@ def lemma_one_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph
     rng = _seed_rng(seed)
     values = np.zeros(n)
     values[int(rng.integers(n))] = 1.0
-    return _valid_pair(Instance(tuple(values)),
-                       TournamentGraph(_near_regular(n), check=False))
+    return _valid_pair(Instance(tuple(values)), ConstructionTournament((n,)))
 
 
-def lemma_two_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph]:
+def lemma_two_construction(n: int, seed=None) -> tuple[Instance, ConstructionTournament]:
     """Regular tournament over a hidden permutation of (2, 1^m, 0^m) in which
     the 2 loses to every 1, m = (n-1)/2.
 
@@ -579,13 +604,10 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, TournamentGraph
     m = (n - 1) // 2
     rng = _seed_rng(seed)
     canon_values = np.concatenate(([2.0], np.zeros(m), np.ones(m)))
-    canon = _near_regular(n)
     perm = rng.permutation(n)  # canonical position p becomes index perm[p]
-    matrix = np.zeros((n, n), dtype=bool)
-    matrix[np.ix_(perm, perm)] = canon
     values = np.empty(n)
     values[perm] = canon_values
-    return _valid_pair(Instance(tuple(values)), TournamentGraph(matrix, check=False))
+    return _valid_pair(Instance(tuple(values)), ConstructionTournament((n,), perm))
 
 
 def _layered_size(r: int, s: int) -> int:
@@ -612,7 +634,7 @@ def sequential_hard_instance(r: int, s: int) -> tuple[Instance, PolicyTournament
     return inst, build_nonadaptive(inst, "smaller-wins")
 
 
-def komod_hard_instance(n: int, seed=None) -> tuple[Instance, "KomodTournament"]:
+def komod_hard_instance(n: int, seed=None) -> tuple[Instance, ConstructionTournament]:
     """Hidden permutation of {3, 2^g, 1^g, 0^g, 0*} (g = (n-2)/3) with the
     orientation that defeats the modified knock-out's 3-approximation:
     all 2s and all plain 0s lose to all 1s, 3 loses to all 2s, and the
@@ -631,7 +653,8 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, "KomodTournament"]
     perm = rng.permutation(n)  # canonical position p becomes index perm[p]
     values = np.empty(n)
     values[perm] = canon_values
-    return _valid_pair(Instance(tuple(values)), KomodTournament(perm))
+    return _valid_pair(Instance(tuple(values)),
+                       ConstructionTournament((1, g, g, g, 1), perm, _KOMOD_GROUPS))
 
 
 # Who beats whom between komod-hard's value groups, in canonical order
@@ -643,29 +666,6 @@ _KOMOD_GROUPS = np.array([
     [0, 0, 0, 0, 0],    # plain 0s lose every pair across groups
     [0, 0, 1, 1, 0],    # 0* beats every 1 and every plain 0 (free)
 ], dtype=bool)
-
-
-class KomodTournament(RuleTournament):
-    """komod-hard's orientation as a block rule under its hidden permutation:
-    ``_KOMOD_GROUPS`` across groups, the near-regular tournament on the
-    within-group offsets inside the 2s, the 1s and the plain 0s."""
-
-    __slots__ = ("_group", "_offset", "_g")
-
-    def __init__(self, perm: np.ndarray):
-        n = len(perm)
-        super().__init__(n)
-        self._g = (n - 2) // 3
-        pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n)
-        # positions 0, 1..g, g+1..2g, 2g+1..3g, 3g+1 are groups 0..4
-        self._group = 1 + (pos - 1) // self._g
-        self._offset = (pos - 1) % self._g
-
-    def beats(self, a, b):
-        ga, gb = self._group[a], self._group[b]
-        inside = _near_regular_beats(self._offset[a], self._offset[b], self._g)
-        return np.where(ga == gb, inside, _KOMOD_GROUPS[ga, gb])
 
 
 class Construction(NamedTuple):

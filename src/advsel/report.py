@@ -95,6 +95,8 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
     columns are calibrated for the full desk scale (1.0); shrunken runs are
     for smoke-testing reproducibility and may show spurious failures.
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
     t0 = time.perf_counter()
     rows: list[ReportRow] = []
     stream = iter(range(1000))

@@ -214,22 +214,14 @@ def scheffe_quickselect(candidates: Sequence[DiscreteDistribution],
 def induced_tournament_matrix(candidates: Sequence[DiscreteDistribution],
                               samples: SampleSet) -> np.ndarray:
     """The fixed orientation a sample set induces over all candidate pairs
-    (entry [i, j] True iff i wins the canonical-order test against j)."""
+    (entry [i, j] True iff i wins the canonical-order ``scheffe_test``
+    against j)."""
     n = len(candidates)
-    probs = np.stack([c.probs for c in candidates])
-    counts = _sample_counts(samples, probs.shape[1])
-    emp = np.zeros(probs.shape[1])
-    if samples.k:
-        emp[:len(counts)] = counts / samples.k
     matrix = np.zeros((n, n), dtype=bool)
     for a in range(n):
-        s_sets = probs[a][None, :] > probs[a + 1:]          # (n-a-1, m)
-        m1 = (s_sets * probs[a][None, :]).sum(axis=1)
-        m2 = (s_sets * probs[a + 1:]).sum(axis=1)
-        mu = (s_sets * emp[None, :]).sum(axis=1)
-        a_wins = np.abs(m1 - mu) <= np.abs(m2 - mu)
-        matrix[a, a + 1:] = a_wins
-        matrix[a + 1:, a] = ~a_wins
+        for b in range(a + 1, n):
+            a_wins = scheffe_test(candidates[a], candidates[b], samples).winner == 0
+            matrix[a, b], matrix[b, a] = a_wins, not a_wins
     return matrix
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestLemmaTwo:
         inst, g = lemma_two_construction(n, seed=7)
         m = (n - 1) // 2
         assert (g.out_degrees() == m).all()
-        g2 = TournamentGraph(g.matrix, check=True)
+        g2 = TournamentGraph(g.dense().matrix, check=True)
         g2.validate_for(inst)
         vals = np.array(inst.values)
         assert sorted(inst.values) == [0.0] * m + [1.0] * m + [2.0]
@@ -400,7 +401,7 @@ class TestAdversarySpec:
         spec = {"kind": "construction", "name": "lemma2",
                 "params": {"n": 5, "seed": 11}}
         got = from_spec(spec, inst)
-        assert np.array_equal(got.matrix, g.matrix)
+        assert np.array_equal(got.dense().matrix, g.dense().matrix)
         with pytest.raises(ValueError):
             from_spec(spec, Instance((0.0,) * 5))
 
@@ -555,6 +556,48 @@ class TestKomodRule:
             assert_rule_matches(graph, want)
 
 
+def circulant_reference(n):
+    """The dense circulant the lemma constructions were built from: i beats
+    the next (n-1)/2 indices cyclically."""
+    pos = np.arange(n)
+    dist = (pos[None, :] - pos[:, None]) % n
+    return (dist >= 1) & (dist <= (n - 1) // 2)
+
+
+class TestLemmaRule:
+    @pytest.mark.parametrize("n", range(3, 32, 2))
+    def test_matches_dense_circulant(self, n):
+        canon = circulant_reference(n)
+        m = (n - 1) // 2
+        for seed in (0, 1, 7, 20250810):
+            inst, one = lemma_one_construction(n, seed=seed)
+            assert inst.values.index(1.0) == RngSeed(seed).generator().integers(n)
+            assert_rule_matches(one, canon)
+            inst, two = lemma_two_construction(n, seed=seed)
+            perm = RngSeed(seed).generator().permutation(n)
+            want = np.zeros((n, n), dtype=bool)
+            want[np.ix_(perm, perm)] = canon
+            expect_values = np.empty(n)
+            expect_values[perm] = np.concatenate(([2.0], np.zeros(m), np.ones(m)))
+            assert inst.values == tuple(expect_values)
+            assert_rule_matches(two, want)
+
+    def test_past_the_dense_budget_needs_no_matrix(self):
+        n = 9001   # past DENSE_CELL_BUDGET's n <= 8192
+        tracemalloc.start()
+        try:
+            inst, graph = parse_generator(f"lemma2:{n}", RngSeed(3).generator())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 8   # far below one n x n matrix of bools
+        items = np.arange(n)
+        for pivot in (0, 4500, n - 1):
+            assert graph.beats(items, pivot).sum() == (n - 1) // 2
+        with pytest.raises(ValueError, match="budget"):
+            graph.dense()
+
+
 class TestDenseBudget:
     """Every dense n x n build checks DENSE_CELL_BUDGET before allocating."""
 
@@ -579,12 +622,6 @@ class TestDenseBudget:
         edges = [(i, j, i) for i in range(5) for j in range(i + 1, 5)]
         with pytest.raises(ValueError, match="budget"):
             TournamentGraph.from_edges(5, edges)
-
-    def test_lemma_constructions(self):
-        with pytest.raises(ValueError, match="budget"):
-            lemma_one_construction(5)
-        with pytest.raises(ValueError, match="budget"):
-            lemma_two_construction(5)
 
     def test_komod_needs_no_matrix(self):
         _, graph = komod_hard_instance(8, seed=2)

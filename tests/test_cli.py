@@ -183,6 +183,15 @@ class TestSelect:
                             "--seed", "1", "--json")
         assert code == EXIT_OK and json.loads(out)["queries"] >= 5
 
+    def test_construction_past_the_dense_budget(self, capsys):
+        # lemma2's graph is a rule: n = 9001 would need 81M dense cells
+        code, out = run_cli(capsys, "select", "--gen", "lemma2:9001",
+                            "--algo", "q-select", "--adversary", "construction",
+                            "--seed", "4", "--json")
+        assert code == EXIT_OK
+        rec = json.loads(out)
+        assert rec["n"] == 9001 and rec["violations"] == 0
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         class Liar:
             def decide(self, instance, i, j, log, pivot):
@@ -316,3 +325,9 @@ class TestReport:
     def test_seed_required(self, capsys):
         code, _ = run_cli(capsys, "report")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_bad_scale_one_line_error(self, capsys, scale):
+        err = assert_one_line_input_error(capsys, "report", "--seed", "3",
+                                          "--scale", scale)
+        assert "scale" in err

@@ -5,7 +5,7 @@ JSON, bench configs and Scheffe candidates JSON. Whatever the input,
 and trial counts stay small and every run is in this process, so no example
 can allocate much or start workers: ``seqhard:r,s`` reaches millions of
 items for the arguments drawn here, so generator specs run under a cap of
-4096 items (lemma1's and lemma2's own cap)."""
+4096 items, which keeps every example small."""
 
 import contextlib
 import io

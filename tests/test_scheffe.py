@@ -221,6 +221,15 @@ class TestInducedTournament:
         # deterministic given the samples
         assert np.array_equal(m, induced_tournament_matrix(cands, smp))
 
+    def test_exact_tie_goes_to_the_first_candidate(self):
+        # |m1 - mu| = |m2 - mu| = 1/6 in exact arithmetic: the matrix breaks
+        # the tie as scheffe_test does, toward candidate 0
+        p1, p2 = dist(0.0, 0.5, 0.5), dist(1 / 3, 1 / 3, 1 / 3)
+        smp = SampleSet(np.array([0, 1, 1, 1, 1, 2]), 6)
+        assert scheffe_test(p1, p2, smp).winner == 0
+        m = induced_tournament_matrix([p1, p2], smp)
+        assert m[0, 1] and not m[1, 0]
+
     def test_antisymmetry_caveat(self):
         # swapped argument order flips the winner only on exact ties
         rng = RngSeed(22).generator()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class SelectionResult:
     winner: int
     queries: int
     rounds: int
+    sizes: tuple[int, ...] = ()     # comb: field size per round, then the final
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,14 @@ class KoModParams:
 
 @dataclass(frozen=True)
 class CombParams:
-    """Constants of the knock-out / quick-select combination."""
+    """Repetition counts of the knock-out / quick-select combination for one
+    epsilon; the other constants are the algorithm's own."""
 
     epsilon: float
-    beta1: float = 9.0
-    beta2: float = 25.0
-    shrink_threshold: float = 2.0 / 3.0
-    win_fraction: float = 3.0 / 4.0
+    beta1: ClassVar[float] = 9.0
+    beta2: ClassVar[float] = 25.0
+    shrink_threshold: ClassVar[float] = 2.0 / 3.0
+    win_fraction: ClassVar[float] = 3.0 / 4.0
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1) or math.isinf(1.0 / self.epsilon):
@@ -154,15 +156,14 @@ def knockout_round(session, items, rng) -> list[int]:
     return _knockout_round(session, _resolve(session, items), rng).tolist()
 
 
-def modified_knockout(session, epsilon: float, items=None, rng=None,
-                      params: Optional[KoModParams] = None) -> SelectionResult:
+def modified_knockout(session, epsilon: float, items=None,
+                      rng=None) -> SelectionResult:
     """Knock-out rounds with a saved pool: before each round, copy n1 random
     items into the pool, then halve the field; finish with a round-robin over
     the survivors plus the pool (deduplicated, field first)."""
     items = _resolve(session, items)
     rng = _rng(rng)
-    if params is None:
-        params = KoModParams.compute(epsilon, len(items))
+    params = KoModParams.compute(epsilon, len(items))
     start = session.queries
     x = items
     saved = []
@@ -212,34 +213,29 @@ def quick_select(session, items=None, rng=None) -> SelectionResult:
     return SelectionResult(int(x[0]), session.queries - start, rounds=rounds)
 
 
-def combined_select(session, epsilon: float, items=None, rng=None,
-                    params: Optional[CombParams] = None,
-                    record_sizes: Optional[list] = None) -> SelectionResult:
+def combined_select(session, epsilon: float, items=None,
+                    rng=None) -> SelectionResult:
     """Knock-out / quick-select combination: each round runs a fixed budget of
     quickselect rounds, and if the field has not shrunk to 2/3 of its starting
     size, repeatedly re-pairs the *fixed* field and keeps the items that won
     more than 3/4 of the repetitions (byes count as wins), falling back to a
     single top-winner.
 
-    ``record_sizes``, if given, receives the field size at the start of every
-    round plus the final size.
+    The result's ``sizes`` holds the field size at the start of every round
+    plus the final size.
     """
     x = _resolve(session, items)
     rng = _rng(rng)
-    if params is None:
-        params = CombParams(epsilon=epsilon)
+    params = CombParams(epsilon=epsilon)
     qs_reps = params.qs_reps()
     start = session.queries
-    i = 0
+    sizes = []
     while len(x) > 1:
-        i += 1
-        n_i = len(x)
-        if record_sizes is not None:
-            record_sizes.append(n_i)
+        sizes.append(len(x))
         for _ in range(qs_reps):
             x = _quickselect_round(session, x, rng)
-        if len(x) > params.shrink_threshold * n_i:
-            reps = params.ko_reps(i)
+        if len(x) > params.shrink_threshold * sizes[-1]:
+            reps = params.ko_reps(len(sizes))  # round index, from 1
             m = len(x)
             half = m // 2
             wins = np.zeros(m, dtype=np.int64)
@@ -255,6 +251,6 @@ def combined_select(session, epsilon: float, items=None, rng=None,
                 x = x[keep]
             else:
                 x = np.array([_pick_max_wins(x, wins, rng)], dtype=np.int64)
-    if record_sizes is not None:
-        record_sizes.append(len(x))
-    return SelectionResult(int(x[0]), session.queries - start, rounds=i)
+    sizes.append(len(x))
+    return SelectionResult(int(x[0]), session.queries - start,
+                           rounds=len(sizes) - 1, sizes=tuple(sizes))

@@ -113,7 +113,8 @@ def _cmd_bench(args) -> int:
     adv = config.adversary if isinstance(config.adversary, str) \
         else json.dumps(config.adversary, sort_keys=True)
     inst_label = config.instance if isinstance(config.instance, str) else "custom"
-    row = csv_row(config.algorithm, adv, data.n, config.t, config.epsilon, summary, True)
+    row = csv_row(config.algorithm, adv, data.n, config.t, config.epsilon, summary,
+                  data.violations == 0)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n" + row + "\n")
@@ -203,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="reproduce the bound table")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="directory for bound_report.{csv,txt}")
-    p.add_argument("--max-n", type=int, default=2048)
+    p.add_argument("--max-n", type=int, default=2048,
+                   help="largest n of the ko-mod hard-instance and comb rows, "
+                   "1 to 2**24 (default 2048)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="trial-count multiplier (1.0 = full desk scale)")
     p.set_defaults(func=_cmd_report)

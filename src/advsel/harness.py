@@ -117,7 +117,7 @@ class TrialData:
 
     errors: np.ndarray          # bool: output failed the t check
     queries: np.ndarray         # int per trial
-    round_sizes: list           # per trial list of field sizes (comb only)
+    round_sizes: list           # per trial: comb's ``result.sizes`` (comb only)
     wall_time: float
     violations: int = 0         # forced answers the adversary got wrong, all trials
     n: int = 0                  # items of the instance
@@ -195,14 +195,13 @@ def _engine_form(adversary, kept: bool, algorithm: str):
     return adversary
 
 
-def run_algorithm(algorithm: str, session, rng, epsilon=None,
-                  record_sizes: Optional[list] = None):
+def run_algorithm(algorithm: str, session, rng, epsilon=None):
     """Run one algorithm, by id, on a session: its ``SelectionResult`` or
     ``SortResult``. The algorithms are looked up in this module when called."""
     if algorithm == "ko-mod":
         return modified_knockout(session, epsilon, rng=rng)
     if algorithm == "comb":
-        return combined_select(session, epsilon, rng=rng, record_sizes=record_sizes)
+        return combined_select(session, epsilon, rng=rng)
     run = {"compl": complete_tournament, "seq": sequential_select,
            "q-select": quick_select, "compl-sort": complete_sort,
            "q-sort": quick_sort}[check_choice("algorithm", algorithm, ALGORITHM_IDS)]
@@ -240,14 +239,15 @@ class _TrialStreams:
         return self.generator.bit_generator.state != self.current
 
 
-def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
-    """Run trials lo..hi-1 and return (errors, queries, round_sizes,
-    violations, n)."""
+def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
+    """Run trials lo..hi-1 of a config."""
+    start = time.perf_counter()
     adv_spec = parse_adversary(config.adversary)
     is_sort = config.algorithm in SORTERS
+    is_comb = config.algorithm == "comb"
     errors = np.zeros(hi - lo, dtype=bool)
     queries = np.zeros(hi - lo, dtype=np.int64)
-    all_sizes: list = []
+    round_sizes: list = []
     violations = 0
 
     # (seed, stream, trial, role) streams
@@ -269,10 +269,9 @@ def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
                 keep_adversary = keep_instance and not adversary_rngs.drew() \
                     and isinstance(adversary, TournamentGraph)
             adversary = _engine_form(adversary, keep_adversary, config.algorithm)
-        sizes: Optional[list] = [] if collect_sizes else None
         session = ComparatorSession(instance, adversary, record=False)
         result = run_algorithm(config.algorithm, session, alg_rngs.at(t),
-                               config.epsilon, sizes)
+                               config.epsilon)
         k = t - lo
         queries[k] = result.queries
         violations += session.violations
@@ -281,14 +280,11 @@ def _trial_block(config: TrialConfig, lo: int, hi: int, collect_sizes: bool):
                                         config.t)
         else:
             errors[k] = instance.values[result.winner] < instance.max_value - config.t
-        if collect_sizes:
-            all_sizes.append(sizes)
-    return errors, queries, all_sizes, violations, instance.n
-
-
-def _worker(args):
-    config_dict, lo, hi, collect_sizes = args
-    return _trial_block(TrialConfig(**config_dict), lo, hi, collect_sizes)
+            if is_comb:
+                round_sizes.append(result.sizes)
+    return TrialData(errors=errors, queries=queries, round_sizes=round_sizes,
+                     wall_time=time.perf_counter() - start, violations=violations,
+                     n=instance.n)
 
 
 def _worker_count() -> int:
@@ -302,27 +298,23 @@ def _worker_count() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def run_trials(config: TrialConfig, collect_sizes: bool = False) -> TrialData:
+def run_trials(config: TrialConfig) -> TrialData:
     """Execute all trials of a config. Honors ADVSEL_THREADS for process
     parallelism; results are identical for any worker count."""
     start = time.perf_counter()
     workers = min(_worker_count(), config.trials)
     if workers <= 1 or config.trials < 4 * workers:
-        errors, queries, sizes, violations, n = _trial_block(
-            config, 0, config.trials, collect_sizes)
+        parts = [_trial_block(config, 0, config.trials)]
     else:
-        bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
-        jobs = [(config.to_dict(), int(bounds[w]), int(bounds[w + 1]),
-                 collect_sizes) for w in range(workers)]
+        bounds = np.linspace(0, config.trials, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_worker, jobs))
-        errors = np.concatenate([p[0] for p in parts])
-        queries = np.concatenate([p[1] for p in parts])
-        sizes = [s for p in parts for s in p[2]]
-        violations, n = sum(p[3] for p in parts), parts[0][4]
-    return TrialData(errors=errors, queries=queries, round_sizes=sizes,
-                     wall_time=time.perf_counter() - start, violations=violations,
-                     n=n)
+            parts = list(pool.map(_trial_block, [config] * workers,
+                                  bounds[:-1], bounds[1:]))
+    return TrialData(errors=np.concatenate([p.errors for p in parts]),
+                     queries=np.concatenate([p.queries for p in parts]),
+                     round_sizes=[s for p in parts for s in p.round_sizes],
+                     wall_time=time.perf_counter() - start,
+                     violations=sum(p.violations for p in parts), n=parts[0].n)
 
 
 def estimate(config: TrialConfig) -> TrialSummary:

@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .core import MAX_INSTANCE_SIZE, check_number
 from .harness import (CSV_HEADER, TrialConfig, TrialSummary, csv_row,
                       run_trials)
 from .sorting import exact_expected_queries
@@ -91,23 +92,27 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
     """Run the whole claim suite with sub-streams of ``seed``; one stream per
     row keeps rows independent and the CSV reproducible.
 
+    ``max_n``, from 1 to ``MAX_INSTANCE_SIZE``, is the n of the last ko-mod
+    hard-instance row (at least 512) and caps the n of the comb rows.
     ``scale`` multiplies every row's trial count. The statistical pass/fail
     columns are calibrated for the full desk scale (1.0); shrunken runs are
     for smoke-testing reproducibility and may show spurious failures.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
+    if not 1 <= check_number("max_n", max_n) <= MAX_INSTANCE_SIZE:
+        raise ValueError(f"max_n must be between 1 and {MAX_INSTANCE_SIZE}, "
+                         f"got {max_n}")
     t0 = time.perf_counter()
     rows: list[ReportRow] = []
     stream = iter(range(1000))
 
-    def run(algorithm, instance, adversary, *, n, t, trials, epsilon=None,
-            collect_sizes=False):
+    def run(algorithm, instance, adversary, *, n, t, trials, epsilon=None):
         cfg = TrialConfig(algorithm=algorithm, instance=instance,
                           adversary=adversary, t=t, epsilon=epsilon,
                           trials=_scaled(trials, scale), seed=seed,
                           stream=next(stream))
-        return run_trials(cfg, collect_sizes=collect_sizes)
+        return run_trials(cfg)
 
     def add(algorithm, adversary, n, t, epsilon, claim, data, ok, note=""):
         rows.append(ReportRow(algorithm, adversary, n, t, epsilon, claim,

@@ -249,7 +249,7 @@ def comb_runs():
                                   adversary=adv, t=2.0, epsilon=eps, trials=40,
                                   seed=SEED, stream=stream)
                 stream += 1
-                per_size.append((n, run_trials(cfg, collect_sizes=True)))
+                per_size.append((n, run_trials(cfg)))
             runs[(inst_kind, adv)] = per_size
     return runs
 

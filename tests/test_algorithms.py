@@ -276,9 +276,7 @@ class TestCombined:
         for seed in range(8):
             n = 40 + 13 * seed
             inst, sess = session_for([0] * n, policy="pivot-killer")
-            sizes = []
-            combined_select(sess, 0.1, rng=RngSeed(seed).generator(),
-                            record_sizes=sizes)
+            sizes = combined_select(sess, 0.1, rng=RngSeed(seed).generator()).sizes
             for a, b in zip(sizes, sizes[1:]):
                 assert b <= math.ceil(2 / 3 * a), sizes
 

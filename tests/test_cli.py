@@ -240,6 +240,7 @@ class TestBench:
         assert rec["violations"] == 0
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 2 and lines[0].startswith("algorithm,")
+        assert lines[1].endswith(",true")
 
     def test_violation_exit_code(self, capsys, tmp_path, monkeypatch):
         class Liar:
@@ -255,9 +256,12 @@ class TestBench:
                                         "instance": "distinct:4",
                                         "adversary": "lower-index-wins",
                                         "trials": 3, "seed": 1}))
-        code, out = run_cli(capsys, "bench", "--config", str(cfg_path), "--json")
+        out_path = tmp_path / "row.csv"
+        code, out = run_cli(capsys, "bench", "--config", str(cfg_path), "--json",
+                            "--out", str(out_path))
         assert code == EXIT_VIOLATION
         assert json.loads(out)["violations"] > 0
+        assert out_path.read_text().rstrip("\n").endswith(",false")
 
     def test_seedless_config_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -331,3 +335,18 @@ class TestReport:
         err = assert_one_line_input_error(capsys, "report", "--seed", "3",
                                           "--scale", scale)
         assert "scale" in err
+
+    @pytest.mark.parametrize("max_n", ["0", "-5", "100000000"])
+    def test_bad_max_n_one_line_error(self, capsys, monkeypatch, max_n):
+        import advsel.report as report_mod
+        rows = []
+        run_trials = report_mod.run_trials
+
+        def counted(*args, **kwargs):
+            rows.append(args)
+            return run_trials(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "run_trials", counted)
+        err = assert_one_line_input_error(capsys, "report", "--seed", "1",
+                                          "--scale", "0.001", "--max-n", max_n)
+        assert "max_n" in err and rows == []

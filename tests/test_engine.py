@@ -106,11 +106,9 @@ def test_comb_round_sizes_parity():
         inst = Instance(tuple(float(v) for v in rng.integers(0, 3, size=n)))
         adv = build_nonadaptive(inst, "smaller-wins")
         seed = int(rng.integers(2 ** 32))
-        sizes = []
-        for a in (adv, PairByPair(adv)):
-            sizes.append([])
-            combined_select(ComparatorSession(inst, a, record=False), 0.1,
-                            rng=RngSeed(seed).generator(), record_sizes=sizes[-1])
+        sizes = [combined_select(ComparatorSession(inst, a, record=False), 0.1,
+                                 rng=RngSeed(seed).generator()).sizes
+                 for a in (adv, PairByPair(adv))]
         assert sizes[0] == sizes[1]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from advsel import harness
 from advsel.adversary import ComparatorSession, PivotKiller, build_nonadaptive
-from advsel.algorithms import quick_select
+from advsel.algorithms import combined_select, quick_select
 from advsel.core import Instance, RngSeed
 from advsel.generators import parse_generator
 from advsel.harness import (CSV_HEADER, TrialConfig, check_concentration,
@@ -134,14 +134,23 @@ class TestReproducibility:
         assert np.array_equal(a.errors, b.errors)
         assert np.array_equal(a.queries, b.queries)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        cfg = TrialConfig(algorithm="q-select", instance="zeros:40",
-                          adversary="random", t=2.0, trials=64, seed=13)
+    @pytest.mark.parametrize("algorithm,instance,epsilon", [
+        ("q-select", "zeros:40", None), ("comb", "uniform01:64", 0.2),
+    ], ids=["q-select", "comb"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, algorithm,
+                                                  instance, epsilon):
+        cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                          adversary="random", t=2.0, epsilon=epsilon, trials=64,
+                          seed=13)
+        monkeypatch.setenv("ADVSEL_THREADS", "1")
         serial = run_trials(cfg)
         monkeypatch.setenv("ADVSEL_THREADS", "2")
         parallel = run_trials(cfg)
         assert np.array_equal(serial.errors, parallel.errors)
         assert np.array_equal(serial.queries, parallel.queries)
+        assert serial.round_sizes == parallel.round_sizes
+        assert serial.violations == parallel.violations
+        assert len(serial.round_sizes) == (64 if algorithm == "comb" else 0)
 
     @pytest.mark.parametrize("adversary", [
         {"kind": "nonadaptive"},
@@ -152,12 +161,12 @@ class TestReproducibility:
         # what a worker runs: a block may start at any trial
         cfg = TrialConfig(algorithm="q-select", instance="zeros:30",
                           adversary=adversary, t=2.0, trials=40, seed=3)
-        whole = harness._trial_block(cfg, 0, 40, False)
-        parts = [harness._trial_block(cfg, 0, 17, False),
-                 harness._trial_block(cfg, 17, 40, False)]
-        for field in (0, 1):     # errors, queries
-            assert np.array_equal(whole[field],
-                                  np.concatenate([p[field] for p in parts]))
+        whole = harness._trial_block(cfg, 0, 40)
+        parts = [harness._trial_block(cfg, 0, 17),
+                 harness._trial_block(cfg, 17, 40)]
+        for field in ("errors", "queries"):
+            assert np.array_equal(getattr(whole, field), np.concatenate(
+                [getattr(p, field) for p in parts]))
 
     def test_memoized_strategy_is_rebuilt_every_trial(self):
         # a memo shared across trials would answer later trials from the first
@@ -233,14 +242,26 @@ class TestReproducibility:
         monkeypatch.setenv("ADVSEL_THREADS", "0")
         assert harness._worker_count() == 1
 
-    def test_round_sizes_collection(self):
+    def test_round_sizes_collection(self, monkeypatch):
+        results = []
+
+        def comb(*args, **kwargs):
+            results.append(combined_select(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.delenv("ADVSEL_THREADS", raising=False)
+        monkeypatch.setattr(harness, "combined_select", comb)
         cfg = TrialConfig(algorithm="comb", instance="zeros:30",
                           adversary="pivot-killer", t=2.0, epsilon=0.2,
                           trials=10, seed=14)
-        data = run_trials(cfg, collect_sizes=True)
+        data = run_trials(cfg)
         assert len(data.round_sizes) == 10
-        for sizes in data.round_sizes:
+        for sizes, result in zip(data.round_sizes, results, strict=True):
             assert sizes[0] == 30 and sizes[-1] == 1
+            assert sizes == result.sizes and result.rounds == len(sizes) - 1
+        q_select = TrialConfig(algorithm="q-select", instance="zeros:30",
+                               adversary="pivot-killer", trials=10, seed=14)
+        assert run_trials(q_select).round_sizes == []
 
 
 class TestConcentration:

@@ -31,28 +31,22 @@ DATA = Path(__file__).with_name("data") / "transcripts.json"
 SEEDS = (0, 1, 2)
 
 
-def _selector(fn, **kw):
-    def run(session, rng, sizes):
-        return fn(session, rng=rng, **kw)
-    return run
-
-
-def _comb(epsilon):
-    def run(session, rng, sizes):
-        return combined_select(session, epsilon, rng=rng, record_sizes=sizes)
+def _selector(fn, *args):
+    def run(session, rng):
+        return fn(session, *args, rng=rng)
     return run
 
 
 ALGORITHMS = {
     "compl": _selector(complete_tournament),
     "seq": _selector(sequential_select),
-    "ko-mod-0.5": lambda s, r, z: modified_knockout(s, 0.5, rng=r),
-    "ko-mod-0.9": lambda s, r, z: modified_knockout(s, 0.9, rng=r),
+    "ko-mod-0.5": _selector(modified_knockout, 0.5),
+    "ko-mod-0.9": _selector(modified_knockout, 0.9),
     "q-select": _selector(quick_select),
-    "comb-0.5": _comb(0.5),
-    "comb-0.9": _comb(0.9),
+    "comb-0.5": _selector(combined_select, 0.5),
+    "comb-0.9": _selector(combined_select, 0.9),
     # 4 re-pairings in round 1, so a field item can win exactly 3/4 of them
-    "comb-0.91": _comb(0.91),
+    "comb-0.91": _selector(combined_select, 0.91),
     "compl-sort": _selector(complete_sort),
     "q-sort": _selector(quick_sort),
 }
@@ -148,10 +142,10 @@ def _log_digest(pairs) -> str:
     return h.hexdigest()
 
 
-def _outcome(result, queries, violations, sizes, log_pairs) -> dict:
+def _outcome(result, queries, violations, log_pairs) -> dict:
     out = {"queries": int(queries), "violations": violations,
            "rounds": getattr(result, "rounds", None),
-           "sizes": [int(s) for s in sizes] or None,
+           "sizes": [int(s) for s in getattr(result, "sizes", ())] or None,
            "log": _log_digest(log_pairs)}
     if hasattr(result, "order"):
         out["order"] = [int(x) for x in result.order]
@@ -163,12 +157,11 @@ def _outcome(result, queries, violations, sizes, log_pairs) -> dict:
 def session_transcript(case: str, algorithm: str, seed: int) -> dict:
     inst, make = ADVERSARIES[case]
     session = ComparatorSession(inst, make())
-    sizes: list = []
-    result = ALGORITHMS[algorithm](session, RngSeed(seed).generator(), sizes)
+    result = ALGORITHMS[algorithm](session, RngSeed(seed).generator())
     assert result.queries == session.queries
     pairs = [(r.left, r.right, r.winner, r.ordinal) for r in session.log]
     assert len(pairs) == session.queries
-    return _outcome(result, session.queries, session.violations, sizes, pairs)
+    return _outcome(result, session.queries, session.violations, pairs)
 
 
 class _SpyScheffeSession(scheffe._ScheffeSession):
@@ -197,10 +190,9 @@ def scheffe_transcript(algorithm: str, seed: int) -> dict:
             cands, smp, RngSeed(seed).generator())
         return {"winner": int(sel.winner), "tests": int(sel.tests)}
     session = _SpyScheffeSession(cands, smp)
-    sizes: list = []
-    result = ALGORITHMS[algorithm](session, RngSeed(seed).generator(), sizes)
+    result = ALGORITHMS[algorithm](session, RngSeed(seed).generator())
     assert result.queries == session.tests == len(session.pairs)
-    return _outcome(result, session.tests, 0, sizes, session.pairs)
+    return _outcome(result, session.tests, 0, session.pairs)
 
 
 ADVERSARIES = {name: (inst, make) for name, inst, make in adversary_cases()}

@@ -250,6 +250,13 @@ class AdaptiveStrategy(Protocol):
     the pivot hint (the index the current round is pivoting on, or None).
     It must return one of the two queried indices; on forced pairs the
     session overrides wrong answers anyway.
+
+    A strategy that never reads the log may also offer ``bulk(instance)``:
+    an object answering ``pivot_round_mask``, ``beats`` and ``wins_within``
+    (as ``TournamentGraph`` does) exactly as ``decide`` would answer the
+    batch's pairs one by one, in order, with the session's pivot hint; or
+    None when it cannot. Its answers must obey every forced pair, since a
+    session asks it instead of ``decide`` and checks none of them.
     """
 
     def decide(self, instance: Instance, i: int, j: int, log: QueryLog,
@@ -275,22 +282,95 @@ class PivotKiller:
             return i
         return min(i, j)
 
+    def bulk(self, instance):
+        return _PivotKillerRule(instance)
+
 
 class MemoizedStrategy:
     """Wrapper forcing an adaptive strategy to stay self-consistent: the first
-    answer for each unordered pair is replayed on repeat queries."""
+    answer for each unordered pair is replayed on repeat queries.
+
+    Single queries (``decide``) and batches (``bulk``) share one memo, keyed
+    by ``lo << 32 | hi`` for the pair lo < hi, so a strategy reused across
+    sessions or instances replays every pair it has answered."""
 
     def __init__(self, strategy):
         self.strategy = strategy
-        self._memo: dict[tuple[int, int], int] = {}
+        self._memo: dict[int, int] = {}
 
     def decide(self, instance, i, j, log, pivot):
-        key = (i, j) if i < j else (j, i)
-        if key in self._memo:
-            return self._memo[key]
-        w = self.strategy.decide(instance, i, j, log, pivot)
-        self._memo[key] = w
-        return w
+        code = i << 32 | j if i < j else j << 32 | i
+        winner = self._memo.get(code)
+        if winner is None:
+            winner = self._memo[code] = self.strategy.decide(instance, i, j, log, pivot)
+        return winner
+
+    def bulk(self, instance):
+        """The inner strategy's batch form behind the memo; None if the inner
+        strategy has none or a stored answer breaks a forced pair of
+        ``instance`` (the memo was filled on other values)."""
+        inner = getattr(self.strategy, "bulk", None)
+        rule = None if inner is None else inner(instance)
+        if rule is None:
+            return None
+        batches = _MemoizedBatches(rule, self._memo, instance)
+        if self._memo:
+            codes = np.fromiter(self._memo, dtype=np.int64, count=len(self._memo))
+            lo, hi = codes >> 32, codes & 0xFFFFFFFF
+            inside = hi < instance.n
+            winners = np.fromiter(self._memo.values(), dtype=np.int64,
+                                  count=len(codes))[inside]
+            if batches.breaks_forced(lo[inside], hi[inside], winners):
+                return None
+        return batches
+
+
+class _MemoizedBatches:
+    """A memoized strategy's batch answers: its inner strategy's answers for
+    a batch, then one pass over the pairs in order that keeps a stored answer
+    or stores the new one (``dict.setdefault``), as ``decide`` would."""
+
+    __slots__ = ("rule", "memo", "_values", "_delta")
+
+    def __init__(self, rule, memo: dict, instance: Instance):
+        self.rule, self.memo = rule, memo
+        self._values, self._delta = instance.values_array, instance.delta
+
+    def breaks_forced(self, a, b, winners) -> bool:
+        """Whether some pair (a, b) with a gap above delta has a winner other
+        than its larger value's index."""
+        gap = self._values[a] - self._values[b]
+        wrong = winners != np.where(gap > 0, a, b)
+        return bool((wrong & (np.abs(gap) > self._delta)).any())
+
+    def _replay(self, a, b, a_wins):
+        """Whether a beats b for each pair, once the memo has had its say."""
+        winners = np.where(a_wins, a, b)
+        codes = np.minimum(a, b) << 32 | np.maximum(a, b)
+        stored = np.fromiter(map(self.memo.setdefault, codes.tolist(), winners.tolist()),
+                             dtype=np.int64, count=len(codes))
+        replayed = stored != winners
+        # a stored answer from another instance's session may break a forced pair
+        if replayed.any() and self.breaks_forced(a[replayed], b[replayed],
+                                                 stored[replayed]):
+            raise AdversaryProtocolError(
+                "a memoized answer breaks a forced pair of this instance")
+        return stored == a
+
+    def pivot_round_mask(self, items, pivot):
+        rivals = items != pivot
+        mask = np.zeros(len(items), dtype=bool)
+        mask[rivals] = self._replay(items[rivals], np.full(rivals.sum(), pivot),
+                                    self.rule.pivot_round_mask(items, pivot)[rivals])
+        return mask
+
+    def beats(self, a, b):
+        return self._replay(a, b, self.rule.beats(a, b))
+
+    def wins_within(self, items):
+        rows, cols = np.triu_indices(len(items), 1)
+        a_wins = self.beats(items[rows], items[cols])
+        return np.bincount(np.where(a_wins, rows, cols), minlength=len(items))
 
 
 Adversary = Union[TournamentGraph, AdaptiveStrategy]
@@ -304,9 +384,10 @@ class ComparatorSession(QueryBatches):
     tallied in ``violations``. Single-owner: not safe for concurrent queries.
 
     Algorithms ask whole batches (``pivot_round``, ``duel``, ``round_robin``).
-    A valid graph and the pivot-killer answer a batch in one vectorized call
-    (see ``comparator_for``); any other adversary is asked pair by pair, with
-    the pivot hint, in the same order. Both write the same log.
+    A valid graph and a strategy with a batch form (``bulk``: the
+    pivot-killer, memoized or not) answer a batch in one call (see
+    ``comparator_for``); any other adversary is asked pair by pair, with the
+    pivot hint, in the same order. Both write the same log.
     """
 
     def __init__(self, instance: Instance, adversary: Adversary, record: bool = True):
@@ -493,9 +574,10 @@ class _PivotKillerRule(PolicyTournament):
 
 def comparator_for(instance: Instance, adversary):
     """What answers a session's batches in one call: the adversary itself if
-    it is a graph valid for ``instance``, the closed form of ``PivotKiller``,
-    or None, when every query must be asked pair by pair (a strategy that
-    reads the log, or a graph that would need its violations counted)."""
+    it is a graph valid for ``instance``, a strategy's ``bulk(instance)`` if
+    it offers one, or None, when every query must be asked pair by pair (a
+    strategy that reads the log, or a graph that would need its violations
+    counted)."""
     if isinstance(adversary, TournamentGraph):
         if adversary._checked is not instance:
             try:
@@ -503,9 +585,8 @@ def comparator_for(instance: Instance, adversary):
             except ValueError:
                 return None
         return adversary
-    if isinstance(adversary, PivotKiller):
-        return _PivotKillerRule(instance)
-    return None
+    bulk = getattr(adversary, "bulk", None)
+    return None if bulk is None else bulk(instance)
 
 
 def _near_regular_beats(a, b, g: int):

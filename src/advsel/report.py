@@ -107,7 +107,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
     rows: list[ReportRow] = []
     stream = iter(range(1000))
 
-    def run(algorithm, instance, adversary, *, n, t, trials, epsilon=None):
+    def run(algorithm, instance, adversary, *, t, trials, epsilon=None):
         cfg = TrialConfig(algorithm=algorithm, instance=instance,
                           adversary=adversary, t=t, epsilon=epsilon,
                           trials=_scaled(trials, scale), seed=seed,
@@ -120,13 +120,13 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
 
     # --- complete tournament: zero 2-approximation error, binom(n,2) queries
     n = 101
-    data = run("compl", f"lemma2:{n}", "construction", n=n, t=2.0, trials=400)
+    data = run("compl", f"lemma2:{n}", "construction", t=2.0, trials=400)
     exact = n * (n - 1) // 2
     add("compl", "construction:lemma2", n, 2.0, None,
         "error(t=2) = 0, queries = n(n-1)/2",
         data, ok=(not data.errors.any()) and (data.queries == exact).all())
     n = 64
-    data = run("compl", f"uniform01:{n}", "pivot-killer", n=n, t=2.0, trials=400)
+    data = run("compl", f"uniform01:{n}", "pivot-killer", t=2.0, trials=400)
     add("compl", "pivot-killer", n, 2.0, None,
         "error(t=2) = 0, queries = n(n-1)/2 (adaptive)",
         data, ok=(not data.errors.any()) and (data.queries == n * (n - 1) // 2).all())
@@ -135,13 +135,13 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
 
     # (output is almost always a bottom-layer value; floor asserted, rate reported)
     n = 27
-    data = run("seq", "seqhard:3,3", "construction", n=n, t=2.5, trials=20000)
+    data = run("seq", "seqhard:3,3", "construction", t=2.5, trials=20000)
     rate = float(data.errors.mean())
     add("seq", "construction:seq-hard", n, 2.5, None,
         "layered instance drives output far below the max (qualitative)",
         data, ok=rate > 0.25, note=f"measured rate {rate:.4f}")
     n = 15
-    data = run("seq", f"lemma1:{n}", "construction", n=n, t=0.9, trials=20000)
+    data = run("seq", f"lemma1:{n}", "construction", t=0.9, trials=20000)
     rate = float(data.errors.mean())
     expected = 1.0 - 1.0 / n
     band = 4 * math.sqrt(expected * (1 - expected) / len(data.errors))
@@ -152,7 +152,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
     # --- modified knock-out: 3-approximation w.p. 1-eps, near-linear queries
     eps = 0.1
     n = 1024
-    data = run("ko-mod", f"uniform01:{n}", "smaller-wins", n=n, t=3.0,
+    data = run("ko-mod", f"uniform01:{n}", "smaller-wins", t=3.0,
                epsilon=eps, trials=500)
     bound = knockout_query_bound(n, eps)
     add("ko-mod", "smaller-wins", n, 3.0, eps,
@@ -160,7 +160,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
         data, ok=(data.summary().error_ci95[1] < eps) and
                  (data.queries.max() < bound))
     n = 1025
-    data = run("ko-mod", f"komodhard:{n}", "construction", n=n, t=3.0,
+    data = run("ko-mod", f"komodhard:{n}", "construction", t=3.0,
                epsilon=eps, trials=500)
     bound = knockout_query_bound(n, eps)
     add("ko-mod", "construction:komod-hard", n, 3.0, eps,
@@ -168,7 +168,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
         data, ok=(data.summary().error_ci95[1] < eps) and
                  (data.queries.max() < bound))
     n = _largest_komod_n(max(max_n, 512))
-    data = run("ko-mod", f"komodhard:{n}", "construction", n=n, t=2.9,
+    data = run("ko-mod", f"komodhard:{n}", "construction", t=2.9,
                epsilon=eps, trials=300)
     rate = float(data.errors.mean())
     add("ko-mod", "construction:komod-hard", n, 2.9, eps,
@@ -178,7 +178,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
     # --- quick-select: zero error at t=2; expected queries < 2n non-adaptive;
     #     exactly binom(n,2) against the pivot-killer
     n = 1000
-    data = run("q-select", f"zeros:{n}", "smaller-wins", n=n, t=2.0, trials=4000)
+    data = run("q-select", f"zeros:{n}", "smaller-wins", t=2.0, trials=4000)
     mean = data.queries.mean()
     se = data.queries.std(ddof=1) / math.sqrt(len(data.queries))
     # the transitive graph realized by this config has an exact expectation
@@ -191,7 +191,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
         data, ok=(not data.errors.any()) and (exact_mean < 2 * n)
                  and (abs(mean - exact_mean) <= 3 * se),
         note=f"mean {mean:.1f} vs exact {exact_mean:.1f} < {2 * n}")
-    data = run("q-select", f"zeros:{n}", "random", n=n, t=2.0, trials=2500)
+    data = run("q-select", f"zeros:{n}", "random", t=2.0, trials=2500)
     mean = data.queries.mean()
     se = data.queries.std(ddof=1) / math.sqrt(len(data.queries))
     add("q-select", "random", n, 2.0, None,
@@ -199,7 +199,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
         data, ok=(not data.errors.any()) and (mean + 3 * se < 2 * n),
         note=f"mean {mean:.1f} vs 2n = {2 * n}")
     n = 50
-    data = run("q-select", f"zeros:{n}", "pivot-killer", n=n, t=2.0, trials=200)
+    data = run("q-select", f"zeros:{n}", "pivot-killer", t=2.0, trials=200)
     exact = n * (n - 1) // 2
     add("q-select", "pivot-killer", n, 2.0, None,
         "adaptive adversary forces exactly n(n-1)/2 queries, still error 0",
@@ -211,7 +211,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
                                ("uniform01", "smaller-wins")):
         group = []
         for n in sizes:
-            data = run("comb", f"{instance_kind}:{n}", adv, n=n, t=2.0,
+            data = run("comb", f"{instance_kind}:{n}", adv, t=2.0,
                        epsilon=eps, trials=40)
             group.append((n, data))
         ratios = [d.queries.mean() / n for n, d in group]
@@ -225,7 +225,7 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
     # --- sorting: zero 2-approximation sort error; quick-sort matches the
     #     noiseless expectation oracle
     n = 50
-    data = run("q-sort", f"distinct:{n}", "lower-index-wins", n=n, t=2.0,
+    data = run("q-sort", f"distinct:{n}", "lower-index-wins", t=2.0,
                trials=3000)
     f_n = exact_expected_queries(n)
     mean = data.queries.mean()
@@ -235,11 +235,11 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
         data, ok=(not data.errors.any()) and (abs(mean - f_n) <= 3 * se),
         note=f"mean {mean:.2f} vs f({n}) = {f_n:.2f}")
     n = 101
-    data = run("q-sort", f"lemma2:{n}", "construction", n=n, t=2.0, trials=500)
+    data = run("q-sort", f"lemma2:{n}", "construction", t=2.0, trials=500)
     add("q-sort", "construction:lemma2", n, 2.0, None,
         "sorted within t=2 against the regular hard tournament",
         data, ok=not data.errors.any())
-    data = run("compl-sort", f"lemma2:{n}", "construction", n=n, t=2.0,
+    data = run("compl-sort", f"lemma2:{n}", "construction", t=2.0,
                trials=400)
     exact = n * (n - 1) // 2
     add("compl-sort", "construction:lemma2", n, 2.0, None,

@@ -1,18 +1,24 @@
 """Batch answers: a graph or the pivot-killer answering a session's whole
 pivot round, matching or round-robin in one call must give the same result,
 query count, violations and log as the same adversary asked one query at a
-time, for the same (instance, adversary, seed)."""
+time, for the same (instance, adversary, seed).
+
+The memoized pivot-killer answers batches too: its memo replays a stored
+answer inside a batch (ko-mod's final round-robin and comb's re-paired duels
+repeat pairs) and is shared with single queries, so it must match the same
+memoized strategy asked pair by pair, a fresh one per transcript."""
 
 import numpy as np
 import pytest
 
-from advsel.adversary import (ComparatorSession, PivotKiller, TournamentGraph,
+from advsel.adversary import (AdversaryProtocolError, ComparatorSession,
+                              MemoizedStrategy, PivotKiller, TournamentGraph,
                               build_nonadaptive, comparator_for,
                               komod_hard_instance)
 from advsel.algorithms import (combined_select, complete_tournament,
                                modified_knockout, quick_select,
                                sequential_select)
-from advsel.core import Instance, RngSeed
+from advsel.core import Instance, RngSeed, validate_log
 from advsel.sorting import complete_sort, quick_sort
 
 POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins", "random",
@@ -158,3 +164,112 @@ def test_rule_and_matrix_comparators_agree(case):
     assert comparator_for(inst, dense) is dense
     seed = int(rng.integers(2 ** 32))
     assert run_all(inst, rule, seed) == run_all(inst, dense, seed)
+
+
+def memoized_killer():
+    return MemoizedStrategy(PivotKiller())
+
+
+def assert_memoized_batches_match_pairs(inst, run, seed):
+    assert comparator_for(inst, memoized_killer()) is not None
+    batched = transcript(inst, memoized_killer(), run, seed)
+    assert batched == transcript(inst, PairByPair(memoized_killer()), run, seed)
+    return batched
+
+
+@pytest.mark.parametrize("case", range(0, len(CASES), 3))
+def test_memoized_pivot_killer_parity(case):
+    inst, _, seed = CASES[case]
+    for run in (*SELECTORS, *SORTERS):
+        assert_memoized_batches_match_pairs(inst, run, seed)
+
+
+@pytest.mark.parametrize("n", [120, 200])
+def test_memo_replays_inside_batches(n):
+    """At these sizes ko-mod's round-robins and comb's duels repeat pairs;
+    on comb the memo's replayed answers differ from the plain pivot-killer's."""
+    inst = Instance(tuple(float(v) for v in
+                          np.random.default_rng(n).integers(0, 3, size=n)))
+    changed = 0
+    for seed in range(3):
+        for run in SELECTORS[2:]:
+            log = assert_memoized_batches_match_pairs(inst, run, seed)[3]
+            changed += log != transcript(inst, PivotKiller(), run, seed)[3]
+    assert changed > 0
+
+
+def test_memo_crosses_single_queries_and_batches():
+    """One session: sequential selection's single queries fill the memo that
+    comb's and the round-robin's batches replay, and the reverse."""
+    def run(session, rng):
+        return (sequential_select(session, rng=rng),
+                combined_select(session, EPS, rng=rng),
+                complete_tournament(session, rng=rng),
+                sequential_select(session, rng=rng))
+
+    for n in (2, 7, 13, 40):
+        inst = Instance(tuple(float(v) for v in
+                              np.random.default_rng(n).integers(0, 3, size=n)))
+        for seed in range(4):
+            assert_memoized_batches_match_pairs(inst, run, seed)
+
+
+class TupleMemo:
+    """The memoized strategy with tuple keys and no batch form."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.memo = {}
+
+    def decide(self, instance, i, j, log, pivot):
+        key = (i, j) if i < j else (j, i)
+        if key not in self.memo:
+            self.memo[key] = self.strategy.decide(instance, i, j, log, pivot)
+        return self.memo[key]
+
+
+@pytest.mark.parametrize("values9", [(0.0,) * 9,
+                                     (4.0, 0.0, 2.0, 0.0, 3.0, 0.0, 1.0, 2.0, 0.0)],
+                         ids=["all-free", "forced"])
+def test_memo_reused_across_instances(values9):
+    """A memoized strategy reused on n = 5 and then n = 9 replays the answers
+    it stored on n = 5; where they break a forced pair of n = 9 the second
+    session asks pair by pair, and counts the violations."""
+    first, second = Instance((0.0,) * 5), Instance(values9)
+    runs = [lambda s, r: quick_select(s, rng=r), lambda s, r: quick_sort(s, rng=r)]
+
+    def sessions(strategy):
+        return [transcript(inst, strategy, run, 3)
+                for inst in (first, second) for run in runs]
+
+    memo = memoized_killer()
+    assert sessions(memo) == sessions(TupleMemo(PivotKiller()))
+    forced = values9 != (0.0,) * 9
+    assert (comparator_for(second, memo) is None) == forced
+
+
+def test_memoized_log_reader_is_asked_pair_by_pair():
+    class Flipper:
+        def __init__(self):
+            self.count = 0
+
+        def decide(self, instance, i, j, log, pivot):
+            self.count += 1
+            return i if self.count % 2 else j
+
+    inst = Instance((0.0, 5.0, 0.0, 9.0, 1.0))
+    assert comparator_for(inst, MemoizedStrategy(Flipper())) is None
+    session = ComparatorSession(inst, MemoizedStrategy(Flipper()))
+    complete_tournament(session, rng=RngSeed(0).generator())
+    assert session.violations > 0
+    validate_log(inst, session.log)
+
+
+def test_memo_shared_by_live_sessions_on_other_values():
+    """Batches never replay a stored answer that breaks a forced pair: a
+    memo filled meanwhile by a session on other values is refused."""
+    memo = memoized_killer()
+    session = ComparatorSession(Instance((0.0, 5.0)), memo)
+    ComparatorSession(Instance((0.0, 0.0)), memo).query(0, 1)  # stores 0
+    with pytest.raises(AdversaryProtocolError):
+        session.round_robin(np.array([0, 1]))

@@ -477,13 +477,16 @@ class ComparatorSession(QueryBatches):
             return super().round_robin(items)
         self._pivot = None
         m = len(items)
-        if self.log.recording:
-            rows, cols = np.triu_indices(m, 1)
-            a, b = items[rows], items[cols]
-            self.log.extend(a, b, np.where(bulk.beats(a, b), a, b))
-        else:
+        if not self.log.recording:
             self.log.count += m * (m - 1) // 2
-        return bulk.wins_within(items)
+            return bulk.wins_within(items)
+        # one batch for the log and the wins
+        rows, cols = np.triu_indices(m, 1)
+        a, b = items[rows], items[cols]
+        a_wins = bulk.beats(a, b)
+        self.log.extend(a, b, np.where(a_wins, a, b))
+        return np.bincount(rows[a_wins], minlength=m) + \
+            np.bincount(cols[~a_wins], minlength=m)
 
 
 class PolicyTournament(RuleTournament):

@@ -5,6 +5,10 @@ against non-adaptive graphs, adaptive strategies, or the Scheffe comparator.
 
 Randomness comes from an explicit ``numpy.random.Generator``; the draw
 sequence is part of each algorithm's contract.
+
+Quick-select rounds run over lanes: a session is a block of one lane, and a
+``LaneBlock`` runs many trials in lockstep against one graph, each lane
+drawing what its trial's own generator would, so one round serves both.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import InvalidQueryError
+from .core import InvalidQueryError, PCG64Lanes
 
 __all__ = [
     "SelectionResult",
+    "LaneResult",
+    "LaneBlock",
     "KoModParams",
     "CombParams",
     "complete_tournament",
@@ -184,33 +190,138 @@ def modified_knockout(session, epsilon: float, items=None,
     return SelectionResult(winner, session.queries - start, rounds=len(saved) + 1)
 
 
-def _quickselect_round(session, items: np.ndarray, rng) -> np.ndarray:
-    m = len(items)
+class LaneBlock:
+    """Trials of quick-select run in lockstep as the lanes of one block,
+    against one graph that is valid for the instance: lane k is one trial,
+    drawing from lane k of ``rng`` exactly what its own ``Generator`` would.
+    Pass it to ``quick_select`` in place of a session; ``queries`` counts
+    each lane's queries."""
+
+    def __init__(self, graph, n_items: int, rng: PCG64Lanes):
+        self.graph, self.n_items, self.rng = graph, n_items, rng
+        self.queries = np.zeros(len(rng), dtype=np.int64)
+
+    def draw(self, lanes, sizes, starts):
+        """Where each lane's pivot is in the flat items."""
+        return starts + self.rng.integers(lanes, sizes)
+
+    def pivot_round(self, lanes, pivots, items, sizes):
+        self.queries[lanes] += sizes - 1
+        return self.graph.beats(items, np.repeat(pivots, sizes))
+
+
+class _SessionLane:
+    """A session as a block of one lane, drawing from its own generator."""
+
+    __slots__ = ("session", "rng")
+
+    def __init__(self, session, rng):
+        self.session, self.rng = session, rng
+
+    def draw(self, lanes, sizes, starts):
+        return self.rng.integers(sizes[0])     # the one lane starts at 0
+
+    def pivot_round(self, lanes, pivot, items, sizes):
+        return self.session.pivot_round(int(pivot), items)
+
+
+_ONE_LANE = np.zeros(1, dtype=np.int64)   # lane ids, and the start, of a block of one
+_NO_LANES = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class LaneResult:
+    """``quick_select`` on a block: each lane's winner and queries, and
+    ``queries``, the block's total."""
+
+    winners: np.ndarray
+    queries: int
+    lane_queries: np.ndarray
+
+
+def _quickselect_round(block, lanes, items, sizes):
+    """One quick-select round on each of the ``lanes`` of a block, whose
+    items are ``items`` cut into runs of ``sizes`` (each at least 2): draw a
+    pivot per lane and ask it against every other item of its lane in one
+    batch. A lane keeps the items that beat its pivot, or only the pivot when
+    none did, and is finished once it is down to one item. The live lanes'
+    items, sizes and ids, then the finished lanes' ids and winners."""
+    one = len(sizes) == 1   # a block of one needs no per-lane sums
+    starts = _ONE_LANE if one else sizes.cumsum() - sizes
+    at = block.draw(lanes, sizes, starts)
+    beat = block.pivot_round(lanes, items[at], items, sizes)
+    if one:
+        fewest = np.count_nonzero(beat)
+        kept = np.array([fewest])
+    else:
+        kept = np.add.reduceat(beat, starts, dtype=np.int64)
+        fewest = kept.min()
+    if fewest > 1:
+        return items[beat], kept, lanes, _NO_LANES, _NO_LANES
+    beat[at] = kept == 0    # keep a lone pivot: it never beats itself
+    kept = np.maximum(kept, 1)
+    items = items[beat]
+    done = kept == 1
+    if done.all():          # one item left in each lane: its winner
+        return _NO_LANES, _NO_LANES, _NO_LANES, lanes, items
+    live = ~done
+    return (items[np.repeat(live, kept)], kept[live], lanes[live], lanes[done],
+            items[kept.cumsum()[done] - 1])
+
+
+def _select_lanes(block, items, count: int):
+    """Quick-select rounds on the ``count`` lanes of a block, whose items are
+    ``items`` cut into equal runs, until each lane is down to one item: per
+    lane, the winner and the rounds."""
+    m = len(items) // count
+    rounds = np.zeros(count, dtype=np.int64)
     if m == 1:
+        return items.copy(), rounds
+    winners = np.empty(count, dtype=np.int64)
+    lanes, sizes = np.arange(count), np.full(count, m)
+    r = 0
+    while len(lanes):
+        r += 1
+        items, sizes, lanes, done, won = _quickselect_round(block, lanes, items,
+                                                            sizes)
+        if len(done):
+            winners[done] = won
+            rounds[done] = r
+    return winners, rounds
+
+
+def _session_round(lane: _SessionLane, items: np.ndarray) -> np.ndarray:
+    """One round on a session's ``items``: the items it keeps."""
+    if len(items) == 1:
         return items
-    p = int(rng.integers(m))
-    survivors = items[session.pivot_round(int(items[p]), items)]
-    return survivors if len(survivors) else items[p:p + 1]
+    items, _, _, _, won = _quickselect_round(lane, _ONE_LANE, items,
+                                             np.array([len(items)]))
+    return items if len(items) else won
 
 
 def quickselect_round(session, items, rng) -> list[int]:
     """Pick a random pivot and compare it to everything else; keep whatever
     beat the pivot, or the pivot itself if nothing did."""
-    return _quickselect_round(session, _resolve(session, items), rng).tolist()
+    return _session_round(_SessionLane(session, rng),
+                          _resolve(session, items)).tolist()
 
 
-def quick_select(session, items=None, rng=None) -> SelectionResult:
+def quick_select(session, items=None, rng=None):
     """Iterate quickselect rounds down to a single survivor. Zero-error
     2-approximation against any adversary; expected queries below 2n against
-    non-adaptive ones."""
+    non-adaptive ones.
+
+    ``session`` may be a ``LaneBlock``, whose lanes all start from ``items``
+    and run in lockstep: the result is then a ``LaneResult``."""
     x = _resolve(session, items)
-    rng = _rng(rng)
+    if isinstance(session, LaneBlock):
+        lanes = len(session.queries)
+        winners, _ = _select_lanes(session, np.tile(x, lanes), lanes)
+        return LaneResult(winners, int(session.queries.sum()), session.queries)
     start = session.queries
-    rounds = 0
-    while len(x) > 1:
-        x = _quickselect_round(session, x, rng)
-        rounds += 1
-    return SelectionResult(int(x[0]), session.queries - start, rounds=rounds)
+    winners, rounds = _select_lanes(_SessionLane(session, _rng(rng)), x, 1)
+    return SelectionResult(int(winners[0]), session.queries - start,
+                           rounds=int(rounds[0]))
 
 
 def combined_select(session, epsilon: float, items=None,
@@ -229,11 +340,12 @@ def combined_select(session, epsilon: float, items=None,
     params = CombParams(epsilon=epsilon)
     qs_reps = params.qs_reps()
     start = session.queries
+    lane = _SessionLane(session, rng)
     sizes = []
     while len(x) > 1:
         sizes.append(len(x))
         for _ in range(qs_reps):
-            x = _quickselect_round(session, x, rng)
+            x = _session_round(lane, x)
         if len(x) > params.shrink_threshold * sizes[-1]:
             reps = params.ko_reps(len(sizes))  # round index, from 1
             m = len(x)

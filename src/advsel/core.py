@@ -23,6 +23,7 @@ __all__ = [
     "QueryLog",
     "QueryBatches",
     "RngSeed",
+    "PCG64Lanes",
     "InvalidQueryError",
     "check_number",
     "check_keys",
@@ -258,21 +259,21 @@ class RngSeed:
     def generator(self, *key: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.sequence(*key)))
 
-    def pcg64_states(self, lo: int, hi: int, role: int) -> list[dict]:
-        """PCG64 ``bit_generator.state`` of ``generator(t, role)`` for t in
-        lo..hi-1, ready to assign to a reused ``PCG64``.
+    def pcg64_lanes(self, lo: int, hi: int, role: int) -> "PCG64Lanes":
+        """The generators ``generator(t, role)`` for t in lo..hi-1, as the
+        lanes of one ``PCG64Lanes``.
 
         Bit-identical to seeding through ``SeedSequence``: its pool hash runs
         once for the whole block, on uint32 arrays with one entry per trial
-        from the trial word on (on Python ints for a single trial); PCG64's
-        ``srandom`` step then runs on Python ints. A trial index must fit one
-        32-bit word, so every trial's key has the same word layout.
+        from the trial word on, and so does PCG64's ``srandom`` step, on
+        uint64 halves. A trial index must fit one 32-bit word, so every
+        trial's key has the same word layout.
         """
         if not 0 <= lo <= hi <= 2 ** 32:
             raise ValueError(f"trial range {lo}..{hi} must lie within 0..2**32")
         if role < 0:
             raise ValueError("role must be non-negative")
-        trials = lo if hi - lo == 1 else np.arange(lo, hi, dtype=np.uint32)
+        trials = np.arange(lo, hi, dtype=np.uint32)
         words = _uint32_words(self.seed)
         words += [0] * (_POOL_SIZE - len(words))  # padded: the key is spawned
         words += [*_uint32_words(self.stream), trials, *_uint32_words(role)]
@@ -291,27 +292,122 @@ class RngSeed:
         out = [np.asarray(_hashmix(pool[k % _POOL_SIZE], *next(consts)),
                           dtype=np.uint64) for k in range(2 * _POOL_SIZE)]
         seed_hi, seed_lo, inc_hi, inc_lo = [
-            (out[k] | out[k + 1] << 32).reshape(-1).tolist()
-            for k in range(0, 2 * _POOL_SIZE, 2)]
-        states = []
-        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc
-            states.append({"bit_generator": "PCG64",
-                           "state": {"state": state & _MASK128, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0})
-        return states
+            out[k] | out[k + 1] << 32 for k in range(0, 2 * _POOL_SIZE, 2)]
+        # srandom: inc = 2 * inc + 1, then one step from seed + inc
+        inc = np.stack([inc_lo << 1 | 1, inc_hi << 1 | inc_lo >> 63])
+        start_lo = seed_lo + inc[0]
+        start = np.stack([start_lo, seed_hi + inc[1] + (start_lo < inc[0])])
+        return PCG64Lanes(_lcg_step(start, inc), inc)
+
+    def pcg64_states(self, lo: int, hi: int, role: int) -> list[dict]:
+        """PCG64 ``bit_generator.state`` of ``generator(t, role)`` for t in
+        lo..hi-1, ready to assign to a reused ``PCG64``."""
+        return self.pcg64_lanes(lo, hi, role).states()
 
 
 # numpy's SeedSequence pool hash and PCG64 seeding constants
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MULT_LO = np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of a * b, from the products of their 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    cross = a0 * b1 + (mid & _MASK32)
+    return a1 * b1 + (mid >> 32) + (cross >> 32)
+
+
+def _lcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """PCG64's LCG step, state * mult + inc modulo 2**128, on (2, k) arrays of
+    uint64 halves, low first; uint64 products wrap modulo 2**64."""
+    lo, hi = state
+    new_lo = lo * _MULT_LO + inc[0]
+    new_hi = (hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo, _MULT_LO) + inc[1]
+              + (new_lo < inc[0]))
+    return np.stack([new_lo, new_hi])
+
+
+class PCG64Lanes:
+    """PCG64 generators stepped in lockstep, one lane per generator, each
+    drawing exactly what a ``Generator`` on its state would (made by
+    ``RngSeed.pcg64_lanes``).
+
+    A state is two uint64 halves. A step is PCG64's 128-bit LCG, whose one
+    product that overflows 64 bits is formed from 32-bit limbs; its output
+    is the XSL-RR permutation (M. O'Neill, HMC-CS-2014-0905). A 64-bit
+    output is handed out as two uint32s, low half first, the high half
+    waiting in ``uinteger`` with ``has_uint32`` set, as numpy buffers it.
+    """
+
+    def __init__(self, state: np.ndarray, inc: np.ndarray):
+        self._state, self._inc = state, inc
+        self._has = np.zeros(state.shape[1], dtype=bool)
+        self._pending = np.zeros(state.shape[1], dtype=np.uint64)
+
+    def __len__(self) -> int:
+        return len(self._has)
+
+    def states(self) -> list[dict]:
+        """Each lane's state in the form of ``PCG64().state``."""
+        (lo, hi), (inc_lo, inc_hi) = self._state.tolist(), self._inc.tolist()
+        return [{"bit_generator": "PCG64",
+                 "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                 "has_uint32": int(has), "uinteger": pending}
+                for s_lo, s_hi, i_lo, i_hi, has, pending in zip(
+                    lo, hi, inc_lo, inc_hi, self._has.tolist(),
+                    self._pending.tolist())]
+
+    def _step(self, lanes: np.ndarray) -> np.ndarray:
+        """Advance the listed lanes one LCG step: their 64-bit outputs."""
+        state = _lcg_step(self._state[:, lanes], self._inc[:, lanes])
+        self._state[:, lanes] = state
+        # XSL-RR: the halves xor-ed, rotated right by the top 6 bits
+        word, rot = state[1] ^ state[0], state[1] >> 58
+        return word >> rot | word << (-rot & 63)
+
+    def _next_uint32(self, lanes: np.ndarray) -> np.ndarray:
+        """Each listed lane's next uint32, as uint64 (lanes distinct)."""
+        has = self._has[lanes]
+        out = self._pending[lanes]
+        fresh = ~has
+        if fresh.any():
+            word = self._step(lanes[fresh])
+            out[fresh] = word & _MASK32
+            self._pending[lanes[fresh]] = word >> 32
+        self._has[lanes] = fresh
+        return out
+
+    def integers(self, lanes, m) -> np.ndarray:
+        """One ``Generator.integers(m[k])`` draw on each of the distinct
+        ``lanes``, for 1 <= m[k] < 2**32: numpy's path for that range,
+        Lemire's bounded method (ACM TOMACS 2019) on one uint32, re-drawn
+        while the low half of the product is below (2**32 - m) % m. m = 1
+        draws nothing."""
+        lanes = np.asarray(lanes, dtype=np.intp)
+        m = np.asarray(m, dtype=np.uint64)
+        if len(m) and not (m.min() >= 1 and m.max() <= _MASK32):
+            raise ValueError("each range must lie within 1..2**32-1")
+        out = np.zeros(len(lanes), dtype=np.int64)
+        draw = np.flatnonzero(m > 1)
+        lanes, m = lanes[draw], m[draw]
+        product = self._next_uint32(lanes) * m
+        threshold = (_MASK32 + 1 - m) % m
+        redo = np.flatnonzero((product & _MASK32) < threshold)
+        while len(redo):
+            product[redo] = self._next_uint32(lanes[redo]) * m[redo]
+            redo = redo[(product[redo] & _MASK32) < threshold[redo]]
+        out[draw] = product >> 32
+        return out
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -362,7 +458,7 @@ def forced_winner(instance: Instance, i: int, j: int) -> Optional[int]:
 
 def is_t_approx(output_value: float, instance: Instance, t: float) -> bool:
     """True iff ``output_value`` is within ``t`` of the instance maximum."""
-    if t < 0:
+    if not t >= 0:   # NaN too
         raise ValueError("t must be non-negative")
     return output_value >= instance.max_value - t
 
@@ -393,7 +489,7 @@ def is_t_sorted(output_order: Sequence[float] | Iterable[float], t: float) -> bo
     Equivalent to the O(n^2) all-pairs check; implemented with a running
     minimum of the prefix.
     """
-    if t < 0:
+    if not t >= 0:   # NaN too
         raise ValueError("t must be non-negative")
     seq = list(output_order)
     if not seq:

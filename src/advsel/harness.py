@@ -13,7 +13,9 @@ Reuse rule: a block builds its first trial's instance and adversary, and
 keeps a build for every later trial exactly when nothing drew from that
 trial's generator, so the build is the same for every trial. Only graphs are
 kept as adversaries, and only with a kept instance: strategies can hold
-per-session state and are rebuilt for every trial.
+per-session state and are rebuilt for every trial. A q-select block whose
+adversary is kept runs its trials as the lanes of ``algorithms.LaneBlock``s,
+in lockstep, each lane drawing what its trial's own generator would.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
-                        adversary_from_spec, fits_dense_budget, parse_adversary)
-from .algorithms import (combined_select, complete_tournament, modified_knockout,
-                         quick_select, sequential_select)
+                        adversary_from_spec, comparator_for, fits_dense_budget,
+                        parse_adversary)
+from .algorithms import (LaneBlock, combined_select, complete_tournament,
+                         modified_knockout, quick_select, sequential_select)
 from .core import (Instance, RngSeed, check_choice, check_keys, check_number,
                    is_t_sorted)
 from .generators import parse_generator
@@ -82,8 +85,8 @@ class TrialConfig:
         if not 1 <= self.trials <= 2 ** 32:
             # a trial index is one 32-bit word of its generator's spawn key
             raise ValueError("trials must be between 1 and 2**32")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        if not self.t >= 0:   # NaN too
+            raise ValueError(f"t must be >= 0, got {self.t!r}")
         parse_adversary(self.adversary)
         if self.algorithm in ("ko-mod", "comb") and self.epsilon is None:
             raise ValueError(f"{self.algorithm} needs epsilon")
@@ -196,8 +199,9 @@ def _engine_form(adversary, kept: bool, algorithm: str):
 
 
 def run_algorithm(algorithm: str, session, rng, epsilon=None):
-    """Run one algorithm, by id, on a session: its ``SelectionResult`` or
-    ``SortResult``. The algorithms are looked up in this module when called."""
+    """Run one algorithm, by id, on a session (or q-select on a
+    ``LaneBlock``): its ``SelectionResult``, ``SortResult`` or
+    ``LaneResult``. The algorithms are looked up in this module when called."""
     if algorithm == "ko-mod":
         return modified_knockout(session, epsilon, rng=rng)
     if algorithm == "comb":
@@ -210,18 +214,20 @@ def run_algorithm(algorithm: str, session, rng, epsilon=None):
 
 # trials whose generator states are derived in one step
 _SEED_CHUNK = 1024
+# items a block of q-select lanes holds at once, so its arrays stay a few MB
+_LANE_ITEMS = 1 << 17
 
 
 class _TrialStreams:
     """The generators of one role for the trials of a block: one PCG64 and
     Generator, set to each trial's state in turn. The first trial's state is
-    derived alone, as a kept build needs no other; later states are derived
+    seeded alone, as a kept build needs no other; later states are derived
     ``_SEED_CHUNK`` trials at a time, so memory stays bounded."""
 
     def __init__(self, root: RngSeed, role: int, lo: int, hi: int):
         self.root, self.role, self.hi = root, role, hi
         self.first = lo
-        self.states = root.pcg64_states(lo, lo + 1, role)
+        self.states = [root.generator(lo, role).bit_generator.state]
         self.generator = np.random.Generator(np.random.PCG64(0))
 
     def at(self, t: int) -> np.random.Generator:
@@ -240,35 +246,42 @@ class _TrialStreams:
 
 
 def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
-    """Run trials lo..hi-1 of a config."""
+    """Run trials lo..hi-1 of a config: as lanes of ``quick_select`` blocks
+    when the algorithm is q-select and the adversary is kept, else one by one."""
     start = time.perf_counter()
     adv_spec = parse_adversary(config.adversary)
+    root = RngSeed(config.seed, config.stream)
+    # (seed, stream, trial, role) streams
+    instance_rngs, adversary_rngs = (_TrialStreams(root, role, lo, hi)
+                                     for role in range(2))
+    instance, cgraph = build_instance(config.instance, instance_rngs.at(lo))
+    adversary = _build_adversary(adv_spec, instance, cgraph, adversary_rngs.at(lo))
+    # a build that drew nothing is the same for every trial; strategies can
+    # hold per-session state, so only graphs stay
+    keep_instance = not instance_rngs.drew()
+    keep_adversary = keep_instance and not adversary_rngs.drew() \
+        and isinstance(adversary, TournamentGraph)
+    if config.algorithm == "q-select" and keep_adversary \
+            and comparator_for(instance, adversary) is adversary:
+        errors, queries = _lane_trials(config, root, instance, adversary, lo, hi)
+        return TrialData(errors=errors, queries=queries, round_sizes=[],
+                         wall_time=time.perf_counter() - start, n=instance.n)
+    adversary = _engine_form(adversary, keep_adversary, config.algorithm)
+
     is_sort = config.algorithm in SORTERS
     is_comb = config.algorithm == "comb"
     errors = np.zeros(hi - lo, dtype=bool)
     queries = np.zeros(hi - lo, dtype=np.int64)
     round_sizes: list = []
     violations = 0
-
-    # (seed, stream, trial, role) streams
-    root = RngSeed(config.seed, config.stream)
-    instance_rngs, adversary_rngs, alg_rngs = (
-        _TrialStreams(root, role, lo, hi) for role in range(3))
-    keep_instance = keep_adversary = False
-
+    alg_rngs = _TrialStreams(root, 2, lo, hi)
     for t in range(lo, hi):
-        if not keep_instance:
+        if t > lo and not keep_instance:
             instance, cgraph = build_instance(config.instance, instance_rngs.at(t))
-        if not keep_adversary:
-            adversary = _build_adversary(adv_spec, instance, cgraph,
-                                         adversary_rngs.at(t))
-            if t == lo:
-                # a build that drew nothing is the same for every trial;
-                # strategies can hold per-session state, so only graphs stay
-                keep_instance = not instance_rngs.drew()
-                keep_adversary = keep_instance and not adversary_rngs.drew() \
-                    and isinstance(adversary, TournamentGraph)
-            adversary = _engine_form(adversary, keep_adversary, config.algorithm)
+        if t > lo and not keep_adversary:
+            adversary = _engine_form(
+                _build_adversary(adv_spec, instance, cgraph, adversary_rngs.at(t)),
+                False, config.algorithm)
         session = ComparatorSession(instance, adversary, record=False)
         result = run_algorithm(config.algorithm, session, alg_rngs.at(t),
                                config.epsilon)
@@ -285,6 +298,23 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
     return TrialData(errors=errors, queries=queries, round_sizes=round_sizes,
                      wall_time=time.perf_counter() - start, violations=violations,
                      n=instance.n)
+
+
+def _lane_trials(config: TrialConfig, root: RngSeed, instance: Instance, graph,
+                 lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Errors and queries of q-select trials lo..hi-1 against a kept graph,
+    run as the lanes of blocks of at most ``_SEED_CHUNK`` trials and about
+    ``_LANE_ITEMS`` items."""
+    chunk = max(1, min(_SEED_CHUNK, _LANE_ITEMS // instance.n))
+    winners, queries = [], []
+    for first in range(lo, hi, chunk):
+        rng = root.pcg64_lanes(first, min(first + chunk, hi), 2)
+        result = run_algorithm("q-select", LaneBlock(graph, instance.n, rng), None)
+        winners.append(result.winners)
+        queries.append(result.lane_queries)
+    winners = np.concatenate(winners)
+    errors = instance.values_array[winners] < instance.max_value - config.t
+    return errors, np.concatenate(queries)
 
 
 def _worker_count() -> int:

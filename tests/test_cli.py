@@ -263,6 +263,16 @@ class TestBench:
         assert json.loads(out)["violations"] > 0
         assert out_path.read_text().rstrip("\n").endswith(",false")
 
+    def test_nan_t_rejected(self, capsys, tmp_path):
+        # NaN fails every comparison: taken as t, each trial's output passed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"algorithm": "q-select", "instance": "uniform01:50", '
+                            '"adversary": "smaller-wins", "trials": 200, '
+                            '"seed": 1, "t": NaN}')
+        err = assert_one_line_input_error(capsys, "bench", "--config",
+                                          str(cfg_path))
+        assert "t must be >= 0" in err
+
     def test_seedless_config_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"algorithm": "compl",

@@ -112,8 +112,9 @@ class TestApprox:
                 assert is_t_approx(v, inst, hi)
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            is_t_approx(0.0, Instance((1.0,)), -0.1)
+        for t in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                is_t_approx(0.0, Instance((1.0,)), t)
 
 
 class TestSorted:
@@ -129,6 +130,12 @@ class TestSorted:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             is_t_sorted((), 1)
+
+    def test_negative_or_nan_t_rejected(self):
+        # NaN fails every comparison: taken as t, any order passed
+        for t in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                is_t_sorted((0, 3), t)
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=10),
            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]))

@@ -273,3 +273,26 @@ def test_memo_shared_by_live_sessions_on_other_values():
     ComparatorSession(Instance((0.0, 0.0)), memo).query(0, 1)  # stores 0
     with pytest.raises(AdversaryProtocolError):
         session.round_robin(np.array([0, 1]))
+
+
+@pytest.mark.parametrize("kind", ["graph", "rule", "memoized-pivot-killer"])
+def test_recording_round_robin_counts_the_logged_wins(kind):
+    """A recording round-robin counts its wins from the batch it logs; they
+    equal the wins of a session that keeps no log."""
+    inst = Instance(tuple(float(v) for v in
+                          np.random.default_rng(5).integers(0, 3, size=40)))
+    items = np.random.default_rng(6).permutation(inst.n)[:30]
+    make = {"graph": lambda: build_nonadaptive(
+                inst, "random", RngSeed(5).generator()).dense(),
+            "rule": lambda: build_nonadaptive(inst, "smaller-wins"),
+            "memoized-pivot-killer": memoized_killer}[kind]
+    wins = {}
+    for record in (True, False):
+        session = ComparatorSession(inst, make(), record=record)
+        # a pivot round first: the memo replays its answers in the round-robin
+        session.pivot_round(int(items[0]), items)
+        start = session.queries
+        wins[record] = session.round_robin(items).tolist()
+        if record:
+            logged = [rec.winner for rec in session.log.records[start:]]
+    assert wins[True] == wins[False] == [logged.count(int(x)) for x in items]

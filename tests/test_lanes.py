@@ -1,0 +1,189 @@
+"""Quick-select trials in lockstep. ``PCG64Lanes`` must draw what numpy's
+``Generator.integers`` draws on each lane's state, bit for bit, and a
+``LaneBlock`` of trials must give every trial the winner, queries and error
+of the same trial run alone through a session."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advsel import harness
+from advsel.adversary import (ComparatorSession, lemma_one_construction,
+                              lemma_two_construction, parse_adversary)
+from advsel.algorithms import LaneBlock, LaneResult, quick_select
+from advsel.core import RngSeed
+from advsel.harness import TrialConfig, build_instance
+
+# ranges past numpy's bounded-integer edge cases: 3 * 2**30 + 1 and 2**31 + 1
+# reject about a quarter and a half of their first uint32s
+RANGES = st.one_of(st.integers(1, 2 ** 32 - 1),
+                   st.sampled_from([1, 2, 3, 2 ** 31, 2 ** 31 + 1,
+                                    3 * 2 ** 30 + 1, 2 ** 32 - 1]))
+
+
+def _generators(root, lo, hi, role):
+    return [root.generator(t, role) for t in range(lo, hi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), lo=st.integers(0, 2 ** 32 - 64),
+       count=st.integers(1, 40), data=st.data())
+def test_lanes_draw_what_numpy_draws(seed, lo, count, data):
+    root = RngSeed(seed, 3)
+    lanes = root.pcg64_lanes(lo, lo + count, 2)
+    gens = _generators(root, lo, lo + count, 2)
+    lane_ids = st.lists(st.integers(0, count - 1), unique=True, max_size=count)
+    # a first draw leaves a pending uint32 on the lanes it touched
+    pending = np.array(data.draw(lane_ids, label="pending"), dtype=np.intp)
+    lanes.integers(pending, np.full(len(pending), 7))
+    for k in pending:
+        gens[k].integers(7)
+    for step in range(data.draw(st.integers(1, 12), label="steps")):
+        subset = np.array(data.draw(lane_ids, label=f"lanes {step}"), dtype=np.intp)
+        m = data.draw(st.lists(RANGES, min_size=len(subset), max_size=len(subset)),
+                      label=f"ranges {step}")
+        got = lanes.integers(subset, np.array(m, dtype=np.uint64))
+        want = [gens[k].integers(r) for k, r in zip(subset, m)]
+        assert got.tolist() == want
+    assert lanes.states() == [g.bit_generator.state for g in gens]
+
+
+def test_rejected_draws_are_drawn_again():
+    root = RngSeed(11)
+    lanes = root.pcg64_lanes(0, 64, 0)
+    gens = _generators(root, 0, 64, 0)
+    m = 3 * 2 ** 30 + 1
+    assert lanes.integers(np.arange(64), np.full(64, m)).tolist() == \
+        [g.integers(m) for g in gens]
+    states = lanes.states()
+    assert states == [g.bit_generator.state for g in gens]
+    # one uint32 leaves the high half pending; a re-draw takes it too
+    assert 0 < sum(not s["has_uint32"] for s in states) < 64
+
+
+def test_one_draws_nothing():
+    lanes = RngSeed(2).pcg64_lanes(0, 3, 0)
+    before = lanes.states()
+    assert lanes.integers(np.arange(3), np.ones(3)).tolist() == [0, 0, 0]
+    assert lanes.states() == before
+    with pytest.raises(ValueError):
+        lanes.integers(np.arange(1), np.array([2 ** 32]))
+    with pytest.raises(ValueError):
+        lanes.integers(np.arange(1), np.array([0]))
+
+
+def _lemma(build, name, n, seed):
+    inst, _ = build(n, seed)
+    spec = {"kind": "construction", "name": name, "params": {"n": n, "seed": seed}}
+    return {"values": list(inst.values)}, spec
+
+
+def _explicit(n):
+    # a valid dense graph: every pair of an all-zero instance is free
+    rng = np.random.default_rng(n)
+    edges = [[i, j, i if rng.random() < 0.5 else j]
+             for i in range(n) for j in range(i + 1, n)]
+    return f"zeros:{n}", {"kind": "explicit", "edges": edges}
+
+
+# (instance, adversary) of every kind of kept adversary the lanes accept
+KEPT = {
+    "smaller-wins": ("zeros:30", "smaller-wins"),
+    "lower-index-wins": ({"values": [0.0, 2.5, 1.0, 0.5] * 8}, "lower-index-wins"),
+    "explicit-dense": _explicit(25),
+    "seeded-random": ("zeros:40", {"kind": "nonadaptive", "policy": "random",
+                                   "seed": 5}),
+    "lemma1": _lemma(lemma_one_construction, "lemma1", 31, 4),
+    "lemma2": _lemma(lemma_two_construction, "lemma2", 33, 6),
+}
+
+
+def _alone(cfg, lo, hi):
+    """Winners, queries and errors of trials lo..hi-1, each run alone through
+    a session on the kept instance and adversary."""
+    root = RngSeed(cfg.seed, cfg.stream)
+    inst, cgraph = build_instance(cfg.instance, root.generator(lo, 0))
+    adv = harness._build_adversary(parse_adversary(cfg.adversary), inst, cgraph,
+                                   root.generator(lo, 1))
+    winners, queries = [], []
+    for t in range(lo, hi):
+        session = ComparatorSession(inst, adv, record=False)
+        result = quick_select(session, rng=root.generator(t, 2))
+        assert session.violations == 0
+        winners.append(result.winner)
+        queries.append(result.queries)
+    errors = [inst.values[w] < inst.max_value - cfg.t for w in winners]
+    return inst, adv, winners, queries, errors
+
+
+@pytest.fixture()
+def lane_calls(monkeypatch):
+    """The trial ranges the harness ran as lanes."""
+    calls = []
+    lane_trials = harness._lane_trials
+
+    def spy(config, root, instance, graph, lo, hi):
+        calls.append((lo, hi))
+        return lane_trials(config, root, instance, graph, lo, hi)
+
+    monkeypatch.setattr(harness, "_lane_trials", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KEPT)
+@pytest.mark.parametrize("lo,hi", [(0, 45), (13, 50)])
+def test_lanes_equal_trials_run_alone(kind, lo, hi, lane_calls, monkeypatch):
+    # chunks of 7 lanes: neither block length is a multiple of the chunk
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    instance, adversary = KEPT[kind]
+    cfg = TrialConfig(algorithm="q-select", instance=instance,
+                      adversary=adversary, t=0.0, trials=50, seed=9, stream=2)
+    inst, adv, winners, queries, errors = _alone(cfg, lo, hi)
+    data = harness._trial_block(cfg, lo, hi)
+    assert lane_calls == [(lo, hi)]
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+    assert data.violations == 0 and data.round_sizes == []
+    block = LaneBlock(adv, inst.n, RngSeed(9, 2).pcg64_lanes(lo, hi, 2))
+    result = quick_select(block)
+    assert isinstance(result, LaneResult)
+    assert result.winners.tolist() == winners
+    assert result.lane_queries.tolist() == queries
+    assert result.queries == sum(queries)
+
+
+def test_rule_above_dense_budget(lane_calls, monkeypatch):
+    from advsel import adversary
+    monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 100)
+    monkeypatch.setattr(harness, "_LANE_ITEMS", 200)   # 4 lanes of 50 items
+    # zeroone draws its values, so no trial would keep them: fix one draw
+    inst, _ = build_instance("zeroone:50", RngSeed(3).generator(0, 0))
+    cfg = TrialConfig(algorithm="q-select", instance={"values": list(inst.values)},
+                      adversary="smaller-wins", t=0.0, trials=30, seed=3)
+    *_, queries, errors = _alone(cfg, 0, 30)
+    assert not adversary.fits_dense_budget(inst.n)
+    data = harness._trial_block(cfg, 0, 30)
+    assert lane_calls == [(0, 30)]
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+
+
+@pytest.mark.parametrize("adversary", ["random", "pivot-killer"])
+def test_per_trial_adversaries_are_not_lanes(adversary, lane_calls):
+    cfg = TrialConfig(algorithm="q-select", instance="zeros:20",
+                      adversary=adversary, trials=6, seed=1)
+    harness.run_trials(cfg)
+    assert lane_calls == []
+
+
+def test_lanes_start_from_any_items():
+    inst, adv = lemma_one_construction(15, 2)
+    items = [3, 1, 4, 14, 5, 9, 2, 6]
+    block = LaneBlock(adv, inst.n, RngSeed(4).pcg64_lanes(0, 20, 2))
+    result = quick_select(block, items)
+    for t in range(20):
+        session = ComparatorSession(inst, adv, record=False)
+        alone = quick_select(session, items, RngSeed(4).generator(t, 2))
+        assert result.winners[t] == alone.winner
+        assert result.lane_queries[t] == alone.queries

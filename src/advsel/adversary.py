@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple, Optional, Protocol, Union, runtime_chec
 
 import numpy as np
 
-from .core import (MAX_INSTANCE_SIZE, Instance, InvalidQueryError, QueryBatches,
-                   QueryLog, RngSeed, check_choice, check_keys, check_number)
+from .core import (MAX_INSTANCE_SIZE, Instance, InvalidQueryError, QueryLog,
+                   RngSeed, check_choice, check_keys, check_number)
 
 __all__ = [
     "TournamentGraph",
@@ -368,26 +368,36 @@ class _MemoizedBatches:
         return self._replay(a, b, self.rule.beats(a, b))
 
     def wins_within(self, items):
-        rows, cols = np.triu_indices(len(items), 1)
-        a_wins = self.beats(items[rows], items[cols])
-        return np.bincount(np.where(a_wins, rows, cols), minlength=len(items))
+        return _round_robin_wins(self.beats, items)
+
+
+def _round_robin_wins(beats, items: np.ndarray, log: Optional[QueryLog] = None):
+    """Wins of each of ``items`` from one ``beats`` call over every pair of
+    them, row by row (a before b in ``items``), each pair also logged, in that
+    order, to ``log`` if given."""
+    rows, cols = np.triu_indices(len(items), 1)
+    a, b = items[rows], items[cols]
+    a_wins = beats(a, b)
+    if log is not None:
+        log.extend(a, b, np.where(a_wins, a, b))
+    return np.bincount(np.where(a_wins, rows, cols), minlength=len(items))
 
 
 Adversary = Union[TournamentGraph, AdaptiveStrategy]
 
 
-class ComparatorSession(QueryBatches):
+class ComparatorSession:
     """Query oracle binding an instance to one adversary.
 
     Enforces forced outcomes, logs every query, and counts queries. Answers
     from the adversary that disagree with a forced outcome are overridden and
     tallied in ``violations``. Single-owner: not safe for concurrent queries.
 
-    Algorithms ask whole batches (``pivot_round``, ``duel``, ``round_robin``).
-    A valid graph and a strategy with a batch form (``bulk``: the
-    pivot-killer, memoized or not) answer a batch in one call (see
-    ``comparator_for``); any other adversary is asked pair by pair, with the
-    pivot hint, in the same order. Both write the same log.
+    Algorithms ask whole batches (``pivot_round``, ``duel``, ``round_robin``)
+    of int64 index arrays. A valid graph and a strategy with a batch form
+    (``bulk``: the pivot-killer, memoized or not) answer a batch in one call
+    (see ``comparator_for``); any other adversary is asked one ``query`` at a
+    time, with the pivot hint, in the same order. Both write the same log.
     """
 
     def __init__(self, instance: Instance, adversary: Adversary, record: bool = True):
@@ -442,14 +452,23 @@ class ComparatorSession(QueryBatches):
         self.log.append(i, j, answer)
         return answer
 
-    # Batches answered in one call. The answers need no forced-pair check:
-    # comparator_for hands out only adversaries that never violate the model.
+    def _query_beats(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether a[k] beat b[k], one query per pair, in order."""
+        return np.array([self.query(x, y) == x
+                         for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
+
+    # A batch form's answers need no forced-pair check: comparator_for hands
+    # out only adversaries that never violate the model.
 
     def pivot_round(self, pivot: int, items: np.ndarray) -> np.ndarray:
+        """Announce ``pivot`` and compare it with every other one of
+        ``items`` (which holds it once), in order: the mask of the items that
+        beat it, False at the pivot itself."""
+        self._pivot = pivot
         bulk = self._bulk
         if bulk is None:
-            return super().pivot_round(pivot, items)
-        self._pivot = pivot
+            return np.array([x != pivot and self.query(pivot, x) == x
+                             for x in items.tolist()], dtype=bool)
         mask = bulk.pivot_round_mask(items, pivot)
         if self.log.recording:
             others = items != pivot
@@ -460,10 +479,12 @@ class ComparatorSession(QueryBatches):
         return mask
 
     def duel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Clear the pivot and compare the pairs (a[k], b[k]) in order: the
+        mask of the pairs that a won."""
+        self._pivot = None
         bulk = self._bulk
         if bulk is None:
-            return super().duel(a, b)
-        self._pivot = None
+            return self._query_beats(a, b)
         mask = bulk.beats(a, b)
         if self.log.recording:
             self.log.extend(a, b, np.where(mask, a, b))
@@ -472,21 +493,17 @@ class ComparatorSession(QueryBatches):
         return mask
 
     def round_robin(self, items: np.ndarray) -> np.ndarray:
+        """Clear the pivot and compare every pair of ``items`` once, row by
+        row: the wins of each item."""
+        self._pivot = None
         bulk = self._bulk
         if bulk is None:
-            return super().round_robin(items)
-        self._pivot = None
-        m = len(items)
-        if not self.log.recording:
-            self.log.count += m * (m - 1) // 2
-            return bulk.wins_within(items)
-        # one batch for the log and the wins
-        rows, cols = np.triu_indices(m, 1)
-        a, b = items[rows], items[cols]
-        a_wins = bulk.beats(a, b)
-        self.log.extend(a, b, np.where(a_wins, a, b))
-        return np.bincount(rows[a_wins], minlength=m) + \
-            np.bincount(cols[~a_wins], minlength=m)
+            return _round_robin_wins(self._query_beats, items)
+        if self.log.recording:
+            return _round_robin_wins(bulk.beats, items, self.log)
+        wins = bulk.wins_within(items)
+        self.log.count += len(items) * (len(items) - 1) // 2
+        return wins
 
 
 class PolicyTournament(RuleTournament):

@@ -143,10 +143,12 @@ def _cmd_scheffe(args) -> int:
     dists = [l1_distance(c, p0) for c in candidates]
     chosen = dists[sel.winner]
     best = min(dists)
+    # no ratio to a best of 0 unless the winner is at 0 too: JSON has no infinity
+    ratio = 1.0 if chosen == best else chosen / best if best > 0 else None
     record = {
         "command": "scheffe", "method": args.method, "n": len(candidates),
         "k": args.k, "winner": sel.winner, "l1_to_p0": chosen,
-        "min_l1": best, "ratio": chosen / best if best > 0 else float("inf"),
+        "min_l1": best, "ratio": ratio,
         "tests": sel.tests, "seed": seed,
     }
     _emit(record, args.json)

@@ -21,7 +21,6 @@ __all__ = [
     "Instance",
     "QueryRecord",
     "QueryLog",
-    "QueryBatches",
     "RngSeed",
     "PCG64Lanes",
     "InvalidQueryError",
@@ -199,41 +198,6 @@ class QueryLog:
 
     def __iter__(self):
         return iter(self.records)
-
-
-class QueryBatches:
-    """The batches the algorithms are made of, answered one ``query`` at a
-    time in a fixed order. A session that can answer a whole batch at once
-    overrides them; every session gives the same answers in the same order.
-
-    Items are int64 index arrays; the result is an array over them.
-    """
-
-    def pivot_round(self, pivot: int, items: np.ndarray) -> np.ndarray:
-        """Announce ``pivot`` and compare it with every other one of
-        ``items`` (which holds it once), in order: the mask of the items that
-        beat it, False at the pivot itself."""
-        self.announce_pivot(pivot)
-        return np.array([x != pivot and self.query(pivot, x) == x
-                         for x in items.tolist()], dtype=bool)
-
-    def duel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Clear the pivot and query the pairs (a[k], b[k]) in order: the
-        mask of the pairs that a won."""
-        self.announce_pivot(None)
-        return np.array([self.query(x, y) == x
-                         for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
-
-    def round_robin(self, items: np.ndarray) -> np.ndarray:
-        """Clear the pivot and query every pair of ``items`` once, row by
-        row: the wins of each item."""
-        self.announce_pivot(None)
-        items = items.tolist()
-        wins = [0] * len(items)
-        for a, x in enumerate(items):
-            for b in range(a + 1, len(items)):
-                wins[a if self.query(x, items[b]) == x else b] += 1
-        return np.array(wins, dtype=np.int64)
 
 
 @dataclass(frozen=True)

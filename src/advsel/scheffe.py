@@ -3,8 +3,9 @@ test, the quadratic round-robin tournament, and the linear quick-select
 composition.
 
 The pairwise test is deterministic given the sample set, so a fixed sample
-set induces a fixed tournament over the candidates; quick-select then runs
-against it exactly as against a non-adaptive comparator.
+set induces a fixed tournament over the candidates, ``ScheffeTournament``: a
+rule asked through the one ``ComparatorSession``, so quick-select runs against
+it exactly as against a non-adaptive comparator.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .adversary import ComparatorSession, RuleTournament, _round_robin_wins
 from .algorithms import complete_tournament, quick_select
-from .core import MAX_INSTANCE_SIZE, QueryBatches, check_number
+from .core import MAX_INSTANCE_SIZE, Instance, check_number
 
 __all__ = [
     "DiscreteDistribution",
@@ -27,9 +29,9 @@ __all__ = [
     "l1_distance",
     "sample",
     "scheffe_test",
+    "ScheffeTournament",
     "scheffe_tournament",
     "scheffe_quickselect",
-    "induced_tournament_matrix",
     "planted_suite",
     "candidates_to_json",
     "candidates_from_json",
@@ -157,33 +159,56 @@ def scheffe_test(p1: DiscreteDistribution, p2: DiscreteDistribution,
     return ScheffeOutcome(winner, m1, m2, mu)
 
 
-class _ScheffeSession(QueryBatches):
-    """Adapter exposing the pairwise test through the comparator-session
-    interface so selection algorithms run on candidates unchanged. Each
-    unordered pair is evaluated in canonical (lower index first) order, one
-    test per query, batches included."""
+class ScheffeTournament(RuleTournament):
+    """The tournament a sample set induces over the candidates: a beats b when
+    a wins their ``scheffe_test``, run in canonical order (lower index first),
+    one test per answer. An item never beats itself and runs no test.
+
+    Every pair is free on ``instance``, n zeros with delta 1, so the rule is
+    valid for it by construction: a session on it asks the rule batch by
+    batch and never builds its dense matrix.
+    """
+
+    __slots__ = ("candidates", "samples", "instance")
 
     def __init__(self, candidates: Sequence[DiscreteDistribution], samples: SampleSet):
-        self.candidates = list(candidates)
-        self.samples = samples
-        self.tests = 0
+        super().__init__(len(candidates))
+        self.candidates, self.samples = list(candidates), samples
+        self.instance = self._checked = Instance((0.0,) * len(candidates))
 
-    @property
-    def n_items(self) -> int:
-        return len(self.candidates)
+    def _beats(self, a: int, b: int) -> bool:
+        if a == b:
+            return False
+        if a < b:
+            return scheffe_test(self.candidates[a], self.candidates[b],
+                                self.samples).winner == 0
+        return scheffe_test(self.candidates[b], self.candidates[a],
+                            self.samples).winner == 1
 
-    @property
-    def queries(self) -> int:
-        return self.tests
+    def beats(self, a, b):
+        a, b = np.broadcast_arrays(a, b)
+        return np.array(list(map(self._beats, a.ravel().tolist(), b.ravel().tolist())),
+                        dtype=bool).reshape(a.shape)
 
-    def announce_pivot(self, index):
-        pass
+    def pivot_round_mask(self, items, pivot):
+        return np.array([self._beats(x, pivot) for x in items.tolist()], dtype=bool)
 
-    def query(self, i: int, j: int) -> int:
-        a, b = (i, j) if i < j else (j, i)
-        out = scheffe_test(self.candidates[a], self.candidates[b], self.samples)
-        self.tests += 1
-        return a if out.winner == 0 else b
+    def wins_within(self, items):
+        """One test per unordered pair of ``items``."""
+        return _round_robin_wins(self.beats, items)
+
+
+def _session(candidates: Sequence[DiscreteDistribution],
+             samples: SampleSet) -> ComparatorSession:
+    """A session on the tournament ``samples`` induce over ``candidates``: a
+    ValueError unless there is a candidate, and a sample when there are two
+    or more to test."""
+    if len(candidates) == 0:
+        raise ValueError("need at least one candidate")
+    if samples.k < 1 and len(candidates) > 1:
+        raise ValueError("need at least one sample")
+    rule = ScheffeTournament(candidates, samples)
+    return ComparatorSession(rule.instance, rule, record=False)
 
 
 def scheffe_tournament(candidates: Sequence[DiscreteDistribution],
@@ -191,38 +216,16 @@ def scheffe_tournament(candidates: Sequence[DiscreteDistribution],
     """Round-robin of pairwise tests; returns the candidate with the most
     wins (seeded-random tie-break). Theta(k + n^2 m) work for k samples on
     a support of m atoms."""
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate")
-    session = _ScheffeSession(candidates, samples)
-    result = complete_tournament(session, rng=rng)
-    return ScheffeSelection(result.winner, session.tests)
+    result = complete_tournament(_session(candidates, samples), rng=rng)
+    return ScheffeSelection(result.winner, result.queries)
 
 
 def scheffe_quickselect(candidates: Sequence[DiscreteDistribution],
                         samples: SampleSet, rng=None) -> ScheffeSelection:
     """Quick-select over candidates with the Scheffe test as the comparator;
     expected Theta(k + n m) work since the induced tournament is fixed."""
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate")
-    if samples.k < 1 and len(candidates) > 1:
-        raise ValueError("need at least one sample")
-    session = _ScheffeSession(candidates, samples)
-    result = quick_select(session, rng=rng)
-    return ScheffeSelection(result.winner, session.tests)
-
-
-def induced_tournament_matrix(candidates: Sequence[DiscreteDistribution],
-                              samples: SampleSet) -> np.ndarray:
-    """The fixed orientation a sample set induces over all candidate pairs
-    (entry [i, j] True iff i wins the canonical-order ``scheffe_test``
-    against j)."""
-    n = len(candidates)
-    matrix = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(a + 1, n):
-            a_wins = scheffe_test(candidates[a], candidates[b], samples).winner == 0
-            matrix[a, b], matrix[b, a] = a_wins, not a_wins
-    return matrix
+    result = quick_select(_session(candidates, samples), rng=rng)
+    return ScheffeSelection(result.winner, result.queries)
 
 
 def planted_suite(n_candidates: int, support_size: int, radius: float,

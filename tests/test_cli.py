@@ -316,6 +316,32 @@ class TestScheffe:
         assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
                                     "--k", "10")
 
+    @pytest.mark.parametrize("k, seed, ratio", [("100", "1", 1.0), ("1", "3", 1.0),
+                                               ("1", "1", None)])
+    def test_p0_among_candidates_prints_valid_json(self, capsys, tmp_path, k,
+                                                   seed, ratio):
+        # min_l1 = 0: the ratio is 1 for a winner at p0, null for any other
+        path = tmp_path / "cands.json"
+        path.write_text(json.dumps({"support": 3, "p0": [0.5, 0.3, 0.2],
+                                    "candidates": [[0.1, 0.1, 0.8], [0.5, 0.3, 0.2],
+                                                   [0.3, 0.3, 0.4]]}))
+        code, out = run_cli(capsys, "scheffe", "--file", str(path), "--k", k,
+                            "--seed", seed, "--json")
+
+        def no_constant(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rec = json.loads(out, parse_constant=no_constant)
+        assert code == EXIT_OK and rec["min_l1"] == 0.0
+        assert rec["ratio"] == ratio
+        assert (rec["winner"] == 1) == (ratio == 1.0)
+
+    @pytest.mark.parametrize("method", ["tournament", "quickselect"])
+    def test_zero_samples_one_line_error(self, capsys, cands_file, method):
+        err = assert_one_line_input_error(capsys, "scheffe", "--file", cands_file,
+                                          "--k", "0", "--method", method)
+        assert "at least one sample" in err
+
     def test_oversized_k_one_line_error(self, capsys, cands_file):
         # checked before the samples are allocated: 745 GiB of uniforms
         assert_one_line_input_error(capsys, "scheffe", "--file", cands_file,

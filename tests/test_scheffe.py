@@ -6,17 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advsel import scheffe
+from advsel.adversary import ComparatorSession
+from advsel.algorithms import (combined_select, complete_tournament,
+                               modified_knockout, quick_select,
+                               sequential_select)
 from advsel.core import RngSeed
 from advsel.scheffe import (DiscreteDistribution, SampleSet, ScheffeOutcome,
-                            _ScheffeSession, candidates_from_json,
-                            candidates_to_json, induced_tournament_matrix,
-                            l1_distance, planted_suite, sample,
-                            scheffe_quickselect, scheffe_test,
+                            ScheffeTournament, candidates_from_json,
+                            candidates_to_json, l1_distance, planted_suite,
+                            sample, scheffe_quickselect, scheffe_test,
                             scheffe_tournament)
+from advsel.sorting import complete_sort, quick_sort
 
 
 def dist(*probs):
     return DiscreteDistribution(probs)
+
+
+def scheffe_session(cands, smp, record=True) -> ComparatorSession:
+    rule = ScheffeTournament(cands, smp)
+    return ComparatorSession(rule.instance, rule, record=record)
+
+
+def induced_matrix(cands, smp) -> np.ndarray:
+    return ScheffeTournament(cands, smp).dense().matrix
 
 
 class TestDistribution:
@@ -155,27 +169,34 @@ class TestHistogramForm:
     @settings(max_examples=120, deadline=None)
     def test_session_and_test_match_the_gather(self, inputs):
         cands, smp = inputs
-        session = _ScheffeSession(cands, smp)
+        rule = ScheffeTournament(cands, smp)
+        session = scheffe_session(cands, smp)
         for a in range(len(cands)):
             for b in range(a + 1, len(cands)):
                 want = gather_test(cands[a], cands[b], smp)
                 assert scheffe_test(cands[a], cands[b], smp) == want
                 expected = (a, b)[want.winner]
                 assert session.query(a, b) == session.query(b, a) == expected
-        assert session.tests == len(cands) * (len(cands) - 1)
+                assert rule.beats(a, b) == (expected == a) != rule.beats(b, a)
+        assert session.queries == len(cands) * (len(cands) - 1)
 
     def test_out_of_range_sample_raises_on_first_test(self):
         cands = [dist(0.5, 0.5), dist(1.0, 0.0)]
+        both = np.arange(2)
         for bad in ([0, 2], [1, -1]):
             smp = SampleSet(np.array(bad), 2)
-            session = _ScheffeSession(cands, smp)
-            with pytest.raises(ValueError, match="outside"):
-                session.query(0, 1)
-            assert session.tests == 0
+            for record in (True, False):
+                session = scheffe_session(cands, smp, record)
+                for batch in (lambda: session.round_robin(both),
+                              lambda: session.pivot_round(0, both),
+                              lambda: session.duel(both[:1], both[1:])):
+                    with pytest.raises(ValueError, match="outside"):
+                        batch()
+                assert session.queries == 0 and not session.log.records
             with pytest.raises(ValueError, match="outside"):
                 scheffe_test(cands[0], cands[1], smp)
             with pytest.raises(ValueError, match="outside"):
-                induced_tournament_matrix(cands, smp)
+                induced_matrix(cands, smp)
             for select in (scheffe_tournament, scheffe_quickselect):
                 with pytest.raises(ValueError, match="outside"):
                     select(cands, smp, RngSeed(0).generator())
@@ -188,7 +209,7 @@ class TestHistogramForm:
         counts = smp.counts
         assert counts.sum() == 300 and len(counts) <= 5
         scheffe_quickselect(cands, smp, RngSeed(0).generator())
-        induced_tournament_matrix(cands, smp)
+        induced_matrix(cands, smp)
         assert smp.counts is counts
 
     def test_single_candidate_never_reads_samples(self):
@@ -212,14 +233,15 @@ class TestInducedTournament:
         rng = RngSeed(21).generator()
         p0, cands = planted_suite(12, 10, 0.1, rng)
         smp = sample(p0, 2000, rng)
-        m = induced_tournament_matrix(cands, smp)
+        m = induced_matrix(cands, smp)
         for a in range(len(cands)):
             for b in range(a + 1, len(cands)):
                 out = scheffe_test(cands[a], cands[b], smp)
                 assert m[a, b] == (out.winner == 0)
                 assert m[b, a] == (out.winner == 1)
+        assert not m.diagonal().any()
         # deterministic given the samples
-        assert np.array_equal(m, induced_tournament_matrix(cands, smp))
+        assert np.array_equal(m, induced_matrix(cands, smp))
 
     def test_exact_tie_goes_to_the_first_candidate(self):
         # |m1 - mu| = |m2 - mu| = 1/6 in exact arithmetic: the matrix breaks
@@ -227,7 +249,7 @@ class TestInducedTournament:
         p1, p2 = dist(0.0, 0.5, 0.5), dist(1 / 3, 1 / 3, 1 / 3)
         smp = SampleSet(np.array([0, 1, 1, 1, 1, 2]), 6)
         assert scheffe_test(p1, p2, smp).winner == 0
-        m = induced_tournament_matrix([p1, p2], smp)
+        m = induced_matrix([p1, p2], smp)
         assert m[0, 1] and not m[1, 0]
 
     def test_antisymmetry_caveat(self):
@@ -242,6 +264,61 @@ class TestInducedTournament:
                 d1 = abs(o1.set_mass_1 - o1.empirical_mass) - abs(o1.set_mass_2 - o1.empirical_mass)
                 if d1 != 0:
                     assert (o1.winner == 0) == (o2.winner == 1)
+
+
+SEVEN_ALGORITHMS = {
+    "compl": complete_tournament,
+    "seq": sequential_select,
+    "ko-mod": lambda s, rng: modified_knockout(s, 0.5, rng=rng),
+    "q-select": quick_select,
+    "comb": lambda s, rng: combined_select(s, 0.5, rng=rng),
+    "compl-sort": complete_sort,
+    "q-sort": quick_sort,
+}
+
+
+class TestOneTestPerQuery:
+    """Every answer of the Scheffe tournament runs exactly one
+    ``scheffe.scheffe_test``, looked up by its module name: what the c10
+    cost gate and the benchmark's test count both read."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        count = [0]
+        real = scheffe.scheffe_test
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(scheffe, "scheffe_test", counted)
+        return count
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        rng = RngSeed(61).generator()
+        p0, cands = planted_suite(30, 8, 0.1, rng)
+        return cands, sample(p0, 200, rng)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("algorithm", sorted(SEVEN_ALGORITHMS))
+    def test_every_algorithm(self, calls, suite, algorithm, record):
+        session = scheffe_session(*suite, record=record)
+        result = SEVEN_ALGORITHMS[algorithm](session, rng=RngSeed(3).generator())
+        assert result.queries == session.queries == calls[0] > 0
+
+    def test_selectors(self, calls, suite):
+        cands, smp = suite
+        sel = scheffe_tournament(cands, smp, RngSeed(4).generator())
+        assert sel.tests == calls[0] == math.comb(len(cands), 2)
+        calls[0] = 0
+        sel = scheffe_quickselect(cands, smp, RngSeed(5).generator())
+        assert sel.tests == calls[0] > 0
+
+    def test_dense_copy_runs_a_test_per_ordered_pair(self, calls, suite):
+        cands, smp = suite
+        ScheffeTournament(cands, smp).dense()
+        assert calls[0] == len(cands) * (len(cands) - 1)
 
 
 class TestSelection:

@@ -6,11 +6,34 @@ fails here rather than in the benchmark."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from advsel import scheffe
+from advsel.core import RngSeed
+
 TRACER = Path(__file__).resolve().parents[1] / "advbench" / "tracer.py"
 
 
-def test_every_trace_point_exists():
+@pytest.fixture(scope="module")
+def tracer():
     spec = importlib.util.spec_from_file_location("advbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_point_exists(tracer):
     assert tracer._missing_points() == []
+
+
+def test_tracer_counts_every_scheffe_test(tracer):
+    # the tracer counts tests by wrapping scheffe.scheffe_test; a selector
+    # that stopped calling it by that name would set the count to 0
+    rng = RngSeed(71).generator()
+    p0, cands = scheffe.planted_suite(10, 8, 0.1, rng)
+    smp = scheffe.sample(p0, 500, rng)
+    with tracer.Tracer() as t:
+        tests = (scheffe.scheffe_tournament(cands, smp, RngSeed(1).generator()).tests
+                 + scheffe.scheffe_quickselect(cands, smp, RngSeed(2).generator()).tests)
+    assert tests > 45
+    assert t.counts["scheffe.tests"] == tests

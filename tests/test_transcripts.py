@@ -164,19 +164,6 @@ def session_transcript(case: str, algorithm: str, seed: int) -> dict:
     return _outcome(result, session.queries, session.violations, pairs)
 
 
-class _SpyScheffeSession(scheffe._ScheffeSession):
-    """The Scheffe session, also noting every pair it tests."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.pairs = []
-
-    def query(self, i, j):
-        w = super().query(i, j)
-        self.pairs.append((i, j, w))
-        return w
-
-
 def _scheffe_inputs(seed, n=9):
     rng = RngSeed(seed, 7).generator()
     p0, cands = scheffe.planted_suite(n, 8, 0.2, rng)
@@ -189,10 +176,12 @@ def scheffe_transcript(algorithm: str, seed: int) -> dict:
         sel = getattr(scheffe, f"scheffe_{algorithm}")(
             cands, smp, RngSeed(seed).generator())
         return {"winner": int(sel.winner), "tests": int(sel.tests)}
-    session = _SpyScheffeSession(cands, smp)
+    rule = scheffe.ScheffeTournament(cands, smp)
+    session = ComparatorSession(rule.instance, rule)
     result = ALGORITHMS[algorithm](session, RngSeed(seed).generator())
-    assert result.queries == session.tests == len(session.pairs)
-    return _outcome(result, session.tests, 0, session.pairs)
+    pairs = [(r.left, r.right, r.winner) for r in session.log]
+    assert result.queries == session.queries == len(pairs)
+    return _outcome(result, session.queries, session.violations, pairs)
 
 
 ADVERSARIES = {name: (inst, make) for name, inst, make in adversary_cases()}

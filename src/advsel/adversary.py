@@ -129,19 +129,34 @@ class TournamentGraph:
     def out_degrees(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
 
+    def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """beats over the grid rows x cols."""
+        return self.beats(rows[:, None], cols[None, :])
+
+    def _blocks(self, rows: np.ndarray, cols: np.ndarray):
+        """(first row, beats over rows x cols) for blocks of rows, so no
+        temporary exceeds _BLOCK_CELLS pairs."""
+        step = max(1, _BLOCK_CELLS // max(len(cols), 1))
+        for lo in range(0, len(rows), step):
+            yield lo, self._beats_grid(rows[lo:lo + step], cols)
+
     def validate_for(self, instance: Instance) -> "TournamentGraph":
         """Raise ValueError unless every pair with a value gap above delta is
         oriented toward the larger value."""
         if instance.n != self.n:
             raise ValueError(f"graph has {self.n} nodes, instance has {instance.n}")
-        diff = instance.values_array[:, None] - instance.values_array[None, :]
-        bad = np.argwhere((diff > instance.delta) & ~self.dense().matrix)
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(
-                f"forced pair misoriented: {j} beats {i} but value gap "
-                f"{instance.values[int(i)] - instance.values[int(j)]:g} > delta"
-            )
+        check_dense_budget(self.n, f"checking every pair of {type(self).__name__}")
+        values, idx = instance.values, np.arange(self.n)
+        for lo, block in self._blocks(idx, idx):
+            diff = values[lo:lo + len(block), None] - values
+            bad = np.argwhere((diff > instance.delta) & ~block)
+            if len(bad):
+                i, j = bad[0]
+                i += lo
+                raise ValueError(
+                    f"forced pair misoriented: {j} beats {i} but value gap "
+                    f"{values[i] - values[j]:g} > delta"
+                )
         self._checked = instance
         return self
 
@@ -202,17 +217,6 @@ class RuleTournament(TournamentGraph):
 
     def pivot_round_mask(self, items, pivot):
         return self.beats(items, pivot)
-
-    def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """beats over the grid rows x cols."""
-        return self.beats(rows[:, None], cols[None, :])
-
-    def _blocks(self, rows: np.ndarray, cols: np.ndarray):
-        """(first row, beats over rows x cols) for blocks of rows, so no
-        temporary exceeds _BLOCK_CELLS pairs."""
-        step = max(1, _BLOCK_CELLS // max(len(cols), 1))
-        for lo in range(0, len(rows), step):
-            yield lo, self._beats_grid(rows[lo:lo + step], cols)
 
     def wins_within(self, items: np.ndarray) -> np.ndarray:
         """Wins of each of ``items`` against the others."""
@@ -334,7 +338,7 @@ class _MemoizedBatches:
 
     def __init__(self, rule, memo: dict, instance: Instance):
         self.rule, self.memo = rule, memo
-        self._values, self._delta = instance.values_array, instance.delta
+        self._values, self._delta = instance.values, instance.delta
 
     def breaks_forced(self, a, b, winners) -> bool:
         """Whether some pair (a, b) with a gap above delta has a winner other
@@ -406,7 +410,8 @@ class ComparatorSession:
         self.log = QueryLog(recording=record)
         self.violations = 0
         self._pivot: Optional[int] = None
-        self._values = instance.values
+        # per-query reads: Python floats, without a per-session copy
+        self._values = memoryview(instance.values)
         self._delta = instance.delta
         self._n = instance.n
         self._matrix = None
@@ -520,7 +525,7 @@ class PolicyTournament(RuleTournament):
         if (policy == "random") != (coin is not None):
             raise ValueError("the random policy and only it takes a coin array")
         self.instance, self.policy, self.coin = instance, policy, coin
-        self._values = instance.values_array
+        self._values = instance.values
         self._delta = instance.delta
         self._checked = instance  # valid by construction
 
@@ -690,7 +695,7 @@ def lemma_one_construction(n: int, seed=None) -> tuple[Instance, ConstructionTou
     rng = _seed_rng(seed)
     values = np.zeros(n)
     values[int(rng.integers(n))] = 1.0
-    return _valid_pair(Instance(tuple(values)), ConstructionTournament((n,)))
+    return _valid_pair(Instance(values), ConstructionTournament((n,)))
 
 
 def lemma_two_construction(n: int, seed=None) -> tuple[Instance, ConstructionTournament]:
@@ -708,7 +713,7 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, ConstructionTou
     perm = rng.permutation(n)  # canonical position p becomes index perm[p]
     values = np.empty(n)
     values[perm] = canon_values
-    return _valid_pair(Instance(tuple(values)), ConstructionTournament((n,), perm))
+    return _valid_pair(Instance(values), ConstructionTournament((n,), perm))
 
 
 def _layered_size(r: int, s: int) -> int:
@@ -731,7 +736,7 @@ def sequential_hard_instance(r: int, s: int) -> tuple[Instance, PolicyTournament
     values[0] = s
     for m in range(s - 1, -1, -1):
         values[r ** (s - m - 1): r ** (s - m)] = m
-    inst = Instance(tuple(values))
+    inst = Instance(values)
     return inst, build_nonadaptive(inst, "smaller-wins")
 
 
@@ -754,7 +759,7 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, ConstructionTourna
     perm = rng.permutation(n)  # canonical position p becomes index perm[p]
     values = np.empty(n)
     values[perm] = canon_values
-    return _valid_pair(Instance(tuple(values)),
+    return _valid_pair(Instance(values),
                        ConstructionTournament((1, g, g, g, 1), perm, _KOMOD_GROUPS))
 
 
@@ -871,7 +876,7 @@ def adversary_from_spec(spec: dict, instance: Instance,
     args = [params[p] for p in entry.params]
     if entry.items(args) == instance.n:
         built, graph = entry.build(args, params.get("seed"))
-        if built.values == instance.values and built.delta == instance.delta:
+        if np.array_equal(built.values, instance.values) and built.delta == instance.delta:
             return _valid_pair(instance, graph)[1]
     raise ValueError(f"construction {name} with params {params} does not "
                      "reproduce the supplied instance")

@@ -80,7 +80,7 @@ def _run_single(args) -> int:
                            getattr(args, "epsilon", None))
     if sorting:
         order = list(result.order)
-        values = [instance.values[i] for i in order]
+        values = instance.values[order].tolist()
         record = {
             "command": "sort", "algorithm": args.algo, "n": instance.n,
             "order": order, "values_in_order": values,
@@ -89,7 +89,7 @@ def _run_single(args) -> int:
             "seed": seed, "violations": session.violations,
         }
     else:
-        value = instance.values[result.winner]
+        value = float(instance.values[result.winner])
         record = {
             "command": "select", "algorithm": args.algo, "n": instance.n,
             "winner": result.winner, "winner_value": value,

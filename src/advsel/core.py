@@ -73,29 +73,31 @@ def check_keys(what: str, obj: dict, allowed) -> None:
         check_choice(f"{what} key", key, allowed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """An indexed multiset of real values plus the comparison threshold.
 
-    Item identity is the index; duplicate values are allowed. ``delta``
-    defaults to 1, the usual normalization.
+    Item identity is the index; duplicate values are allowed. ``values`` is
+    the instance's own read-only float64 copy, and instances compare by
+    identity. ``delta`` defaults to 1, the usual normalization.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     delta: float = 1.0
 
     def __post_init__(self):
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         try:
-            values = tuple(float(v) for v in self.values)
+            values = np.array(self.values, dtype=np.float64)
         except OverflowError:
             raise ValueError("all values must be finite") from None
-        object.__setattr__(self, "values", values)
-        if len(self.values) < 1:
-            raise ValueError("instance needs at least one value")
-        if not (self.delta > 0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not all(math.isfinite(v) for v in self.values):
+        if values.ndim != 1 or len(values) < 1:
+            raise ValueError("instance needs a nonempty 1-D sequence of values")
+        if not np.isfinite(values).all():
             raise ValueError("all values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -103,13 +105,7 @@ class Instance:
 
     @cached_property
     def max_value(self) -> float:
-        return max(self.values)
-
-    @cached_property
-    def values_array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr.flags.writeable = False
-        return arr
+        return float(self.values.max())
 
     def check_index(self, i: int) -> int:
         if not (0 <= i < self.n):
@@ -117,7 +113,7 @@ class Instance:
         return int(i)
 
     def to_json(self) -> str:
-        return json.dumps({"values": list(self.values), "delta": self.delta})
+        return json.dumps({"values": self.values.tolist(), "delta": self.delta})
 
     @classmethod
     def from_json(cls, text: str | dict) -> "Instance":
@@ -126,11 +122,13 @@ class Instance:
             raise ValueError("instance JSON must be an object with a 'values' array")
         check_keys("instance JSON", obj, ("values", "delta"))
         values = obj["values"]
-        if not isinstance(values, (list, tuple)) or \
-                not all(isinstance(v, numbers.Real) for v in values):
-            raise ValueError("instance 'values' must be an array of numbers")
+        if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in values):
+            raise ValueError("instance 'values' must be an array of numbers "
+                             "(not booleans)")
         delta = check_number("instance 'delta'", obj.get("delta", 1.0), numbers.Real)
-        return cls(values=tuple(values), delta=float(delta))
+        return cls(values=values, delta=float(delta))
 
 
 @dataclass(frozen=True)

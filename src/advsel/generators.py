@@ -29,22 +29,22 @@ GRID = 2 ** 20
 
 
 def make_zeros(n: int) -> Instance:
-    return Instance((0.0,) * n)
+    return Instance(np.zeros(n))
 
 
 def make_distinct(n: int) -> Instance:
     """Distinct values with every pairwise gap above delta, ascending by
     index: comparisons are all forced (noiseless)."""
-    return Instance(tuple(2.0 * i for i in range(n)))
+    return Instance(2.0 * np.arange(n))
 
 
 def make_uniform01(n: int, rng: np.random.Generator) -> Instance:
-    return Instance(tuple(rng.integers(0, GRID + 1, size=n) / GRID))
+    return Instance(rng.integers(0, GRID + 1, size=n) / GRID)
 
 
 def make_zeroone(n: int, rng: np.random.Generator) -> Instance:
     """Each value an independent fair coin in {0, 1}: every pair is free."""
-    return Instance(tuple(rng.integers(0, 2, size=n).astype(float)))
+    return Instance(rng.integers(0, 2, size=n).astype(float))
 
 
 # name -> entry: a spec's integer arguments are its params (a seeded entry also gets

@@ -289,8 +289,8 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
         queries[k] = result.queries
         violations += session.violations
         if is_sort:
-            errors[k] = not is_t_sorted([instance.values[i] for i in result.order],
-                                        config.t)
+            errors[k] = not is_t_sorted(
+                instance.values[list(result.order)].tolist(), config.t)
         else:
             errors[k] = instance.values[result.winner] < instance.max_value - config.t
             if is_comb:
@@ -313,7 +313,7 @@ def _lane_trials(config: TrialConfig, root: RngSeed, instance: Instance, graph,
         winners.append(result.winners)
         queries.append(result.lane_queries)
     winners = np.concatenate(winners)
-    errors = instance.values_array[winners] < instance.max_value - config.t
+    errors = instance.values[winners] < instance.max_value - config.t
     return errors, np.concatenate(queries)
 
 

@@ -174,7 +174,7 @@ class ScheffeTournament(RuleTournament):
     def __init__(self, candidates: Sequence[DiscreteDistribution], samples: SampleSet):
         super().__init__(len(candidates))
         self.candidates, self.samples = list(candidates), samples
-        self.instance = self._checked = Instance((0.0,) * len(candidates))
+        self.instance = self._checked = Instance(np.zeros(len(candidates)))
 
     def _beats(self, a: int, b: int) -> bool:
         if a == b:

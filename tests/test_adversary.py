@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from advsel.adversary import (AdversaryProtocolError, ComparatorSession,
                               MemoizedStrategy, PivotKiller, TournamentGraph,
                               adversary_from_spec, build_nonadaptive,
-                              komod_hard_instance, lemma_one_construction,
-                              lemma_two_construction, parse_adversary,
-                              sequential_hard_instance)
+                              comparator_for, komod_hard_instance,
+                              lemma_one_construction, lemma_two_construction,
+                              parse_adversary, sequential_hard_instance)
 from advsel.core import Instance, InvalidQueryError, RngSeed
 from advsel.generators import parse_generator
 
@@ -58,6 +58,39 @@ class TestTournamentGraph:
         bad = TournamentGraph.from_edges(2, [(0, 1, 1)])
         with pytest.raises(ValueError):
             bad.validate_for(inst)
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 1 << 18])
+    def test_validate_for_names_the_first_misoriented_pair(self, monkeypatch,
+                                                           block_cells):
+        from advsel import adversary
+        monkeypatch.setattr(adversary, "_BLOCK_CELLS", block_cells)
+        rng = RngSeed(5).generator()
+        values = rng.integers(0, 4, size=12).astype(float)
+        upper = np.triu(rng.integers(0, 2, size=(12, 12)).astype(bool), 1)
+        inst = Instance(values)
+        diff = values[:, None] - values[None, :]
+        for graph in (TournamentGraph(upper | np.tril(~upper.T, -1)),
+                      build_nonadaptive(Instance(values[::-1]), "larger-wins")):
+            # the whole-matrix reference: first in row-major order
+            i, j = np.argwhere((diff > 1.0) & ~graph.dense().matrix)[0]
+            with pytest.raises(ValueError, match=(
+                    f"^forced pair misoriented: {j} beats {i} but value gap "
+                    f"{diff[i, j]:g} > delta$")):
+                graph.validate_for(inst)
+
+    def test_validate_for_checks_in_row_blocks(self):
+        n = 4096
+        graph = build_nonadaptive(Instance(np.zeros(n)), "smaller-wins")
+        other = Instance(np.zeros(n))
+        tracemalloc.start()
+        try:
+            ComparatorSession(other, graph)   # checks graph on other
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert comparator_for(other, graph) is graph
+        # one n x n bool matrix; a whole float64 difference would be 128 MB
+        assert peak < 16 * 2 ** 20
 
     def test_edges_round_trip(self):
         _, g = fig1()
@@ -204,7 +237,7 @@ class TestLemmaTwo:
 class TestSequentialHard:
     def test_r2_s2(self):
         inst, g = sequential_hard_instance(2, 2)
-        assert inst.values == (2.0, 1.0, 0.0, 0.0)
+        assert inst.values.tolist() == [2.0, 1.0, 0.0, 0.0]
         # min-on-ties: the free (2, 1) pair goes to the smaller value
         assert g.winner(0, 1) == 1
 
@@ -439,7 +472,7 @@ def dense_policy_reference(inst, policy, rng=None):
     whole n x n value-difference array, with the random policy's coins from
     the same n x n draw."""
     n = inst.n
-    v = inst.values_array
+    v = inst.values
     diff = v[:, None] - v[None, :]
     forced = diff > inst.delta
     free = (np.abs(diff) <= inst.delta) & ~np.eye(n, dtype=bool)
@@ -483,7 +516,7 @@ class TestRuleMatchesDense:
         Instance((0.0, 1.0, 2.0)), Instance((2.0, 2.0, 1.0)),
         Instance((0.25, 1.25, 1.25 + G, 0.25 - G, 1.25)),
         Instance((0.0, 0.5, 1.0, 0.5), delta=0.5),
-    ], ids=lambda i: f"{i.values}/{i.delta}")
+    ], ids=lambda i: f"{tuple(i.values.tolist())}/{i.delta}")
     def test_edge_instances(self, policy, inst):
         seed = 11
         graph = build_nonadaptive(inst, policy, RngSeed(seed).generator())
@@ -547,7 +580,7 @@ class TestKomodRule:
         want[np.ix_(perm, perm)] = canon
         expect_values = np.empty(n)
         expect_values[perm] = values
-        assert inst.values == tuple(expect_values)
+        assert np.array_equal(inst.values, expect_values)
         if n > 100:
             idx = np.arange(n)
             assert np.array_equal(graph.beats(idx[:, None], idx[None, :]), want)
@@ -571,7 +604,7 @@ class TestLemmaRule:
         m = (n - 1) // 2
         for seed in (0, 1, 7, 20250810):
             inst, one = lemma_one_construction(n, seed=seed)
-            assert inst.values.index(1.0) == RngSeed(seed).generator().integers(n)
+            assert inst.values.tolist().index(1.0) == RngSeed(seed).generator().integers(n)
             assert_rule_matches(one, canon)
             inst, two = lemma_two_construction(n, seed=seed)
             perm = RngSeed(seed).generator().permutation(n)
@@ -579,7 +612,7 @@ class TestLemmaRule:
             want[np.ix_(perm, perm)] = canon
             expect_values = np.empty(n)
             expect_values[perm] = np.concatenate(([2.0], np.zeros(m), np.ones(m)))
-            assert inst.values == tuple(expect_values)
+            assert np.array_equal(inst.values, expect_values)
             assert_rule_matches(two, want)
 
     def test_past_the_dense_budget_needs_no_matrix(self):

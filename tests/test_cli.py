@@ -170,6 +170,16 @@ class TestSelect:
                 capsys, "select", "--file", str(bad), "--algo", "compl",
                 "--seed", "1")
 
+    @pytest.mark.parametrize("text", ['{"values": [true, false, 3]}',
+                                      '{"values": [1, 2], "delta": 1e400}',
+                                      '{"values": [1, 2], "delta": Infinity}'])
+    def test_boolean_values_and_infinite_delta_one_line_error(self, capsys,
+                                                              tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert_one_line_input_error(
+            capsys, "select", "--file", str(bad), "--algo", "compl", "--seed", "1")
+
     def test_dense_budget_one_line_error(self, capsys, monkeypatch):
         from advsel import adversary
         monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 30)
@@ -280,6 +290,59 @@ class TestBench:
                                         "adversary": "random", "trials": 5}))
         code, _ = run_cli(capsys, "bench", "--config", str(cfg_path))
         assert code == EXIT_INPUT
+
+
+# values whose shortest float repr is easy to change: a signed zero, a value
+# near the bottom of the normal range, and one ulp above 3
+PINNED_INSTANCE = {"values": [0.1, 2.5, -0.0, 1e-300, 3.0000000000000004],
+                   "delta": 0.5}
+PINNED_OUTPUT = {
+    ("select", False): (
+        "command: select\nalgorithm: compl\nn: 5\nwinner: 4\nwinner_value: 3\n"
+        "max_value: 3\ngap: 0\nqueries: 10\nseed: 3\nviolations: 0\n"),
+    ("select", True): (
+        '{"algorithm": "compl", "command": "select", "gap": 0.0, '
+        '"max_value": 3.0000000000000004, "n": 5, "queries": 10, "seed": 3, '
+        '"violations": 0, "winner": 4, "winner_value": 3.0000000000000004}\n'),
+    ("sort", False): (
+        "command: sort\nalgorithm: q-sort\nn: 5\norder: [4, 1, 2, 3, 0]\n"
+        "values_in_order: [3.0000000000000004, 2.5, -0.0, 1e-300, 0.1]\n"
+        "queries: 7\nsorted_within_2: True\nseed: 3\nviolations: 0\n"),
+    ("sort", True): (
+        '{"algorithm": "q-sort", "command": "sort", "n": 5, '
+        '"order": [4, 1, 2, 3, 0], "queries": 7, "seed": 3, '
+        '"sorted_within_2": true, "values_in_order": '
+        '[3.0000000000000004, 2.5, -0.0, 1e-300, 0.1], "violations": 0}\n'),
+}
+
+
+class TestOutputBytes:
+    """Values reach the output as Python floats: the printed bytes are pinned."""
+
+    @pytest.mark.parametrize("command,as_json", sorted(PINNED_OUTPUT))
+    def test_single_run(self, capsys, tmp_path, command, as_json):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(PINNED_INSTANCE))
+        algo = "compl" if command == "select" else "q-sort"
+        code, out = run_cli(capsys, command, "--file", str(path), "--algo", algo,
+                            "--adversary", "smaller-wins", "--seed", "3",
+                            *(["--json"] if as_json else []))
+        assert code == EXIT_OK
+        assert out == PINNED_OUTPUT[command, as_json]
+        assert "np.float64(" not in out
+
+    def test_bench(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "algorithm": "q-sort", "instance": PINNED_INSTANCE,
+            "adversary": "smaller-wins", "t": 2.0, "trials": 5, "seed": 3}))
+        code, out = run_cli(capsys, "bench", "--config", str(cfg_path), "--json")
+        assert code == EXIT_OK
+        assert out == (
+            '{"algorithm": "q-sort", "ci_hi": 0.43448246478317476, "ci_lo": 0.0, '
+            '"command": "bench", "error_rate": 0.0, "instance": "custom", "n": 5, '
+            '"q_max": 8.0, "q_mean": 7.6, "seed": 3, "trials": 5, "violations": 0}\n')
+        assert "np.float64(" not in out
 
 
 class TestScheffe:

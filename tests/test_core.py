@@ -40,7 +40,8 @@ class TestInstance:
     def test_json_round_trip(self):
         inst = Instance((0.5, 1.25, -3.0), delta=2.0)
         again = Instance.from_json(inst.to_json())
-        assert again == inst
+        assert again.values.tobytes() == inst.values.tobytes()
+        assert again.delta == inst.delta
         parsed = json.loads(inst.to_json())
         assert parsed["values"] == [0.5, 1.25, -3.0]
         assert parsed["delta"] == 2.0
@@ -50,10 +51,42 @@ class TestInstance:
 
     @pytest.mark.parametrize("text", ['{"values": 5}', '{"values": "12"}',
                                       '{"values": [1, null]}', '{"values": [[1]]}',
-                                      '{"values": [1], "delta": null}'])
+                                      '{"values": [1], "delta": null}',
+                                      '{"values": [true, false, 3]}',
+                                      '{"values": [1, 2], "delta": 1e400}',
+                                      '{"values": [1, 2], "delta": Infinity}',
+                                      '{"values": [1, 2], "delta": NaN}'])
     def test_json_wrong_types_rejected(self, text):
         with pytest.raises(ValueError):
             Instance.from_json(text)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -1e308]),
+                    min_size=1, max_size=30),
+           st.floats(min_value=1e-300, max_value=1e300))
+    def test_contract(self, values, delta):
+        source = np.array(values)
+        inst = Instance(source, delta=delta)
+        assert inst.values.dtype == np.float64 and inst.values.ndim == 1
+        assert inst.to_json() == json.dumps(
+            {"values": [float(x) for x in values], "delta": delta})
+        again = Instance.from_json(inst.to_json())
+        assert again.values.tobytes() == inst.values.tobytes()
+        with pytest.raises(ValueError):
+            inst.values[0] = 1
+        source[0] = 1.0 if source[0] != 1.0 else 2.0
+        assert inst.values.tobytes() == np.array(values).tobytes()
+        assert inst.max_value == max(values)
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0]], np.zeros((2, 2)), [],
+                                        np.zeros(0), 3.0])
+    def test_rejects_shapes_other_than_one_nonempty_row(self, values):
+        with pytest.raises(ValueError):
+            Instance(values)
+
+    def test_compares_by_identity(self):
+        inst = Instance((1.0, 2.0))
+        assert inst == inst and inst != Instance((1.0, 2.0))
 
 
 class TestForcedWinner:

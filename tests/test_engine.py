@@ -96,7 +96,7 @@ EDGE_INSTANCES = [Instance((0.0,)), Instance((0.0, 3.0)), Instance((2.0, 2.0)),
 
 
 @pytest.mark.parametrize("kind", POLICIES)
-@pytest.mark.parametrize("inst", EDGE_INSTANCES, ids=lambda i: str(i.values))
+@pytest.mark.parametrize("inst", EDGE_INSTANCES, ids=lambda i: str(tuple(i.values.tolist())))
 def test_small_and_all_equal_parity(inst, kind):
     rng = np.random.default_rng(inst.n)
     adv = PivotKiller() if kind == "pivot-killer" else build_nonadaptive(inst, kind, rng)

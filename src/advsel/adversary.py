@@ -5,9 +5,10 @@ A non-adaptive adversary is a complete orientation of all index pairs, fixed
 before the first query: a dense matrix (``TournamentGraph``) or a rule
 evaluated on demand (``RuleTournament``). An adaptive strategy decides each
 answer online from the query history (plus an optional pivot hint). Either
-way, pairs whose value gap exceeds delta are forced: the session returns the
-larger value's index no matter what the adversary says, and counts the
-disagreement as a model violation.
+way, pairs whose value gap exceeds delta are forced (``Instance.forces``):
+the session returns the larger value's index no matter what the adversary
+says, and counts the disagreement as a model violation. A graph that passed
+``validate_for`` can disagree with none, and is not checked again.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ class TournamentGraph:
     Subclasses answer from a rule instead and have no ``matrix``; callers
     that need one ask ``dense()``.
 
-    A graph answers whole batches: ``beats`` over index arrays, the
+    A graph answers whole batches from ``beats`` over index arrays: the
     ``pivot_round_mask`` of a pivot round and the ``wins_within`` of a
-    round-robin. ``validate_for`` remembers the last instance it passed,
+    round-robin. It is also a strategy that ignores the query history
+    (``decide``). ``validate_for`` remembers the last instance it passed,
     so a session checks a reused graph once.
     """
 
@@ -118,16 +120,22 @@ class TournamentGraph:
     def winner(self, i: int, j: int) -> int:
         return i if self.beats(i, j) else j
 
+    def decide(self, instance, i, j, log, pivot):
+        return self.winner(i, j)
+
     def pivot_round_mask(self, items, pivot):
         """Which of ``items`` beat ``pivot`` (a fresh array)."""
-        return self.matrix[items, pivot]
+        return self.beats(items, pivot)
 
     def wins_within(self, items: np.ndarray) -> np.ndarray:
         """Wins of each of ``items`` against the others."""
-        return self.matrix[np.ix_(items, items)].sum(axis=1)
+        wins = np.empty(len(items), dtype=np.int64)
+        for lo, block in self._blocks(items, items):
+            wins[lo:lo + len(block)] = block.sum(axis=1)
+        return wins
 
     def out_degrees(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+        return self.wins_within(np.arange(self.n))
 
     def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """beats over the grid rows x cols."""
@@ -146,16 +154,16 @@ class TournamentGraph:
         if instance.n != self.n:
             raise ValueError(f"graph has {self.n} nodes, instance has {instance.n}")
         check_dense_budget(self.n, f"checking every pair of {type(self).__name__}")
-        values, idx = instance.values, np.arange(self.n)
+        idx = np.arange(self.n)
         for lo, block in self._blocks(idx, idx):
-            diff = values[lo:lo + len(block), None] - values
-            bad = np.argwhere((diff > instance.delta) & ~block)
+            rows = idx[lo:lo + len(block), None]
+            bad = np.argwhere(instance.forces(rows, idx) & ~block)
             if len(bad):
                 i, j = bad[0]
                 i += lo
                 raise ValueError(
                     f"forced pair misoriented: {j} beats {i} but value gap "
-                    f"{values[i] - values[j]:g} > delta"
+                    f"{instance.values.item(i) - instance.values.item(j):g} > delta"
                 )
         self._checked = instance
         return self
@@ -195,10 +203,6 @@ class RuleTournament(TournamentGraph):
     """A tournament given by a rule on indices and evaluated on demand:
     ``beats`` costs O(1) per pair and no n x n matrix exists until
     ``dense()`` builds one (once, within ``DENSE_CELL_BUDGET``).
-
-    A rule is also a strategy that ignores the query history, so a session
-    can ask it pair by pair through ``decide`` when a dense matrix would not
-    fit the budget.
     """
 
     __slots__ = ("_n", "_dense")
@@ -215,19 +219,6 @@ class RuleTournament(TournamentGraph):
     def beats(self, a, b):
         raise NotImplementedError
 
-    def pivot_round_mask(self, items, pivot):
-        return self.beats(items, pivot)
-
-    def wins_within(self, items: np.ndarray) -> np.ndarray:
-        """Wins of each of ``items`` against the others."""
-        wins = np.empty(len(items), dtype=np.int64)
-        for lo, block in self._blocks(items, items):
-            wins[lo:lo + len(block)] = block.sum(axis=1)
-        return wins
-
-    def out_degrees(self) -> np.ndarray:
-        return self.wins_within(np.arange(self._n))
-
     def dense(self) -> TournamentGraph:
         if self._dense is None:
             check_dense_budget(self._n, f"a dense copy of {type(self).__name__}")
@@ -241,9 +232,6 @@ class RuleTournament(TournamentGraph):
             self._dense = TournamentGraph(matrix, check=False)
             self._dense._checked = self._checked
         return self._dense
-
-    def decide(self, instance, i, j, log, pivot):
-        return self.winner(i, j)
 
 
 @runtime_checkable
@@ -277,7 +265,8 @@ class PivotKiller:
         n = len(values)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise InvalidQueryError(f"invalid query ({i}, {j}) for n={n}")
-        gap = values[i] - values[j]
+        # Instance.forces, inline on Python floats
+        gap = values.item(i) - values.item(j)
         if gap > instance.delta or -gap > instance.delta:
             return i if gap > 0 else j
         if pivot == i:
@@ -317,16 +306,16 @@ class MemoizedStrategy:
         rule = None if inner is None else inner(instance)
         if rule is None:
             return None
-        batches = _MemoizedBatches(rule, self._memo, instance)
         if self._memo:
             codes = np.fromiter(self._memo, dtype=np.int64, count=len(self._memo))
             lo, hi = codes >> 32, codes & 0xFFFFFFFF
             inside = hi < instance.n
             winners = np.fromiter(self._memo.values(), dtype=np.int64,
                                   count=len(codes))[inside]
-            if batches.breaks_forced(lo[inside], hi[inside], winners):
+            # a stored loser forced to beat its winner
+            if instance.forces((lo + hi)[inside] - winners, winners).any():
                 return None
-        return batches
+        return _MemoizedBatches(rule, self._memo, instance)
 
 
 class _MemoizedBatches:
@@ -334,18 +323,10 @@ class _MemoizedBatches:
     a batch, then one pass over the pairs in order that keeps a stored answer
     or stores the new one (``dict.setdefault``), as ``decide`` would."""
 
-    __slots__ = ("rule", "memo", "_values", "_delta")
+    __slots__ = ("rule", "memo", "instance")
 
     def __init__(self, rule, memo: dict, instance: Instance):
-        self.rule, self.memo = rule, memo
-        self._values, self._delta = instance.values, instance.delta
-
-    def breaks_forced(self, a, b, winners) -> bool:
-        """Whether some pair (a, b) with a gap above delta has a winner other
-        than its larger value's index."""
-        gap = self._values[a] - self._values[b]
-        wrong = winners != np.where(gap > 0, a, b)
-        return bool((wrong & (np.abs(gap) > self._delta)).any())
+        self.rule, self.memo, self.instance = rule, memo, instance
 
     def _replay(self, a, b, a_wins):
         """Whether a beats b for each pair, once the memo has had its say."""
@@ -354,9 +335,10 @@ class _MemoizedBatches:
         stored = np.fromiter(map(self.memo.setdefault, codes.tolist(), winners.tolist()),
                              dtype=np.int64, count=len(codes))
         replayed = stored != winners
-        # a stored answer from another instance's session may break a forced pair
-        if replayed.any() and self.breaks_forced(a[replayed], b[replayed],
-                                                 stored[replayed]):
+        # a stored answer from another instance's session may break a forced
+        # pair: the replayed loser, the new winner, is forced to beat it
+        if replayed.any() and self.instance.forces(winners[replayed],
+                                                   stored[replayed]).any():
             raise AdversaryProtocolError(
                 "a memoized answer breaks a forced pair of this instance")
         return stored == a
@@ -414,13 +396,13 @@ class ComparatorSession:
         self._values = memoryview(instance.values)
         self._delta = instance.delta
         self._n = instance.n
-        self._matrix = None
-        if isinstance(adversary, TournamentGraph):
-            if adversary.n != instance.n:
-                raise ValueError("graph size does not match instance")
-            # a rule has no matrix: single queries go through decide()
-            self._matrix = getattr(adversary, "matrix", None)
+        if isinstance(adversary, TournamentGraph) and adversary.n != instance.n:
+            raise ValueError("graph size does not match instance")
         self._bulk = comparator_for(instance, adversary)
+        # a dense graph valid for the instance answers single queries with no
+        # check; a rule has no matrix and goes through decide()
+        self._matrix = (getattr(adversary, "matrix", None)
+                        if self._bulk is adversary else None)
 
     @property
     def n_items(self) -> int:
@@ -447,13 +429,13 @@ class ComparatorSession:
             if answer != i and answer != j:
                 raise AdversaryProtocolError(
                     f"adversary answered {answer} for pair ({i}, {j})")
-        vi, vj = self._values[i], self._values[j]
-        gap = vi - vj
-        if gap > self._delta or -gap > self._delta:
-            want = i if gap > 0 else j
-            if answer != want:
-                self.violations += 1
-                answer = want
+            # Instance.forces, inline on Python floats
+            gap = self._values[i] - self._values[j]
+            if gap > self._delta or -gap > self._delta:
+                want = i if gap > 0 else j
+                if answer != want:
+                    self.violations += 1
+                    answer = want
         self.log.append(i, j, answer)
         return answer
 
@@ -546,7 +528,9 @@ class PolicyTournament(RuleTournament):
     def _orient(self, a, b, coin):
         """Whether a beats b; ``coin`` holds a's coin for each pair under
         the random policy."""
-        d = self._values[a] - self._values[b]
+        # Instance.forces, inline and fused with the policy
+        with np.errstate(over="ignore"):
+            d = self._values[a] - self._values[b]
         if self.policy == "larger-wins":
             # ties go to the lower index; every gap above zero is a win
             return (d > 0) | ((d == 0) & (a < b))
@@ -593,8 +577,7 @@ class _PivotKillerRule(PolicyTournament):
         super().__init__(instance, "lower-index-wins")
 
     def pivot_round_mask(self, items, pivot):
-        values = self._values
-        return (values[items] >= values[pivot] - self._delta) & (items != pivot)
+        return ~self.instance.forces(pivot, items) & (items != pivot)
 
 
 def comparator_for(instance: Instance, adversary):

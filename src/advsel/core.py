@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,10 +108,12 @@ class Instance:
     def max_value(self) -> float:
         return float(self.values.max())
 
-    def check_index(self, i: int) -> int:
-        if not (0 <= i < self.n):
-            raise InvalidQueryError(f"index {i} out of range for n={self.n}")
-        return int(i)
+    def forces(self, a, b):
+        """Whether a is forced to beat b, elementwise over index arrays: the
+        model's one rule, ``values[a] - values[b] > delta``. A gap past the
+        float range is an infinity of the right sign, without a warning."""
+        with np.errstate(over="ignore"):
+            return self.values[a] - self.values[b] > self.delta
 
     def to_json(self) -> str:
         return json.dumps({"values": self.values.tolist(), "delta": self.delta})
@@ -408,14 +411,13 @@ def forced_winner(instance: Instance, i: int, j: int) -> Optional[int]:
 
     A pair is forced exactly when the value gap strictly exceeds ``delta``.
     """
-    i = instance.check_index(i)
-    j = instance.check_index(j)
+    if not (0 <= i < instance.n and 0 <= j < instance.n):
+        raise InvalidQueryError(f"indices ({i}, {j}) out of range for n={instance.n}")
     if i == j:
         raise InvalidQueryError("cannot compare an index with itself")
-    vi, vj = instance.values[i], instance.values[j]
-    if abs(vi - vj) > instance.delta:
-        return i if vi > vj else j
-    return None
+    if instance.forces(i, j):
+        return i
+    return j if instance.forces(j, i) else None
 
 
 def is_t_approx(output_value: float, instance: Instance, t: float) -> bool:
@@ -431,18 +433,29 @@ def validate_log(instance: Instance, log: QueryLog) -> None:
     Raises ValueError on the first record whose winner is not in its pair,
     or whose pair has a gap above delta but whose winner is not the larger
     value's index; InvalidQueryError on a pair of equal or out-of-range
-    indices.
+    indices. One numpy pass over the log finds that record.
     """
-    for rec in log:
-        if rec.winner not in (rec.left, rec.right):
-            raise ValueError(
-                f"record {rec.ordinal}: winner {rec.winner} is not in the "
-                f"pair ({rec.left}, {rec.right})")
-        want = forced_winner(instance, rec.left, rec.right)
-        if want is not None and rec.winner != want:
-            raise ValueError(
-                f"record {rec.ordinal}: pair ({rec.left}, {rec.right}) is "
-                f"forced toward {want} but {rec.winner} won")
+    records = log.records
+    left, right, winner = np.fromiter(
+        map(attrgetter("left", "right", "winner"), records),
+        dtype=np.dtype((np.int64, 3)), count=len(records)).T
+    n = instance.n
+    sane = (((winner == left) | (winner == right)) & (left != right)
+            & (np.minimum(left, right) >= 0) & (np.maximum(left, right) < n))
+    # a pair breaks the rule when its loser is forced to beat its winner
+    loser = (left + right - winner).clip(0, n - 1)
+    bad = ~sane | instance.forces(loser, winner.clip(0, n - 1))
+    if not bad.any():
+        return
+    rec = records[int(bad.argmax())]
+    if rec.winner not in (rec.left, rec.right):
+        raise ValueError(
+            f"record {rec.ordinal}: winner {rec.winner} is not in the "
+            f"pair ({rec.left}, {rec.right})")
+    want = forced_winner(instance, rec.left, rec.right)
+    raise ValueError(
+        f"record {rec.ordinal}: pair ({rec.left}, {rec.right}) is "
+        f"forced toward {want} but {rec.winner} won")
 
 
 def is_t_sorted(output_order: Sequence[float] | Iterable[float], t: float) -> bool:

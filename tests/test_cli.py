@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -37,6 +38,34 @@ LEMMA1_EDGES = [[i, j, i] for i in range(5) for j in range(i + 1, 5)]
 
 
 class TestSelect:
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_pivot_killer_obeys_a_forced_pair_at_the_rounding_edge(
+            self, capsys, tmp_path, seed):
+        # gap 2 > delta 1, though 1e16 >= (1e16 + 2) - 1 once rounded
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"values": [10000000000000002, 10000000000000000]}))
+        code, out = run_cli(capsys, "select", "--file", str(path), "--algo",
+                            "q-select", "--adversary", "pivot-killer",
+                            "--seed", seed, "--json")
+        rec = json.loads(out)
+        assert code == EXIT_OK
+        assert (rec["winner"], rec["violations"]) == (0, 0)
+
+    @pytest.mark.parametrize("algo", ["ko-mod", "compl"])
+    @pytest.mark.parametrize("adversary", ["smaller-wins", "random"])
+    def test_wide_range_instance_warns_nothing(self, capsys, tmp_path, algo,
+                                               adversary):
+        # value gaps past the float range: 1e308 - -1e308 overflows
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"values": [1e308, -1e308, 0.0, 5e307]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["select", "--file", str(path), "--algo", algo,
+                         "--adversary", adversary, "--seed", "1", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        assert json.loads(captured.out)["winner"] == 0
+
     def test_pivot_killer_example(self, capsys):
         code, out = run_cli(capsys, "select", "--gen", "zeros:10",
                             "--algo", "q-select", "--adversary", "pivot-killer",

@@ -217,6 +217,21 @@ class TestQueryLog:
                 with pytest.raises(ValueError):
                     validate_log(inst, log)
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ((0, 1, 0), ValueError, "record 1: pair (0, 1) is forced toward 1 but 0 won"),
+        ((2, 0, 5), ValueError, "record 1: winner 5 is not in the pair (2, 0)"),
+        ((2, 3, 3), InvalidQueryError, "indices (2, 3) out of range for n=3"),
+        ((1, 1, 1), InvalidQueryError, "cannot compare an index with itself"),
+    ])
+    def test_validate_log_names_the_first_bad_record(self, bad, error, message):
+        inst = Instance((0.0, 5.0, 0.5))
+        log = QueryLog()
+        for left, right, winner in ((0, 2, 0), bad, (1, 0, 0)):
+            log.append(left, right, winner)
+        with pytest.raises(error) as raised:
+            validate_log(inst, log)
+        assert type(raised.value) is error and str(raised.value) == message
+
     def test_count_only_mode(self):
         log = QueryLog(recording=False)
         log.append(0, 1, 0)

@@ -138,8 +138,8 @@ class TournamentGraph:
         return self.wins_within(np.arange(self.n))
 
     def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """beats over the grid rows x cols."""
-        return self.beats(rows[:, None], cols[None, :])
+        """beats over the grid rows x cols, gathered whole rows at a time."""
+        return self.matrix[rows][:, cols]
 
     def _blocks(self, rows: np.ndarray, cols: np.ndarray):
         """(first row, beats over rows x cols) for blocks of rows, so no
@@ -219,6 +219,9 @@ class RuleTournament(TournamentGraph):
     def beats(self, a, b):
         raise NotImplementedError
 
+    def _beats_grid(self, rows, cols):
+        return self.beats(rows[:, None], cols[None, :])
+
     def dense(self) -> TournamentGraph:
         if self._dense is None:
             check_dense_budget(self._n, f"a dense copy of {type(self).__name__}")
@@ -246,9 +249,9 @@ class AdaptiveStrategy(Protocol):
     A strategy that never reads the log may also offer ``bulk(instance)``:
     an object answering ``pivot_round_mask``, ``beats`` and ``wins_within``
     (as ``TournamentGraph`` does) exactly as ``decide`` would answer the
-    batch's pairs one by one, in order, with the session's pivot hint; or
-    None when it cannot. Its answers must obey every forced pair, since a
-    session asks it instead of ``decide`` and checks none of them.
+    batch's pairs one by one, in order, with the pivot round's pivot as the
+    hint; or None when it cannot. Its answers must obey every forced pair,
+    since a session asks it instead of ``decide`` and checks none of them.
     """
 
     def decide(self, instance: Instance, i: int, j: int, log: QueryLog,
@@ -256,7 +259,7 @@ class AdaptiveStrategy(Protocol):
 
 
 class PivotKiller:
-    """Adaptive strategy that declares the announced pivot the loser of every
+    """Adaptive strategy that declares the pivot it is given the loser of every
     free query it appears in. Free queries not involving the pivot go to the
     lower index; forced queries obey the model."""
 
@@ -383,15 +386,15 @@ class ComparatorSession:
     of int64 index arrays. A valid graph and a strategy with a batch form
     (``bulk``: the pivot-killer, memoized or not) answer a batch in one call
     (see ``comparator_for``); any other adversary is asked one ``query`` at a
-    time, with the pivot hint, in the same order. Both write the same log.
+    time, in the same order, a pivot round passing its pivot as the hint.
+    Both write the same log. ``record=False`` keeps only the count, except
+    for a strategy asked pair by pair, whose ``decide`` reads the log.
     """
 
     def __init__(self, instance: Instance, adversary: Adversary, record: bool = True):
         self.instance = instance
         self.adversary = adversary
-        self.log = QueryLog(recording=record)
         self.violations = 0
-        self._pivot: Optional[int] = None
         # per-query reads: Python floats, without a per-session copy
         self._values = memoryview(instance.values)
         self._delta = instance.delta
@@ -399,6 +402,8 @@ class ComparatorSession:
         if isinstance(adversary, TournamentGraph) and adversary.n != instance.n:
             raise ValueError("graph size does not match instance")
         self._bulk = comparator_for(instance, adversary)
+        self.log = QueryLog(recording=record or (
+            self._bulk is None and not isinstance(adversary, TournamentGraph)))
         # a dense graph valid for the instance answers single queries with no
         # check; a rule has no matrix and goes through decide()
         self._matrix = (getattr(adversary, "matrix", None)
@@ -412,12 +417,9 @@ class ComparatorSession:
     def queries(self) -> int:
         return self.log.count
 
-    def announce_pivot(self, index: Optional[int]) -> None:
-        """Side channel telling adaptive adversaries which item the current
-        round pivots on (None clears it)."""
-        self._pivot = index
-
-    def query(self, i: int, j: int) -> int:
+    def query(self, i: int, j: int, pivot: Optional[int] = None) -> int:
+        """The winner of i and j; ``pivot`` is the hint an adaptive adversary
+        sees: the item the current round pivots on, or None."""
         if i == j:
             raise InvalidQueryError("cannot compare an index with itself")
         if not (0 <= i < self._n and 0 <= j < self._n):
@@ -425,7 +427,7 @@ class ComparatorSession:
         if self._matrix is not None:
             answer = i if self._matrix[i, j] else j
         else:
-            answer = self.adversary.decide(self.instance, i, j, self.log, self._pivot)
+            answer = self.adversary.decide(self.instance, i, j, self.log, pivot)
             if answer != i and answer != j:
                 raise AdversaryProtocolError(
                     f"adversary answered {answer} for pair ({i}, {j})")
@@ -448,13 +450,12 @@ class ComparatorSession:
     # out only adversaries that never violate the model.
 
     def pivot_round(self, pivot: int, items: np.ndarray) -> np.ndarray:
-        """Announce ``pivot`` and compare it with every other one of
+        """Compare ``pivot``, as the pivot hint, with every other one of
         ``items`` (which holds it once), in order: the mask of the items that
         beat it, False at the pivot itself."""
-        self._pivot = pivot
         bulk = self._bulk
         if bulk is None:
-            return np.array([x != pivot and self.query(pivot, x) == x
+            return np.array([x != pivot and self.query(pivot, x, pivot) == x
                              for x in items.tolist()], dtype=bool)
         mask = bulk.pivot_round_mask(items, pivot)
         if self.log.recording:
@@ -466,9 +467,8 @@ class ComparatorSession:
         return mask
 
     def duel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Clear the pivot and compare the pairs (a[k], b[k]) in order: the
-        mask of the pairs that a won."""
-        self._pivot = None
+        """Compare the pairs (a[k], b[k]) in order: the mask of the pairs
+        that a won."""
         bulk = self._bulk
         if bulk is None:
             return self._query_beats(a, b)
@@ -480,9 +480,8 @@ class ComparatorSession:
         return mask
 
     def round_robin(self, items: np.ndarray) -> np.ndarray:
-        """Clear the pivot and compare every pair of ``items`` once, row by
-        row: the wins of each item."""
-        self._pivot = None
+        """Compare every pair of ``items`` once, row by row: the wins of each
+        item."""
         bulk = self._bulk
         if bulk is None:
             return _round_robin_wins(self._query_beats, items)

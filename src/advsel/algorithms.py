@@ -133,7 +133,6 @@ def sequential_select(session, items=None, rng=None) -> SelectionResult:
     rng = _rng(rng)
     if len(items) == 1:
         return SelectionResult(int(items[0]), 0, rounds=1)
-    session.announce_pivot(None)
     visit = items[rng.permutation(len(items))].tolist()
     start = session.queries
     champ = visit[0]
@@ -142,18 +141,19 @@ def sequential_select(session, items=None, rng=None) -> SelectionResult:
     return SelectionResult(champ, session.queries - start, rounds=1)
 
 
+def _matching(session, items: np.ndarray, rng) -> np.ndarray:
+    """Pair ``items`` by one random perfect matching and duel each pair: the
+    positions in ``items`` of each pair's winner, in pair order, then the
+    bye of an odd count."""
+    perm = rng.permutation(len(items))
+    half = len(items) // 2
+    a, b = perm[0:2 * half:2], perm[1:2 * half:2]
+    return np.concatenate([np.where(session.duel(items[a], items[b]), a, b),
+                           perm[2 * half:]])
+
+
 def _knockout_round(session, items: np.ndarray, rng) -> np.ndarray:
-    m = len(items)
-    if m == 1:
-        return items
-    perm = rng.permutation(m)
-    half = m // 2
-    a = items[perm[0:2 * half:2]]
-    b = items[perm[1:2 * half:2]]
-    survivors = np.where(session.duel(a, b), a, b)
-    if m % 2:
-        survivors = np.append(survivors, items[perm[m - 1]])
-    return survivors
+    return items if len(items) == 1 else items[_matching(session, items, rng)]
 
 
 def knockout_round(session, items, rng) -> list[int]:
@@ -177,16 +177,12 @@ def modified_knockout(session, epsilon: float, items=None,
         picked = rng.choice(len(x), size=params.n1, replace=False)
         saved.append(x[picked])
         x = _knockout_round(session, x, rng)
-    final = x
     if saved:
-        pool = np.concatenate(saved)
-        # first occurrence within the pool, in pool order
-        _, first = np.unique(pool, return_index=True)
-        pool = pool[np.sort(first)]
-        in_x = np.zeros(session.n_items, dtype=bool)
-        in_x[x] = True
-        final = np.concatenate([x, pool[~in_x[pool]]])
-    winner = _round_robin_winner(session, final, rng)
+        # the survivors, then each pool item they lack, at its first place
+        field = np.concatenate([x, *saved])
+        _, first = np.unique(field, return_index=True)
+        x = field[np.sort(first)]
+    winner = _round_robin_winner(session, x, rng)
     return SelectionResult(winner, session.queries - start, rounds=len(saved) + 1)
 
 
@@ -348,16 +344,9 @@ def combined_select(session, epsilon: float, items=None,
             x = _session_round(lane, x)
         if len(x) > params.shrink_threshold * sizes[-1]:
             reps = params.ko_reps(len(sizes))  # round index, from 1
-            m = len(x)
-            half = m // 2
-            wins = np.zeros(m, dtype=np.int64)
+            wins = np.zeros(len(x), dtype=np.int64)
             for _ in range(reps):
-                perm = rng.permutation(m)
-                pa = perm[0:2 * half:2]
-                pb = perm[1:2 * half:2]
-                wins[np.where(session.duel(x[pa], x[pb]), pa, pb)] += 1
-                if m % 2:
-                    wins[perm[m - 1]] += 1  # bye counts as a win
+                wins[_matching(session, x, rng)] += 1   # a bye counts as a win
             keep = wins > params.win_fraction * reps
             if keep.any():
                 x = x[keep]

@@ -379,22 +379,19 @@ class TestPivotKiller:
     def test_pivot_loses_free_queries(self):
         inst = Instance((0.0, 0.0, 0.0))
         s = ComparatorSession(inst, PivotKiller())
-        s.announce_pivot(1)
-        assert s.query(1, 2) == 2
-        assert s.query(0, 1) == 0
+        assert s.query(1, 2, pivot=1) == 2
+        assert s.query(0, 1, pivot=1) == 0
 
     def test_forced_pivot_still_wins(self):
         inst = Instance((0.0, 0.0, 5.0))
         s = ComparatorSession(inst, PivotKiller())
-        s.announce_pivot(2)
-        assert s.query(2, 0) == 2
+        assert s.query(2, 0, pivot=2) == 2
         assert s.violations == 0
 
     def test_non_pivot_queries_lower_index(self):
         inst = Instance((0.0, 0.0, 0.0))
         s = ComparatorSession(inst, PivotKiller())
-        s.announce_pivot(None)
-        assert s.query(2, 1) == 1
+        assert s.query(2, 1, pivot=None) == 1
 
     @pytest.mark.parametrize("i,j", [(0, 0), (-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_decide_rejects_bad_pairs(self, i, j):

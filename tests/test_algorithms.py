@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,12 +161,21 @@ class TestSequential:
 
 class TestKnockout:
     def test_sizes_and_byes(self):
-        _, sess = session_for([0] * 8)
-        out = knockout_round(sess, list(range(8)), RngSeed(0).generator())
-        assert len(out) == 4 and sess.queries == 4
-        _, sess = session_for([0] * 5)
-        out = knockout_round(sess, list(range(5)), RngSeed(0).generator())
-        assert len(out) == 3 and sess.queries == 2
+        """A round draws one rng.permutation(m) and nothing else (nothing at
+        m = 1), and keeps each pair's winner, in pair order, then the bye."""
+        inst = Instance(np.random.default_rng(0).integers(0, 3, size=60) * 1.0)
+        graph = build_nonadaptive(inst, "random", RngSeed(1).generator()).dense()
+        for m in range(1, 41):
+            items = np.random.default_rng(m).permutation(inst.n)[:m]
+            sess = ComparatorSession(inst, graph)
+            rng, ref = RngSeed(m).generator(), RngSeed(m).generator()
+            out = knockout_round(sess, items, rng)
+            order = items[ref.permutation(m)].tolist() if m > 1 else items.tolist()
+            pairs = zip(order[0::2], order[1::2])
+            bye = order[-1:] if m % 2 else []
+            assert out == [graph.winner(a, b) for a, b in pairs] + bye
+            assert sess.queries == m // 2
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_forced_survivor(self):
         inst, sess = session_for((0, 2))

@@ -10,16 +10,20 @@ memoized strategy asked pair by pair, a fresh one per transcript."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from advsel.adversary import (AdversaryProtocolError, ComparatorSession,
-                              MemoizedStrategy, PivotKiller, TournamentGraph,
-                              build_nonadaptive, comparator_for,
-                              komod_hard_instance)
+from advsel.adversary import (NONADAPTIVE_POLICIES, AdversaryProtocolError,
+                              ComparatorSession, MemoizedStrategy, PivotKiller,
+                              TournamentGraph, build_nonadaptive,
+                              comparator_for, komod_hard_instance)
 from advsel.algorithms import (combined_select, complete_tournament,
                                modified_knockout, quick_select,
                                sequential_select)
 from advsel.core import Instance, RngSeed, validate_log
 from advsel.sorting import complete_sort, quick_sort
+
+from test_transcripts import LogReader
 
 POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins", "random",
             "pivot-killer")
@@ -36,6 +40,17 @@ class PairByPair:
         if isinstance(self.adversary, TournamentGraph):
             return self.adversary.winner(i, j)
         return self.adversary.decide(instance, i, j, log, pivot)
+
+
+class Flipper:
+    """Answers the first index of a pair, then the second, in turn."""
+
+    def __init__(self):
+        self.count = 0
+
+    def decide(self, instance, i, j, log, pivot):
+        self.count += 1
+        return i if self.count % 2 else j
 
 
 def transcript(inst, adv, run, seed):
@@ -72,6 +87,9 @@ SELECTORS = [
     lambda s, r: combined_select(s, EPS, rng=r),
 ]
 SORTERS = [lambda s, r: quick_sort(s, rng=r), lambda s, r: complete_sort(s, rng=r)]
+# every selector and sorter; ko-mod at eps 0.9 runs knock-out rounds from n = 3
+RUNS = [*SELECTORS, lambda s, r: modified_knockout(s, 0.9, rng=r),
+        lambda s, r: sequential_select(s, rng=r), *SORTERS]
 
 
 @pytest.mark.parametrize("case", range(len(CASES)))
@@ -149,8 +167,7 @@ def rule_case(rng):
 
 
 def run_all(inst, adv, seed):
-    runs = [*SELECTORS, *SORTERS, lambda s, r: sequential_select(s, rng=r)]
-    return [transcript(inst, adv, run, seed) for run in runs]
+    return [transcript(inst, adv, run, seed) for run in RUNS]
 
 
 @pytest.mark.parametrize("case", range(40))
@@ -249,14 +266,6 @@ def test_memo_reused_across_instances(values9):
 
 
 def test_memoized_log_reader_is_asked_pair_by_pair():
-    class Flipper:
-        def __init__(self):
-            self.count = 0
-
-        def decide(self, instance, i, j, log, pivot):
-            self.count += 1
-            return i if self.count % 2 else j
-
     inst = Instance((0.0, 5.0, 0.0, 9.0, 1.0))
     assert comparator_for(inst, MemoizedStrategy(Flipper())) is None
     session = ComparatorSession(inst, MemoizedStrategy(Flipper()))
@@ -296,3 +305,57 @@ def test_recording_round_robin_counts_the_logged_wins(kind):
         if record:
             logged = [rec.winner for rec in session.log.records[start:]]
     assert wins[True] == wins[False] == [logged.count(int(x)) for x in items]
+
+
+class ForcedLiar:
+    """Gives every pair to the smaller value (the lower index on a tie), so
+    it lies on every forced pair."""
+
+    def decide(self, instance, i, j, log, pivot):
+        return min(i, j, key=lambda k: (instance.values.item(k), k))
+
+
+def _graph(policy, dense):
+    def make(inst, seed):
+        graph = build_nonadaptive(inst, policy, RngSeed(seed, 1).generator())
+        return graph.dense() if dense else graph
+    return make
+
+
+# adversaries whose answer to a pair depends on nothing but the pair
+MEMORYLESS = {
+    **{f"{policy}{'-dense' * dense}": _graph(policy, dense)
+       for policy in NONADAPTIVE_POLICIES for dense in (False, True)},
+    "pivot-killer": lambda inst, seed: PivotKiller(),
+    "forced-liar": lambda inst, seed: ForcedLiar(),
+}
+ADVERSARIES = {
+    **MEMORYLESS,
+    "memoized-pivot-killer": lambda inst, seed: memoized_killer(),
+    "log-reader": lambda inst, seed: LogReader(),
+    "memoized-flipper": lambda inst, seed: MemoizedStrategy(Flipper()),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 3), min_size=1, max_size=16),
+       kind=st.sampled_from(sorted(ADVERSARIES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_answers_depend_only_on_the_queries(values, kind, seed):
+    """A session's answers depend on the queries asked and nothing else:
+    recording the log or not gives the same run, and after a run a
+    memoryless adversary answers every pair as on a fresh session."""
+    inst = Instance(tuple(map(float, values)))
+    make = ADVERSARIES[kind]
+    pairs = [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j]
+    for run in RUNS:
+        outcomes = []
+        for record in (True, False):
+            session = ComparatorSession(inst, make(inst, seed), record=record)
+            result = run(session, RngSeed(seed).generator())
+            outcomes.append((result, session.queries, session.violations))
+        assert outcomes[0] == outcomes[1]
+        if kind in MEMORYLESS:
+            fresh = ComparatorSession(inst, make(inst, seed))
+            assert [session.query(i, j) for i, j in pairs] == \
+                [fresh.query(i, j) for i, j in pairs]

@@ -244,7 +244,9 @@ class AdaptiveStrategy(Protocol):
     ``decide`` sees the instance, the queried pair, the full log so far, and
     the pivot hint (the index the current round is pivoting on, or None).
     It must return one of the two queried indices; on forced pairs the
-    session overrides wrong answers anyway.
+    session overrides wrong answers anyway. The log's ``left``, ``right``
+    and ``winner`` columns hold the answers so far, in order: the last
+    winner is ``log.winner[-1]``, read in O(1).
 
     A strategy that never reads the log may also offer ``bulk(instance)``:
     an object answering ``pivot_round_mask``, ``beats`` and ``wins_within``

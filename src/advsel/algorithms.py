@@ -88,7 +88,7 @@ class CombParams:
 
 
 def _resolve(session, items) -> np.ndarray:
-    """The items as an int64 array of indices into the session."""
+    """The items as an int64 array of distinct indices into the session."""
     if items is None:
         return np.arange(session.n_items, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -96,6 +96,9 @@ def _resolve(session, items) -> np.ndarray:
         raise ValueError("need at least one item")
     if items.min() < 0 or items.max() >= session.n_items:
         raise InvalidQueryError(f"items out of range for n={session.n_items}")
+    values, counts = np.unique(items, return_counts=True)
+    if counts.max() > 1:
+        raise InvalidQueryError(f"item {values[counts.argmax()]} is repeated")
     return items
 
 

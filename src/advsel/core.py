@@ -13,7 +13,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -150,55 +149,53 @@ class QueryRecord:
             raise ValueError("winner must be one of the queried indices")
 
 
-def _checked_record(left: int, right: int, winner: int, ordinal: int) -> QueryRecord:
-    """A QueryRecord for a pair the session already checked: the fields are
-    stored directly, without running ``__post_init__`` again."""
-    rec = object.__new__(QueryRecord)
-    fields = rec.__dict__
-    fields["left"] = left
-    fields["right"] = right
-    fields["winner"] = winner
-    fields["ordinal"] = ordinal
-    return rec
-
-
 class QueryLog:
     """Ordered transcript of comparisons plus a running count.
 
-    Recording the full transcript can be switched off for bulk Monte-Carlo
-    runs; the count is always maintained. ``append`` and ``extend`` trust
-    their caller (a session, which has already checked each pair): they
-    store the pair and winner as given, without the checks of a direct
-    ``QueryRecord(...)``. ``validate_log`` rejects a bad record afterwards.
+    The transcript is three int lists, ``left``, ``right`` and ``winner``,
+    one entry per query; reading the log (iterating it, or ``records``)
+    builds each ``QueryRecord``, its position the ordinal. Recording can be
+    switched off for bulk Monte-Carlo runs; the count is always kept.
+    ``append`` and ``extend`` store entries as given, trusting their caller
+    (a session checks each pair first); ``validate_log`` rejects a bad one.
     """
 
-    __slots__ = ("records", "count", "recording")
+    __slots__ = ("left", "right", "winner", "count", "recording")
 
     def __init__(self, recording: bool = True):
-        self.records: list[QueryRecord] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.winner: list[int] = []
         self.count: int = 0
         self.recording = recording
 
     def append(self, left: int, right: int, winner: int) -> None:
         if self.recording:
-            self.records.append(_checked_record(left, right, winner, self.count))
+            self.left.append(left)
+            self.right.append(right)
+            self.winner.append(winner)
         self.count += 1
 
     def extend(self, left, right, winner) -> None:
-        """Append one record per entry of ``right``, in order; ``left`` and
+        """Append one entry per element of ``right``, in order; ``left`` and
         ``winner`` are arrays of the same length or single indices."""
-        left, right, winner = (a.tolist() for a in
-                               np.broadcast_arrays(left, right, winner))
         if self.recording:
-            self.records.extend(map(_checked_record, left, right, winner,
-                                    range(self.count, self.count + len(right))))
+            for column, entries in zip((self.left, self.right, self.winner),
+                                       np.broadcast_arrays(left, right, winner)):
+                column.extend(entries.tolist())
         self.count += len(right)
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
-        return iter(self.records)
+        return map(QueryRecord, self.left, self.right, self.winner,
+                   range(len(self.winner)))
+
+    @property
+    def records(self) -> list[QueryRecord]:
+        """Every entry as a ``QueryRecord``, built on each read."""
+        return list(self)
 
 
 @dataclass(frozen=True)
@@ -433,12 +430,10 @@ def validate_log(instance: Instance, log: QueryLog) -> None:
     Raises ValueError on the first record whose winner is not in its pair,
     or whose pair has a gap above delta but whose winner is not the larger
     value's index; InvalidQueryError on a pair of equal or out-of-range
-    indices. One numpy pass over the log finds that record.
+    indices. One numpy pass over the log's columns finds that record.
     """
-    records = log.records
-    left, right, winner = np.fromiter(
-        map(attrgetter("left", "right", "winner"), records),
-        dtype=np.dtype((np.int64, 3)), count=len(records)).T
+    left, right, winner = (np.array(column, dtype=np.int64) for column in
+                           (log.left, log.right, log.winner))
     n = instance.n
     sane = (((winner == left) | (winner == right)) & (left != right)
             & (np.minimum(left, right) >= 0) & (np.maximum(left, right) < n))
@@ -447,15 +442,14 @@ def validate_log(instance: Instance, log: QueryLog) -> None:
     bad = ~sane | instance.forces(loser, winner.clip(0, n - 1))
     if not bad.any():
         return
-    rec = records[int(bad.argmax())]
-    if rec.winner not in (rec.left, rec.right):
+    k = int(bad.argmax())
+    i, j, won = log.left[k], log.right[k], log.winner[k]
+    if won not in (i, j):
         raise ValueError(
-            f"record {rec.ordinal}: winner {rec.winner} is not in the "
-            f"pair ({rec.left}, {rec.right})")
-    want = forced_winner(instance, rec.left, rec.right)
+            f"record {k}: winner {won} is not in the pair ({i}, {j})")
+    want = forced_winner(instance, i, j)
     raise ValueError(
-        f"record {rec.ordinal}: pair ({rec.left}, {rec.right}) is "
-        f"forced toward {want} but {rec.winner} won")
+        f"record {k}: pair ({i}, {j}) is forced toward {want} but {won} won")
 
 
 def is_t_sorted(output_order: Sequence[float] | Iterable[float], t: float) -> bool:

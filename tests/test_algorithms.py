@@ -13,8 +13,10 @@ from advsel.algorithms import (CombParams, KoModParams, combined_select,
                                modified_knockout, quick_select,
                                quickselect_round, sequential_select)
 from advsel.core import Instance, InvalidQueryError, RngSeed
+from advsel.sorting import complete_sort, quick_sort
 
 from test_adversary import enumerate_valid_orientations, fig1
+from test_engine import PairByPair
 
 
 def session_for(values, policy="lower-index-wins", seed=0, delta=1.0):
@@ -300,6 +302,44 @@ class TestCombined:
         _, sess = session_for([0] * 4)
         with pytest.raises(ValueError):
             combined_select(sess, 0.0, rng=RngSeed(0).generator())
+
+
+# every public entry point that takes items, as (session, items, rng)
+ITEM_ENTRY_POINTS = {
+    "complete_tournament": lambda s, items, rng: complete_tournament(
+        s, items=items, rng=rng),
+    "sequential_select": lambda s, items, rng: sequential_select(
+        s, items=items, rng=rng),
+    "knockout_round": knockout_round,
+    "modified_knockout": lambda s, items, rng: modified_knockout(
+        s, 0.5, items=items, rng=rng),
+    "quickselect_round": quickselect_round,
+    "quick_select": lambda s, items, rng: quick_select(s, items=items, rng=rng),
+    "combined_select": lambda s, items, rng: combined_select(
+        s, 0.5, items=items, rng=rng),
+    "complete_sort": lambda s, items, rng: complete_sort(s, items=items, rng=rng),
+    "quick_sort": lambda s, items, rng: quick_sort(s, items=items, rng=rng),
+}
+
+
+class TestRepeatedItems:
+    """Repeated items are refused before any query, whether the adversary
+    answers batches or is asked pair by pair, and with or without a log."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("pair_by_pair", [False, True])
+    @pytest.mark.parametrize("items, repeated", [([0, 0, 1], 0), ([1, 1, 1], 1),
+                                                 ([2, 0, 1, 2], 2)])
+    @pytest.mark.parametrize("entry", sorted(ITEM_ENTRY_POINTS))
+    def test_rejected_before_any_query(self, entry, items, repeated,
+                                       pair_by_pair, record):
+        inst = Instance((0.0,) * 3)
+        adv = build_nonadaptive(inst, "smaller-wins")
+        sess = ComparatorSession(inst, PairByPair(adv) if pair_by_pair else adv,
+                                 record=record)
+        with pytest.raises(InvalidQueryError, match=f"item {repeated} is repeated"):
+            ITEM_ENTRY_POINTS[entry](sess, items, RngSeed(0).generator())
+        assert sess.queries == 0
 
 
 class TestTranscriptValidity:

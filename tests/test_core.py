@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -178,6 +179,42 @@ class TestSorted:
         assert is_t_sorted(seq, t) == brute
 
 
+_INDEX = st.integers(-1, 4)   # an instance of 4 items, and one index past each end
+
+
+@st.composite
+def _batch(draw):
+    """One append, or one extend whose left is a single index or an array:
+    (kind, the single left, the entries); a winner is one of its pair or any
+    index."""
+    kind = draw(st.sampled_from(["append", "extend-scalar", "extend-array"]))
+    shared = draw(_INDEX)
+    entries = []
+    for _ in range(1 if kind == "append" else draw(st.integers(0, 4))):
+        left = shared if kind == "extend-scalar" else draw(_INDEX)
+        right = draw(_INDEX)
+        entries.append((left, right,
+                        draw(st.sampled_from([left, right, draw(_INDEX)]))))
+    return kind, shared, entries
+
+
+def _first_violation(inst, entries):
+    """What validate_log should raise for these entries, checked one by one:
+    (exception type, message), or None when every entry obeys the model."""
+    for k, (left, right, winner) in enumerate(entries):
+        if winner not in (left, right):
+            return ValueError, (f"record {k}: winner {winner} is not in the "
+                                f"pair ({left}, {right})")
+        try:
+            want = forced_winner(inst, left, right)
+        except InvalidQueryError as err:
+            return InvalidQueryError, str(err)
+        if want is not None and want != winner:
+            return ValueError, (f"record {k}: pair ({left}, {right}) is forced "
+                                f"toward {want} but {winner} won")
+    return None
+
+
 class TestQueryLog:
     def test_record_invariants(self):
         with pytest.raises(InvalidQueryError):
@@ -212,8 +249,8 @@ class TestQueryLog:
                              log.extend(a, np.array([b]), w)):
                 log = QueryLog()
                 log_pair(log, left, right, winner)
-                rec = log.records[0]
-                assert (rec.left, rec.right, rec.winner) == (left, right, winner)
+                assert (log.left[0], log.right[0], log.winner[0]) == (
+                    left, right, winner)
                 with pytest.raises(ValueError):
                     validate_log(inst, log)
 
@@ -231,6 +268,44 @@ class TestQueryLog:
         with pytest.raises(error) as raised:
             validate_log(inst, log)
         assert type(raised.value) is error and str(raised.value) == message
+
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.lists(_batch(), max_size=8))
+    def test_columns_records_and_validation_match_references(self, values,
+                                                             batches):
+        inst = Instance(tuple(map(float, values)))
+        log, want = QueryLog(), []
+        for kind, shared, entries in batches:
+            right, winner = (np.array([e[k] for e in entries], dtype=np.int64)
+                             for k in (1, 2))
+            if kind == "append":
+                log.append(*entries[0])
+            elif kind == "extend-scalar":
+                log.extend(shared, right, winner)
+            else:
+                log.extend(np.array([e[0] for e in entries], dtype=np.int64),
+                           right, winner)
+            want.extend(entries)
+        assert (log.left, log.right, log.winner) == tuple(
+            [e[k] for e in want] for k in range(3))
+        assert all(type(x) is int for x in log.left + log.right + log.winner)
+        assert log.count == len(log) == len(want)
+        # records are built on read, so reading a bad entry raises
+        first_bad = next((k for k, (a, b, w) in enumerate(want)
+                          if a == b or w not in (a, b)), len(want))
+        assert list(itertools.islice(log, first_bad)) == [
+            QueryRecord(a, b, w, k) for k, (a, b, w) in enumerate(want[:first_bad])]
+        if first_bad < len(want):
+            with pytest.raises(ValueError):
+                log.records
+        expected = _first_violation(inst, want)
+        if expected is None:
+            validate_log(inst, log)
+            return
+        with pytest.raises(expected[0]) as raised:
+            validate_log(inst, log)
+        assert type(raised.value) is expected[0]
+        assert str(raised.value) == expected[1]
 
     def test_count_only_mode(self):
         log = QueryLog(recording=False)

@@ -24,7 +24,7 @@ from advsel.adversary import (ComparatorSession, MemoizedStrategy, PivotKiller,
 from advsel.algorithms import (combined_select, complete_tournament,
                                modified_knockout, quick_select,
                                sequential_select)
-from advsel.core import Instance, RngSeed
+from advsel.core import Instance, RngSeed, validate_log
 from advsel.sorting import complete_sort, quick_sort
 
 DATA = Path(__file__).with_name("data") / "transcripts.json"
@@ -62,7 +62,7 @@ class LogReader:
             return j
         if pivot == j:
             return i
-        last = log.records[-1].winner if log.records else None
+        last = log.winner[-1] if log.winner else None
         if last in (i, j):
             return last
         return i if len(log) % 2 else j
@@ -161,6 +161,8 @@ def session_transcript(case: str, algorithm: str, seed: int) -> dict:
     assert result.queries == session.queries
     pairs = [(r.left, r.right, r.winner, r.ordinal) for r in session.log]
     assert len(pairs) == session.queries
+    # the session overrides every violation, misoriented graphs included
+    validate_log(inst, session.log)
     return _outcome(result, session.queries, session.violations, pairs)
 
 

@@ -13,7 +13,7 @@ says, and counts the disagreement as a model violation. A graph that passed
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Protocol, Union, runtime_checkable
+from typing import Callable, NamedTuple, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -81,11 +81,10 @@ class TournamentGraph:
     Subclasses answer from a rule instead and have no ``matrix``; callers
     that need one ask ``dense()``.
 
-    A graph answers whole batches from ``beats`` over index arrays: the
-    ``pivot_round_mask`` of a pivot round and the ``wins_within`` of a
-    round-robin. It is also a strategy that ignores the query history
-    (``decide``). ``validate_for`` remembers the last instance it passed,
-    so a session checks a reused graph once.
+    A graph is a strategy that ignores the query history (``decide``) and
+    its own batch form (``bulk``), answering ``beats``, ``pivot_round_mask``
+    and ``wins_within`` over index arrays. ``validate_for`` remembers the
+    last instance it passed, so a session checks a reused graph once.
     """
 
     __slots__ = ("matrix", "_checked")
@@ -122,6 +121,16 @@ class TournamentGraph:
 
     def decide(self, instance, i, j, log, pivot):
         return self.winner(i, j)
+
+    def bulk(self, instance: Instance) -> Optional["TournamentGraph"]:
+        """Itself when valid for ``instance``; None when it breaks a forced
+        pair, so a session asks it pair by pair and counts each violation."""
+        if instance.n != self.n:
+            raise ValueError("graph size does not match instance")
+        try:
+            return self if self._checked is instance else self.validate_for(instance)
+        except ValueError:
+            return None
 
     def pivot_round_mask(self, items, pivot):
         """Which of ``items`` beat ``pivot`` (a fresh array)."""
@@ -173,7 +182,7 @@ class TournamentGraph:
         """Build from an explicit edge list of (i, j, winner) triples."""
         check_dense_budget(n, "an explicit edge list")
         matrix = np.zeros((n, n), dtype=bool)
-        seen = np.zeros((n, n), dtype=bool)
+        pairs = 0
         for edge in edges:
             try:
                 i, j, w = (check_number("an edge index", x) for x in edge)
@@ -184,13 +193,13 @@ class TournamentGraph:
                 raise ValueError(f"bad edge pair ({i}, {j})")
             if w not in (i, j):
                 raise ValueError(f"winner {w} not in pair ({i}, {j})")
-            if seen[i, j]:
+            if matrix[i, j] or matrix[j, i]:
                 raise ValueError(f"pair ({i}, {j}) specified twice")
-            seen[i, j] = seen[j, i] = True
             matrix[w, i if w == j else j] = True
-        if not seen[~np.eye(n, dtype=bool)].all():
+            pairs += 1
+        if pairs != n * (n - 1) // 2:
             raise ValueError("edge list must cover every unordered pair")
-        return cls(matrix)
+        return cls(matrix, check=False)
 
     def edges(self):
         matrix = self.dense().matrix
@@ -226,12 +235,9 @@ class RuleTournament(TournamentGraph):
         if self._dense is None:
             check_dense_budget(self._n, f"a dense copy of {type(self).__name__}")
             idx = np.arange(self._n)
-            if self._n * self._n <= _BLOCK_CELLS:
-                matrix = self._beats_grid(idx, idx)
-            else:
-                matrix = np.empty((self._n, self._n), dtype=bool)
-                for lo, block in self._blocks(idx, idx):
-                    matrix[lo:lo + len(block)] = block
+            matrix = np.empty((self._n, self._n), dtype=bool)
+            for lo, block in self._blocks(idx, idx):
+                matrix[lo:lo + len(block)] = block
             self._dense = TournamentGraph(matrix, check=False)
             self._dense._checked = self._checked
         return self._dense
@@ -254,6 +260,7 @@ class AdaptiveStrategy(Protocol):
     batch's pairs one by one, in order, with the pivot round's pivot as the
     hint; or None when it cannot. Its answers must obey every forced pair,
     since a session asks it instead of ``decide`` and checks none of them.
+    Graphs implement it too: a graph's ``bulk`` is itself, if valid.
     """
 
     def decide(self, instance: Instance, i: int, j: int, log: QueryLog,
@@ -374,9 +381,6 @@ def _round_robin_wins(beats, items: np.ndarray, log: Optional[QueryLog] = None):
     return np.bincount(np.where(a_wins, rows, cols), minlength=len(items))
 
 
-Adversary = Union[TournamentGraph, AdaptiveStrategy]
-
-
 class ComparatorSession:
     """Query oracle binding an instance to one adversary.
 
@@ -385,15 +389,16 @@ class ComparatorSession:
     tallied in ``violations``. Single-owner: not safe for concurrent queries.
 
     Algorithms ask whole batches (``pivot_round``, ``duel``, ``round_robin``)
-    of int64 index arrays. A valid graph and a strategy with a batch form
-    (``bulk``: the pivot-killer, memoized or not) answer a batch in one call
-    (see ``comparator_for``); any other adversary is asked one ``query`` at a
-    time, in the same order, a pivot round passing its pivot as the hint.
-    Both write the same log. ``record=False`` keeps only the count, except
-    for a strategy asked pair by pair, whose ``decide`` reads the log.
+    of int64 index arrays. An adversary with a batch form (``bulk``: a valid
+    graph, the pivot-killer, memoized or not) answers a batch in one call
+    (see ``comparator_for``); any other is asked one ``query`` at a time, in
+    the same order, a pivot round passing its pivot as the hint. Both write
+    the same log. ``record=False`` keeps only the count, except for an
+    adversary asked pair by pair, whose ``decide`` may read the log.
     """
 
-    def __init__(self, instance: Instance, adversary: Adversary, record: bool = True):
+    def __init__(self, instance: Instance, adversary: AdaptiveStrategy,
+                 record: bool = True):
         self.instance = instance
         self.adversary = adversary
         self.violations = 0
@@ -401,11 +406,8 @@ class ComparatorSession:
         self._values = memoryview(instance.values)
         self._delta = instance.delta
         self._n = instance.n
-        if isinstance(adversary, TournamentGraph) and adversary.n != instance.n:
-            raise ValueError("graph size does not match instance")
         self._bulk = comparator_for(instance, adversary)
-        self.log = QueryLog(recording=record or (
-            self._bulk is None and not isinstance(adversary, TournamentGraph)))
+        self.log = QueryLog(recording=record or self._bulk is None)
         # a dense graph valid for the instance answers single queries with no
         # check; a rule has no matrix and goes through decide()
         self._matrix = (getattr(adversary, "matrix", None)
@@ -582,18 +584,9 @@ class _PivotKillerRule(PolicyTournament):
 
 
 def comparator_for(instance: Instance, adversary):
-    """What answers a session's batches in one call: the adversary itself if
-    it is a graph valid for ``instance``, a strategy's ``bulk(instance)`` if
-    it offers one, or None, when every query must be asked pair by pair (a
-    strategy that reads the log, or a graph that would need its violations
-    counted)."""
-    if isinstance(adversary, TournamentGraph):
-        if adversary._checked is not instance:
-            try:
-                adversary.validate_for(instance)
-            except ValueError:
-                return None
-        return adversary
+    """What answers a session's batches in one call: the adversary's
+    ``bulk(instance)``, or None when it has none or declines (a graph that
+    would need its violations counted), so every query is asked alone."""
     bulk = getattr(adversary, "bulk", None)
     return None if bulk is None else bulk(instance)
 
@@ -845,22 +838,28 @@ def _construction_params(name, params) -> dict:
 
 
 def adversary_from_spec(spec: dict, instance: Instance,
-                        rng: Optional[np.random.Generator] = None) -> Adversary:
+                        rng: Optional[np.random.Generator] = None,
+                        graph: Optional[TournamentGraph] = None) -> AdaptiveStrategy:
     """Build a spec checked by ``parse_adversary`` for an instance: a construction must
-    rebuild it (item count compared first), an explicit edge list is validated on it."""
+    rebuild it (item count compared first), an explicit edge list is validated on it,
+    and a nameless construction is ``graph``, the one that came with the instance."""
     if spec["kind"] == "nonadaptive":
         rng = rng if spec["seed"] is None else _seed_rng(spec["seed"])
         return build_nonadaptive(instance, spec["policy"], rng)
     if spec["kind"] == "explicit":
         return TournamentGraph.from_edges(instance.n, spec["edges"]).validate_for(instance)
     name, params = spec["name"], spec["params"]
+    if name is None:
+        if graph is None:
+            raise ValueError("adversary 'construction' needs a construction instance")
+        return graph
     if name == "pivot-killer":
         return MemoizedStrategy(PivotKiller()) if params["memoized"] else PivotKiller()
     entry = CONSTRUCTION_TABLE[name]
     args = [params[p] for p in entry.params]
     if entry.items(args) == instance.n:
-        built, graph = entry.build(args, params.get("seed"))
+        built, rebuilt = entry.build(args, params.get("seed"))
         if np.array_equal(built.values, instance.values) and built.delta == instance.delta:
-            return _valid_pair(instance, graph)[1]
+            return _valid_pair(instance, rebuilt)[1]
     raise ValueError(f"construction {name} with params {params} does not "
                      "reproduce the supplied instance")

@@ -91,15 +91,18 @@ def _resolve(session, items) -> np.ndarray:
     """The items as an int64 array of distinct indices into the session."""
     if items is None:
         return np.arange(session.n_items, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    if not len(items):
+    items = np.asarray(items)
+    if not items.size:
         raise ValueError("need at least one item")
+    # bools, floats, strings and Python ints past 64 bits are not indices
+    if items.ndim != 1 or items.dtype.kind not in "iu":
+        raise InvalidQueryError("items must be a flat sequence of integer indices")
     if items.min() < 0 or items.max() >= session.n_items:
         raise InvalidQueryError(f"items out of range for n={session.n_items}")
     values, counts = np.unique(items, return_counts=True)
     if counts.max() > 1:
         raise InvalidQueryError(f"item {values[counts.argmax()]} is repeated")
-    return items
+    return items.astype(np.int64, copy=False)
 
 
 def _rng(rng) -> np.random.Generator:

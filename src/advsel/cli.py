@@ -12,12 +12,12 @@ import secrets
 import sys
 from typing import Optional
 
-from .adversary import SHORTHAND, ComparatorSession, parse_adversary
+from .adversary import (SHORTHAND, ComparatorSession, adversary_from_spec,
+                        parse_adversary)
 from .core import RngSeed, check_choice, is_t_sorted
 from .generators import GENERATOR_NAMES
 from .harness import (CSV_HEADER, SELECTORS, SORTERS, TrialConfig,
-                      build_instance, csv_row, run_algorithm, run_trials,
-                      _build_adversary)
+                      build_instance, csv_row, run_algorithm, run_trials)
 from .report import bound_report
 from .scheffe import (candidates_from_json, l1_distance, sample,
                       scheffe_quickselect, scheffe_tournament)
@@ -73,7 +73,7 @@ def _run_single(args) -> int:
     root = RngSeed(seed)
     instance, cgraph = _load_instance(args, root.generator(0))
     spec = _adversary_spec(args.adversary, cgraph is not None)
-    adversary = _build_adversary(spec, instance, cgraph, root.generator(1))
+    adversary = adversary_from_spec(spec, instance, root.generator(1), cgraph)
     # the output reads counts only, so no query record is kept
     session = ComparatorSession(instance, adversary, record=False)
     result = run_algorithm(args.algo, session, root.generator(2),

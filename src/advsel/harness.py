@@ -11,11 +11,12 @@ one through ``SeedSequence``.
 
 Reuse rule: a block builds its first trial's instance and adversary, and
 keeps a build for every later trial exactly when nothing drew from that
-trial's generator, so the build is the same for every trial. Only graphs are
-kept as adversaries, and only with a kept instance: strategies can hold
-per-session state and are rebuilt for every trial. A q-select block whose
-adversary is kept runs its trials as the lanes of ``algorithms.LaneBlock``s,
-in lockstep, each lane drawing what its trial's own generator would.
+trial's generator, so the build is the same for every trial. An adversary is
+kept when it answers its own batches (a graph valid for the instance), and
+only with a kept instance: strategies can hold per-session state and are
+rebuilt for every trial. A q-select block whose adversary is kept runs its
+trials as the lanes of ``algorithms.LaneBlock``s, in lockstep, each lane
+drawing what its trial's own generator would.
 """
 
 from __future__ import annotations
@@ -169,15 +170,6 @@ def build_instance(source, rng) -> tuple[Instance, Optional[TournamentGraph]]:
     raise ValueError(f"bad instance source {source!r}")
 
 
-def _build_adversary(spec: dict, instance, construction_graph, rng):
-    """A checked spec's adversary; a nameless construction is the instance's graph."""
-    if spec["kind"] == "construction" and spec["name"] is None:
-        if construction_graph is None:
-            raise ValueError("adversary 'construction' needs a construction instance")
-        return construction_graph
-    return adversary_from_spec(spec, instance, rng)
-
-
 # n below which a rule adversary built for a single trial answers a session's
 # batches faster from a dense matrix: the matrix costs O(n^2) to build once,
 # each on-demand batch a few numpy operations. q-sort asks about n batches
@@ -255,14 +247,13 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
     instance_rngs, adversary_rngs = (_TrialStreams(root, role, lo, hi)
                                      for role in range(2))
     instance, cgraph = build_instance(config.instance, instance_rngs.at(lo))
-    adversary = _build_adversary(adv_spec, instance, cgraph, adversary_rngs.at(lo))
+    adversary = adversary_from_spec(adv_spec, instance, adversary_rngs.at(lo), cgraph)
     # a build that drew nothing is the same for every trial; strategies can
-    # hold per-session state, so only graphs stay
+    # hold per-session state, so only adversaries answering their own batches stay
     keep_instance = not instance_rngs.drew()
     keep_adversary = keep_instance and not adversary_rngs.drew() \
-        and isinstance(adversary, TournamentGraph)
-    if config.algorithm == "q-select" and keep_adversary \
-            and comparator_for(instance, adversary) is adversary:
+        and comparator_for(instance, adversary) is adversary
+    if config.algorithm == "q-select" and keep_adversary:
         errors, queries = _lane_trials(config, root, instance, adversary, lo, hi)
         return TrialData(errors=errors, queries=queries, round_sizes=[],
                          wall_time=time.perf_counter() - start, n=instance.n)
@@ -280,7 +271,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
             instance, cgraph = build_instance(config.instance, instance_rngs.at(t))
         if t > lo and not keep_adversary:
             adversary = _engine_form(
-                _build_adversary(adv_spec, instance, cgraph, adversary_rngs.at(t)),
+                adversary_from_spec(adv_spec, instance, adversary_rngs.at(t), cgraph),
                 False, config.algorithm)
         session = ComparatorSession(instance, adversary, record=False)
         result = run_algorithm(config.algorithm, session, alg_rngs.at(t),

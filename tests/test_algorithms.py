@@ -342,6 +342,21 @@ class TestRepeatedItems:
         assert sess.queries == 0
 
 
+@pytest.mark.parametrize("items", [[0.9, 2.5], [True, False], ["0", "1"],
+                                   [[0, 1], [2, 0]], [2 ** 63], [2 ** 64]],
+                         ids=["floats", "bools", "strings", "nested", "2**63",
+                              "2**64"])
+@pytest.mark.parametrize("entry", sorted(ITEM_ENTRY_POINTS))
+def test_items_that_are_not_indices_are_rejected(entry, items):
+    """Items are refused, before any query, unless they are a flat sequence
+    of integers: none is cast to an index."""
+    inst = Instance((0.0,) * 3)
+    sess = ComparatorSession(inst, build_nonadaptive(inst, "smaller-wins"))
+    with pytest.raises(InvalidQueryError, match="integer indices|out of range"):
+        ITEM_ENTRY_POINTS[entry](sess, items, RngSeed(0).generator())
+    assert sess.queries == 0
+
+
 class TestTranscriptValidity:
     @pytest.mark.parametrize("adv_kind", ["random", "pivot-killer"])
     def test_every_transcript_obeys_forced_rule(self, adv_kind):

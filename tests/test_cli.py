@@ -237,8 +237,8 @@ class TestSelect:
                 return min(i, j)
 
         import advsel.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "_build_adversary",
-                            lambda spec, inst, g, rng: Liar())
+        monkeypatch.setattr(cli_mod, "adversary_from_spec",
+                            lambda spec, inst, rng, g: Liar())
         code, out = run_cli(capsys, "select", "--gen", "distinct:4",
                             "--algo", "compl", "--seed", "1", "--json")
         assert code == EXIT_VIOLATION
@@ -288,8 +288,8 @@ class TestBench:
 
         import advsel.harness as harness_mod
         monkeypatch.delenv("ADVSEL_THREADS", raising=False)
-        monkeypatch.setattr(harness_mod, "_build_adversary",
-                            lambda spec, inst, g, rng: Liar())
+        monkeypatch.setattr(harness_mod, "adversary_from_spec",
+                            lambda spec, inst, rng, g: Liar())
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"algorithm": "compl",
                                         "instance": "distinct:4",

@@ -63,8 +63,13 @@ def transcript(inst, adv, run, seed):
 def assert_batches_match_pairs(inst, adv, run, seed):
     assert comparator_for(inst, adv) is not None
     assert comparator_for(inst, PairByPair(adv)) is None
-    assert transcript(inst, adv, run, seed) == \
-        transcript(inst, PairByPair(adv), run, seed)
+    expected = transcript(inst, PairByPair(adv), run, seed)
+    assert transcript(inst, adv, run, seed) == expected
+    if isinstance(adv, TournamentGraph):
+        # a memoized graph answers batches through the graph's own batch form
+        assert comparator_for(inst, MemoizedStrategy(adv)) is not None
+        assert transcript(inst, MemoizedStrategy(adv), run, seed) == expected
+        assert transcript(inst, PairByPair(MemoizedStrategy(adv)), run, seed) == expected
 
 
 def make_case(rng):
@@ -150,11 +155,24 @@ def test_misoriented_graph_is_asked_pair_by_pair():
     inst = Instance((0.0, 5.0, 0.0))
     graph = TournamentGraph(np.triu(np.ones((3, 3), dtype=bool), 1))
     assert comparator_for(inst, graph) is None
-    session = ComparatorSession(inst, graph)
-    assert complete_sort(session, rng=RngSeed(0).generator()).order[0] == 1
-    assert session.violations == 1
+    for record in (True, False):
+        # asked pair by pair, it keeps its log, as any adversary does
+        session = ComparatorSession(inst, graph, record=record)
+        assert complete_sort(session, rng=RngSeed(0).generator()).order[0] == 1
+        assert session.violations == 1
+        assert session.log.recording and len(session.log.winner) == session.queries
+        validate_log(inst, session.log)
     fine = Instance((0.0, 0.0, 0.0))
     assert comparator_for(fine, graph) is graph
+
+
+@pytest.mark.parametrize("graph", [
+    TournamentGraph(np.zeros((1, 1), dtype=bool)),
+    build_nonadaptive(Instance((0.0,) * 3), "smaller-wins"),
+], ids=["dense", "rule"])
+def test_graph_of_another_size_is_refused(graph):
+    with pytest.raises(ValueError, match="graph size does not match instance"):
+        ComparatorSession(Instance((0.0, 0.0)), graph)
 
 
 def rule_case(rng):

@@ -314,8 +314,8 @@ class TestViolations:
     @pytest.fixture()
     def liar(self, monkeypatch):
         monkeypatch.delenv("ADVSEL_THREADS", raising=False)
-        monkeypatch.setattr(harness, "_build_adversary",
-                            lambda spec, inst, g, rng: _Liar())
+        monkeypatch.setattr(harness, "adversary_from_spec",
+                            lambda spec, inst, rng, g: _Liar())
         return TrialConfig(algorithm="compl", instance="distinct:5",
                            adversary="lower-index-wins", trials=8, seed=3)
 

@@ -104,8 +104,8 @@ def _alone(cfg, lo, hi):
     a session on the kept instance and adversary."""
     root = RngSeed(cfg.seed, cfg.stream)
     inst, cgraph = build_instance(cfg.instance, root.generator(lo, 0))
-    adv = harness._build_adversary(parse_adversary(cfg.adversary), inst, cgraph,
-                                   root.generator(lo, 1))
+    adv = harness.adversary_from_spec(parse_adversary(cfg.adversary), inst,
+                                      root.generator(lo, 1), cgraph)
     winners, queries = [], []
     for t in range(lo, hi):
         session = ComparatorSession(inst, adv, record=False)

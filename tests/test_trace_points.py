@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from advsel import scheffe
+from advsel import harness, scheffe
 from advsel.core import RngSeed
 
 TRACER = Path(__file__).resolve().parents[1] / "advbench" / "tracer.py"
@@ -37,3 +37,14 @@ def test_tracer_counts_every_scheffe_test(tracer):
                  + scheffe.scheffe_quickselect(cands, smp, RngSeed(2).generator()).tests)
     assert tests > 45
     assert t.counts["scheffe.tests"] == tests
+
+
+def test_tracer_counts_every_adversary_build(tracer, monkeypatch):
+    # the construction's own graph is built through adversary_from_spec
+    # too; a harness that built it elsewhere would hide it from the count
+    monkeypatch.delenv("ADVSEL_THREADS", raising=False)
+    config = harness.TrialConfig(algorithm="seq", instance="lemma1:15",
+                                 adversary="construction", trials=5, seed=3)
+    with tracer.Tracer() as t:
+        harness.run_trials(config)
+    assert t.counts["adversary.calls"] == 5

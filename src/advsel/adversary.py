@@ -137,7 +137,8 @@ class TournamentGraph:
         return self.beats(items, pivot)
 
     def wins_within(self, items: np.ndarray) -> np.ndarray:
-        """Wins of each of ``items`` against the others."""
+        """Wins of each of ``items`` against the others. The items are
+        distinct, as ``algorithms._resolve`` guarantees a session's are."""
         wins = np.empty(len(items), dtype=np.int64)
         for lo, block in self._blocks(items, items):
             wins[lo:lo + len(block)] = block.sum(axis=1)
@@ -543,7 +544,41 @@ class PolicyTournament(RuleTournament):
             pref = a < b
         else:
             pref = coin & (a != b)
-        return (d > self._delta) | ((np.abs(d) <= self._delta) & pref)
+        # a free win needs d <= 0 under smaller-wins, and is moot for d > delta
+        return (d > self._delta) | ((d >= -self._delta) & pref)
+
+    def wins_within(self, items):
+        """Counted in O(m log m) for smaller-wins, from the items' (value,
+        index) order; the other policies use the grid."""
+        if self.policy != "smaller-wins":
+            return super().wins_within(items)
+        values = self._values[items]
+        order = np.lexsort((items, values))
+        rank = np.empty(len(items), dtype=np.int64)
+        rank[order] = np.arange(len(items))
+        # a beats b when d = v_a - v_b > delta (forced), or when b comes
+        # after a in (value, index) order and d >= -delta (free)
+        ranked = values[order]
+        forced = _prefix_lengths(values, ranked, np.greater, self._delta)
+        free_end = _prefix_lengths(values, ranked, np.greater_equal, -self._delta)
+        return forced + free_end - rank - 1
+
+
+def _prefix_lengths(x: np.ndarray, ranked: np.ndarray, holds, limit) -> np.ndarray:
+    """For each x[i], how many of the ascending ``ranked`` values r give
+    ``holds(x[i] - r, limit)``. The rounded difference falls as r rises, so
+    those r are a prefix, whose length a vectorized bisection finds on the
+    expression ``PolicyTournament._orient`` evaluates: exact under rounding."""
+    ranked = np.append(ranked, np.inf)  # past the end, no difference holds
+    lo = np.zeros(len(x), dtype=np.int64)
+    hi = np.full(len(x), len(x), dtype=np.int64)
+    with np.errstate(over="ignore"):
+        for _ in range(len(x).bit_length()):
+            mid = (lo + hi) >> 1
+            inside = holds(x - ranked[mid], limit)
+            lo = np.where(inside, mid + 1, lo)
+            hi = np.where(inside, hi, mid)
+    return lo
 
 
 def build_nonadaptive(instance: Instance, policy: str,
@@ -565,8 +600,15 @@ def build_nonadaptive(instance: Instance, policy: str,
         raise ValueError("random policy needs a generator")
     n = instance.n
     check_dense_budget(n, "the random policy's coins")
-    coin = _seed_rng(rng).integers(0, 2, size=(n, n), dtype=np.uint8).view(bool)
-    return PolicyTournament(instance, policy, coin)
+    # rng.integers(0, 2, n * n, uint8) from the little-endian bytes of
+    # full-range uint32s: numpy's bounded draw takes each coin from the next
+    # byte of a uint32 (Lemire's method, whose threshold is 0 for a range of
+    # 2) as (byte * 2) >> 8, the byte's top bit
+    words = _seed_rng(rng).integers(0, 2 ** 32, size=-(-n * n // 4),
+                                    dtype=np.uint32)
+    coin = words.astype("<u4", copy=False).view(np.uint8)[:n * n]
+    np.right_shift(coin, 7, out=coin)
+    return PolicyTournament(instance, policy, coin.reshape(n, n).view(bool))
 
 
 class _PivotKillerRule(PolicyTournament):
@@ -607,8 +649,9 @@ class ConstructionTournament(RuleTournament):
     """A named construction's orientation as a rule under its hidden
     permutation: canonical position p is index ``perm[p]``. Positions fall
     into value groups of the given ``sizes``, each of one item or of the same
-    size g. ``table[x, y]`` says whether group x beats group y; inside a group
-    the near-regular tournament on the g within-group offsets decides.
+    size g. ``table[x, y]`` says whether group x beats group y, and is False
+    on its diagonal; inside a group the near-regular tournament on the g
+    within-group offsets decides.
     lemma1 and lemma2 are one group of n with no table, lemma1 with no
     ``perm`` (the identity); a table needs a ``perm``."""
 
@@ -636,6 +679,31 @@ class ConstructionTournament(RuleTournament):
             return inside
         ga, gb = self._group[a], self._group[b]
         return np.where(ga == gb, inside, self._table[ga, gb])
+
+    def wins_within(self, items):
+        """Counted in O(m log m): each item's wins inside its group, from
+        the present offsets in its near-regular window, plus its group's
+        ``table`` row times the items present in each other group."""
+        g = self._g
+        offset = items if self._offset is None else self._offset[items]
+        group = np.zeros_like(offset) if self._group is None else self._group[items]
+        start = group * g
+        keys = np.sort(start + offset)
+        present = np.bincount(group, minlength=1 if self._table is None
+                              else len(self._table))
+
+        def below(t):
+            """Present items of each one's group at offsets below t < 2g,
+            the group's offsets run through twice, up to a shift per group."""
+            return (t >= g) * present[group] + np.searchsorted(keys, start + t % g)
+
+        # the window of offset o: o+1 .. o+(g-1)//2 cyclically, and for even
+        # g the antipode o + g/2 when o < g/2 (see _near_regular_beats)
+        end = offset + 1 + (g - 1) // 2 + ((g % 2 == 0) & (offset < g // 2))
+        wins = below(end) - below(offset + 1)
+        if self._table is not None:
+            wins += self._table[group] @ present
+        return wins
 
 
 def _require_odd(n: int) -> int:

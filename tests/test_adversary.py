@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -130,6 +132,37 @@ class TestBuildNonadaptive:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             build_nonadaptive(Instance((0.0,)), "chaos")
+
+    @given(n=st.integers(1, 40) | st.sampled_from([100, 1000, 1001]),
+           seed=st.integers(0, 2 ** 128 - 1),
+           prior=st.sampled_from(["none", "uint32", "float64", "bytes"]),
+           k=st.integers(1, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_random_coins_are_numpys_draw(self, n, seed, prior, k):
+        """The coins, read from the bytes of full-range uint32s, are numpy's
+        own bounded draw, and leave the generator where that draw leaves it,
+        a pending uint32 included: a numpy change to its bounded-integer
+        path fails this."""
+        ours, numpys = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        for rng in (ours, numpys):
+            if prior == "uint32":     # leaves the high half of a word pending
+                rng.integers(2 ** 32, size=k, dtype=np.uint32)
+            elif prior == "float64":
+                rng.random(k)
+            elif prior == "bytes":
+                rng.integers(0, 2, size=k, dtype=np.uint8)
+        coin = build_nonadaptive(Instance(np.zeros(n)), "random", ours).coin
+        assert np.array_equal(coin, numpys.integers(0, 2, (n, n), np.uint8).view(bool))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        for draw in (lambda rng: rng.integers(2 ** 32, dtype=np.uint32),
+                     lambda rng: rng.random()):
+            assert draw(ours) == draw(numpys)
+
+    def test_random_coins_from_other_bit_generators(self):
+        ours, numpys = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+        coin = build_nonadaptive(Instance(np.zeros(9)), "random", ours).coin
+        assert np.array_equal(coin, numpys.integers(0, 2, (9, 9), np.uint8).view(bool))
+        assert ours.random() == numpys.random()
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=7),
            st.sampled_from(["larger-wins", "smaller-wins", "lower-index-wins",
@@ -592,6 +625,81 @@ def circulant_reference(n):
     pos = np.arange(n)
     dist = (pos[None, :] - pos[:, None]) % n
     return (dist >= 1) & (dist <= (n - 1) // 2)
+
+
+def policy_beats(inst, policy, a, b):
+    """Whether a beats b, asked pair by pair: the forced rule, then the
+    policy's preference on a free pair."""
+    if inst.forces(a, b) or inst.forces(b, a):
+        return bool(inst.forces(a, b))
+    va, vb = inst.values.item(a), inst.values.item(b)
+    prefer = va > vb if policy == "larger-wins" else va < vb
+    return prefer or (va == vb and a < b)
+
+
+@st.composite
+def near_delta_values(draw):
+    """An instance whose gaps sit within a few ulps of 0 and of +-delta, at
+    magnitudes up to +-1e308, with repeated values; and some of its items,
+    in any order."""
+    delta = draw(st.sampled_from([1.0, 0.25, 1.5e-16, 1e300])
+                 | st.floats(1e-300, 1e300))
+    base = draw(st.sampled_from([0.0, 1.0, 1e16, -1e16, 1e308, -1e308])
+                | st.floats(-1e308, 1e308))
+
+    def near(k, ulps):
+        v = base + k * delta
+        if not math.isfinite(v):
+            v = math.copysign(sys.float_info.max, v)
+        for _ in range(abs(ulps)):
+            v = math.nextafter(v, math.copysign(math.inf, ulps))
+        return v if math.isfinite(v) else base
+
+    element = (st.builds(near, st.integers(-2, 2), st.integers(-3, 3))
+               | st.floats(-1e308, 1e308))
+    values = draw(st.lists(element, min_size=1, max_size=20))
+    values += draw(st.lists(st.sampled_from(values), max_size=6))
+    order = draw(st.permutations(range(len(values))))
+    items = np.array(order[:draw(st.integers(1, len(values)))], dtype=np.int64)
+    return Instance(values, delta), items
+
+
+class TestCountedWins:
+    """Counted round-robin wins equal the blocked grid's and those of a
+    reference asking every pair alone."""
+
+    @given(case=near_delta_values(),
+           policy=st.sampled_from(["larger-wins", "smaller-wins"]))
+    @settings(max_examples=300, deadline=None)
+    def test_policies(self, case, policy):
+        inst, items = case
+        graph = build_nonadaptive(inst, policy)
+        want = [sum(policy_beats(inst, policy, a, b) for b in items.tolist() if b != a)
+                for a in items.tolist()]
+        assert graph.wins_within(items).tolist() == want
+        assert TournamentGraph.wins_within(graph, items).tolist() == want
+
+    @given(name=st.sampled_from(["komod-hard", "lemma1", "lemma2"]),
+           size=st.integers(1, 30), seed=st.integers(0, 2 ** 32), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_constructions(self, name, size, seed, data):
+        # komod-hard's groups have size g = size, odd or even
+        n = 3 * size + 2 if name == "komod-hard" else 2 * size + 1
+        build = {"komod-hard": komod_hard_instance, "lemma1": lemma_one_construction,
+                 "lemma2": lemma_two_construction}[name]
+        _, graph = build(n, seed=seed)
+        canon = (komod_canonical_reference(n)[1] if name == "komod-hard"
+                 else circulant_reference(n))
+        want = canon
+        if name != "lemma1":
+            perm = RngSeed(seed).generator().permutation(n)
+            want = np.zeros((n, n), dtype=bool)
+            want[np.ix_(perm, perm)] = canon
+        order = data.draw(st.permutations(range(n)))
+        items = np.array(order[:data.draw(st.integers(1, n))], dtype=np.int64)
+        expect = want[np.ix_(items, items)].sum(axis=1).tolist()
+        assert graph.wins_within(items).tolist() == expect
+        assert TournamentGraph.wins_within(graph, items).tolist() == expect
 
 
 class TestLemmaRule:

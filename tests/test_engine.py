@@ -302,16 +302,22 @@ def test_memo_shared_by_live_sessions_on_other_values():
         session.round_robin(np.array([0, 1]))
 
 
-@pytest.mark.parametrize("kind", ["graph", "rule", "memoized-pivot-killer"])
+@pytest.mark.parametrize("kind", ["graph", "rule", "larger-wins", "komod-hard",
+                                  "memoized-pivot-killer"])
 def test_recording_round_robin_counts_the_logged_wins(kind):
     """A recording round-robin counts its wins from the batch it logs; they
-    equal the wins of a session that keeps no log."""
+    equal the wins of a session that keeps no log, which smaller-wins and
+    the constructions count without asking a pair."""
     inst = Instance(tuple(float(v) for v in
                           np.random.default_rng(5).integers(0, 3, size=40)))
+    if kind == "komod-hard":
+        inst, komod = komod_hard_instance(44, seed=5)   # groups of 14
     items = np.random.default_rng(6).permutation(inst.n)[:30]
     make = {"graph": lambda: build_nonadaptive(
                 inst, "random", RngSeed(5).generator()).dense(),
             "rule": lambda: build_nonadaptive(inst, "smaller-wins"),
+            "larger-wins": lambda: build_nonadaptive(inst, "larger-wins"),
+            "komod-hard": lambda: komod,
             "memoized-pivot-killer": memoized_killer}[kind]
     wins = {}
     for record in (True, False):

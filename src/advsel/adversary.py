@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from .core import (MAX_INSTANCE_SIZE, Instance, InvalidQueryError, QueryLog,
-                   RngSeed, check_choice, check_keys, check_number)
+                   RngSeed, as_index, check_choice, check_keys, check_number,
+                   forced_winner)
 
 __all__ = [
     "TournamentGraph",
@@ -147,16 +148,12 @@ class TournamentGraph:
     def out_degrees(self) -> np.ndarray:
         return self.wins_within(np.arange(self.n))
 
-    def _beats_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """beats over the grid rows x cols, gathered whole rows at a time."""
-        return self.matrix[rows][:, cols]
-
     def _blocks(self, rows: np.ndarray, cols: np.ndarray):
         """(first row, beats over rows x cols) for blocks of rows, so no
         temporary exceeds _BLOCK_CELLS pairs."""
         step = max(1, _BLOCK_CELLS // max(len(cols), 1))
         for lo in range(0, len(rows), step):
-            yield lo, self._beats_grid(rows[lo:lo + step], cols)
+            yield lo, self.beats(rows[lo:lo + step, None], cols[None, :])
 
     def validate_for(self, instance: Instance) -> "TournamentGraph":
         """Raise ValueError unless every pair with a value gap above delta is
@@ -229,9 +226,6 @@ class RuleTournament(TournamentGraph):
     def beats(self, a, b):
         raise NotImplementedError
 
-    def _beats_grid(self, rows, cols):
-        return self.beats(rows[:, None], cols[None, :])
-
     def dense(self) -> TournamentGraph:
         if self._dense is None:
             check_dense_budget(self._n, f"a dense copy of {type(self).__name__}")
@@ -274,14 +268,9 @@ class PivotKiller:
     lower index; forced queries obey the model."""
 
     def decide(self, instance, i, j, log, pivot):
-        values = instance.values
-        n = len(values)
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise InvalidQueryError(f"invalid query ({i}, {j}) for n={n}")
-        # Instance.forces, inline on Python floats
-        gap = values.item(i) - values.item(j)
-        if gap > instance.delta or -gap > instance.delta:
-            return i if gap > 0 else j
+        want = forced_winner(instance, i, j)
+        if want is not None:
+            return want
         if pivot == i:
             return j
         if pivot == j:
@@ -403,9 +392,6 @@ class ComparatorSession:
         self.instance = instance
         self.adversary = adversary
         self.violations = 0
-        # per-query reads: Python floats, without a per-session copy
-        self._values = memoryview(instance.values)
-        self._delta = instance.delta
         self._n = instance.n
         self._bulk = comparator_for(instance, adversary)
         self.log = QueryLog(recording=record or self._bulk is None)
@@ -424,7 +410,10 @@ class ComparatorSession:
 
     def query(self, i: int, j: int, pivot: Optional[int] = None) -> int:
         """The winner of i and j; ``pivot`` is the hint an adaptive adversary
-        sees: the item the current round pivots on, or None."""
+        sees: the item the current round pivots on, or None. An index is
+        an integer: a numpy integer is taken as its Python int."""
+        if type(i) is not int or type(j) is not int:
+            i, j = as_index(i), as_index(j)
         if i == j:
             raise InvalidQueryError("cannot compare an index with itself")
         if not (0 <= i < self._n and 0 <= j < self._n):
@@ -436,13 +425,10 @@ class ComparatorSession:
             if answer != i and answer != j:
                 raise AdversaryProtocolError(
                     f"adversary answered {answer} for pair ({i}, {j})")
-            # Instance.forces, inline on Python floats
-            gap = self._values[i] - self._values[j]
-            if gap > self._delta or -gap > self._delta:
-                want = i if gap > 0 else j
-                if answer != want:
-                    self.violations += 1
-                    answer = want
+            want = forced_winner(self.instance, i, j)
+            if want is not None and answer != want:
+                self.violations += 1
+                answer = want
         self.log.append(i, j, answer)
         return answer
 
@@ -503,7 +489,7 @@ class PolicyTournament(RuleTournament):
     choice. ``coin`` holds the fair coins of the ``random`` policy; only
     ``coin[min(a, b), max(a, b)]`` is read, as a's win when a < b."""
 
-    __slots__ = ("instance", "policy", "coin", "_values", "_delta")
+    __slots__ = ("instance", "policy", "coin")
 
     def __init__(self, instance: Instance, policy: str,
                  coin: Optional[np.ndarray] = None):
@@ -511,30 +497,13 @@ class PolicyTournament(RuleTournament):
         if (policy == "random") != (coin is not None):
             raise ValueError("the random policy and only it takes a coin array")
         self.instance, self.policy, self.coin = instance, policy, coin
-        self._values = instance.values
-        self._delta = instance.delta
         self._checked = instance  # valid by construction
 
     def beats(self, a, b):
-        coin = None
-        if self.coin is not None:
-            coin = self.coin[np.minimum(a, b), np.maximum(a, b)] ^ (a > b)
-        return self._orient(a, b, coin)
-
-    def _beats_grid(self, rows, cols):
-        coin = None
-        if self.coin is not None:
-            # whole-row gathers: far cheaper than one gather per pair
-            coin = np.where(rows[:, None] < cols, self.coin[rows][:, cols],
-                            ~self.coin[cols][:, rows].T)
-        return self._orient(rows[:, None], cols[None, :], coin)
-
-    def _orient(self, a, b, coin):
-        """Whether a beats b; ``coin`` holds a's coin for each pair under
-        the random policy."""
+        values, delta = self.instance.values, self.instance.delta
         # Instance.forces, inline and fused with the policy
         with np.errstate(over="ignore"):
-            d = self._values[a] - self._values[b]
+            d = values[a] - values[b]
         if self.policy == "larger-wins":
             # ties go to the lower index; every gap above zero is a win
             return (d > 0) | ((d == 0) & (a < b))
@@ -542,25 +511,27 @@ class PolicyTournament(RuleTournament):
             pref = (d < 0) | ((d == 0) & (a < b))
         elif self.policy == "lower-index-wins":
             pref = a < b
-        else:
-            pref = coin & (a != b)
+        else:   # a's coin; an item never beats itself
+            coin = self.coin[np.minimum(a, b), np.maximum(a, b)]
+            pref = (coin ^ (a > b)) & (a != b)
         # a free win needs d <= 0 under smaller-wins, and is moot for d > delta
-        return (d > self._delta) | ((d >= -self._delta) & pref)
+        return (d > delta) | ((d >= -delta) & pref)
 
     def wins_within(self, items):
         """Counted in O(m log m) for smaller-wins, from the items' (value,
         index) order; the other policies use the grid."""
         if self.policy != "smaller-wins":
             return super().wins_within(items)
-        values = self._values[items]
+        values = self.instance.values[items]
         order = np.lexsort((items, values))
         rank = np.empty(len(items), dtype=np.int64)
         rank[order] = np.arange(len(items))
         # a beats b when d = v_a - v_b > delta (forced), or when b comes
         # after a in (value, index) order and d >= -delta (free)
         ranked = values[order]
-        forced = _prefix_lengths(values, ranked, np.greater, self._delta)
-        free_end = _prefix_lengths(values, ranked, np.greater_equal, -self._delta)
+        delta = self.instance.delta
+        forced = _prefix_lengths(values, ranked, np.greater, delta)
+        free_end = _prefix_lengths(values, ranked, np.greater_equal, -delta)
         return forced + free_end - rank - 1
 
 
@@ -568,7 +539,7 @@ def _prefix_lengths(x: np.ndarray, ranked: np.ndarray, holds, limit) -> np.ndarr
     """For each x[i], how many of the ascending ``ranked`` values r give
     ``holds(x[i] - r, limit)``. The rounded difference falls as r rises, so
     those r are a prefix, whose length a vectorized bisection finds on the
-    expression ``PolicyTournament._orient`` evaluates: exact under rounding."""
+    expression ``PolicyTournament.beats`` evaluates: exact under rounding."""
     ranked = np.append(ranked, np.inf)  # past the end, no difference holds
     lo = np.zeros(len(x), dtype=np.int64)
     hi = np.full(len(x), len(x), dtype=np.int64)

@@ -28,6 +28,7 @@ __all__ = [
     "check_keys",
     "check_choice",
     "MAX_INSTANCE_SIZE",
+    "as_index",
     "forced_winner",
     "is_t_approx",
     "is_t_sorted",
@@ -403,22 +404,38 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
+def as_index(i) -> int:
+    """``i`` as a Python int: a numpy integer is taken as its int, and a
+    bool, float or string is no index (InvalidQueryError)."""
+    if isinstance(i, numbers.Integral) and not isinstance(i, bool):
+        return int(i)
+    raise InvalidQueryError(f"index {i!r} is not an integer")
+
+
 def forced_winner(instance: Instance, i: int, j: int) -> Optional[int]:
-    """Index of the forced winner of (i, j), or None when the pair is free.
+    """Index of the forced winner of (i, j), or None when the pair is free:
+    the one-pair form of ``Instance.forces``, on Python floats, whose
+    subtraction overflows to an infinity of the right sign as numpy's does.
 
     A pair is forced exactly when the value gap strictly exceeds ``delta``.
     """
-    if not (0 <= i < instance.n and 0 <= j < instance.n):
-        raise InvalidQueryError(f"indices ({i}, {j}) out of range for n={instance.n}")
+    if type(i) is not int or type(j) is not int:
+        i, j = as_index(i), as_index(j)
+    values = instance.values
+    n = len(values)
+    if not (0 <= i < n and 0 <= j < n):
+        raise InvalidQueryError(f"indices ({i}, {j}) out of range for n={n}")
     if i == j:
         raise InvalidQueryError("cannot compare an index with itself")
-    if instance.forces(i, j):
+    gap = values.item(i) - values.item(j)
+    if gap > instance.delta:
         return i
-    return j if instance.forces(j, i) else None
+    return j if -gap > instance.delta else None
 
 
-def is_t_approx(output_value: float, instance: Instance, t: float) -> bool:
-    """True iff ``output_value`` is within ``t`` of the instance maximum."""
+def is_t_approx(output_value, instance: Instance, t: float):
+    """Whether ``output_value`` is within ``t`` of the instance maximum,
+    elementwise over an array of output values."""
     if not t >= 0:   # NaN too
         raise ValueError("t must be non-negative")
     return output_value >= instance.max_value - t

@@ -38,7 +38,7 @@ from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
 from .algorithms import (LaneBlock, combined_select, complete_tournament,
                          modified_knockout, quick_select, sequential_select)
 from .core import (Instance, RngSeed, check_choice, check_keys, check_number,
-                   is_t_sorted)
+                   is_t_approx, is_t_sorted)
 from .generators import parse_generator
 from .sorting import complete_sort, quick_sort
 
@@ -172,20 +172,17 @@ def build_instance(source, rng) -> tuple[Instance, Optional[TournamentGraph]]:
 
 # n below which a rule adversary built for a single trial answers a session's
 # batches faster from a dense matrix: the matrix costs O(n^2) to build once,
-# each on-demand batch a few numpy operations. q-sort asks about n batches
-# per trial, the other algorithms O(log n) or one. Measured crossovers on a
-# 2-core x86 box; see README.
-DENSE_BELOW_N = {"q-sort": 512}
-DENSE_BELOW_N_DEFAULT = 64
+# each on-demand batch a few numpy operations. Measured on a 2-core x86 box;
+# see README.
+DENSE_BELOW_N = 64
 
 
-def _engine_form(adversary, kept: bool, algorithm: str):
+def _engine_form(adversary, kept: bool):
     """The dense matrix of a rule adversary where that is cheaper: when the
     harness keeps it for every trial, or when n is small. Everything else
     is returned as it is."""
     if isinstance(adversary, RuleTournament) and fits_dense_budget(adversary.n) \
-            and (kept or adversary.n < DENSE_BELOW_N.get(
-                algorithm, DENSE_BELOW_N_DEFAULT)):
+            and (kept or adversary.n < DENSE_BELOW_N):
         return adversary.dense()
     return adversary
 
@@ -257,7 +254,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
         errors, queries = _lane_trials(config, root, instance, adversary, lo, hi)
         return TrialData(errors=errors, queries=queries, round_sizes=[],
                          wall_time=time.perf_counter() - start, n=instance.n)
-    adversary = _engine_form(adversary, keep_adversary, config.algorithm)
+    adversary = _engine_form(adversary, keep_adversary)
 
     is_sort = config.algorithm in SORTERS
     is_comb = config.algorithm == "comb"
@@ -270,9 +267,8 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
         if t > lo and not keep_instance:
             instance, cgraph = build_instance(config.instance, instance_rngs.at(t))
         if t > lo and not keep_adversary:
-            adversary = _engine_form(
-                adversary_from_spec(adv_spec, instance, adversary_rngs.at(t), cgraph),
-                False, config.algorithm)
+            adversary = _engine_form(adversary_from_spec(
+                adv_spec, instance, adversary_rngs.at(t), cgraph), False)
         session = ComparatorSession(instance, adversary, record=False)
         result = run_algorithm(config.algorithm, session, alg_rngs.at(t),
                                config.epsilon)
@@ -283,7 +279,8 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
             errors[k] = not is_t_sorted(
                 instance.values[list(result.order)].tolist(), config.t)
         else:
-            errors[k] = instance.values[result.winner] < instance.max_value - config.t
+            errors[k] = not is_t_approx(instance.values[result.winner], instance,
+                                        config.t)
             if is_comb:
                 round_sizes.append(result.sizes)
     return TrialData(errors=errors, queries=queries, round_sizes=round_sizes,
@@ -303,8 +300,7 @@ def _lane_trials(config: TrialConfig, root: RngSeed, instance: Instance, graph,
         result = run_algorithm("q-select", LaneBlock(graph, instance.n, rng), None)
         winners.append(result.winners)
         queries.append(result.lane_queries)
-    winners = np.concatenate(winners)
-    errors = instance.values[winners] < instance.max_value - config.t
+    errors = ~is_t_approx(instance.values[np.concatenate(winners)], instance, config.t)
     return errors, np.concatenate(queries)
 
 

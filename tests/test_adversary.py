@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advsel.adversary import (AdversaryProtocolError, ComparatorSession,
-                              MemoizedStrategy, PivotKiller, TournamentGraph,
+from advsel.adversary import (NONADAPTIVE_POLICIES, AdversaryProtocolError,
+                              ComparatorSession, MemoizedStrategy,
+                              PivotKiller, TournamentGraph,
                               adversary_from_spec, build_nonadaptive,
                               comparator_for, komod_hard_instance,
                               lemma_one_construction, lemma_two_construction,
@@ -340,6 +341,22 @@ class TestKomodHard:
             g.dense().matrix[0, 1] = True
 
 
+class _Liar:
+    """Answers every query with the lower index, forced or not."""
+
+    def decide(self, instance, i, j, log, pivot):
+        return min(i, j)
+
+
+def fig1_session(kind):
+    """A session on fig1's instance against a dense graph (answered from
+    its matrix), a rule, the pivot-killer or a liar with no batch form."""
+    inst, graph = fig1()
+    adversary = {"graph": graph, "rule": build_nonadaptive(inst, "smaller-wins"),
+                 "pivot-killer": PivotKiller(), "liar": _Liar()}[kind]
+    return ComparatorSession(inst, adversary)
+
+
 class TestSession:
     def test_fig1_queries(self):
         inst, g = fig1()
@@ -371,6 +388,26 @@ class TestSession:
             s.query(2, 2)
         with pytest.raises(InvalidQueryError):
             s.query(0, 7)
+
+    @pytest.mark.parametrize("i, j", [(True, 0), (0, False), (0.0, 1.0), (1, 0.0),
+                                      ("0", 1), (np.float64(2), 0),
+                                      (np.bool_(True), 0)])
+    @pytest.mark.parametrize("adversary", ["graph", "rule", "pivot-killer", "liar"])
+    def test_non_integer_indices_refused(self, i, j, adversary):
+        s = fig1_session(adversary)
+        with pytest.raises(InvalidQueryError, match="is not an integer"):
+            s.query(i, j)
+        assert s.queries == 0
+
+    @pytest.mark.parametrize("adversary", ["graph", "rule", "pivot-killer", "liar"])
+    def test_numpy_integers_are_taken_as_ints(self, adversary):
+        s = fig1_session(adversary)
+        for i, j in ((np.int64(3), np.int64(0)), (np.uint8(1), 2), (0, np.int32(2))):
+            answer = s.query(i, j)
+            assert type(answer) is int and answer == s.query(int(i), int(j))
+        assert all(type(x) is int
+                   for column in (s.log.left, s.log.right, s.log.winner)
+                   for x in column)
 
     def test_violation_flag_and_override(self):
         class Liar:
@@ -426,7 +463,8 @@ class TestPivotKiller:
         s = ComparatorSession(inst, PivotKiller())
         assert s.query(2, 1, pivot=None) == 1
 
-    @pytest.mark.parametrize("i,j", [(0, 0), (-1, 0), (0, -1), (3, 0), (0, 3)])
+    @pytest.mark.parametrize("i,j", [(0, 0), (-1, 0), (0, -1), (3, 0), (0, 3),
+                                     (True, 0), (0.0, 1.0), (0, "1")])
     def test_decide_rejects_bad_pairs(self, i, j):
         with pytest.raises(InvalidQueryError):
             PivotKiller().decide(Instance((0.0, 0.0, 5.0)), i, j, None, None)
@@ -627,11 +665,16 @@ def circulant_reference(n):
     return (dist >= 1) & (dist <= (n - 1) // 2)
 
 
-def policy_beats(inst, policy, a, b):
-    """Whether a beats b, asked pair by pair: the forced rule, then the
-    policy's preference on a free pair."""
+def policy_beats(graph, a, b):
+    """Whether a beats b under a policy graph, asked pair by pair: the
+    forced rule, then the policy's preference on a free pair."""
+    inst, policy = graph.instance, graph.policy
     if inst.forces(a, b) or inst.forces(b, a):
         return bool(inst.forces(a, b))
+    if policy == "lower-index-wins":
+        return a < b
+    if policy == "random":
+        return bool(graph.coin[min(a, b), max(a, b)]) == (a < b)
     va, vb = inst.values.item(a), inst.values.item(b)
     prefer = va > vb if policy == "larger-wins" else va < vb
     return prefer or (va == vb and a < b)
@@ -665,19 +708,20 @@ def near_delta_values(draw):
 
 
 class TestCountedWins:
-    """Counted round-robin wins equal the blocked grid's and those of a
-    reference asking every pair alone."""
+    """Counted round-robin wins equal the blocked grid's, the dense
+    matrix's and those of a reference asking every pair alone."""
 
-    @given(case=near_delta_values(),
-           policy=st.sampled_from(["larger-wins", "smaller-wins"]))
+    @given(case=near_delta_values(), policy=st.sampled_from(NONADAPTIVE_POLICIES),
+           seed=st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
-    def test_policies(self, case, policy):
+    def test_policies(self, case, policy, seed):
         inst, items = case
-        graph = build_nonadaptive(inst, policy)
-        want = [sum(policy_beats(inst, policy, a, b) for b in items.tolist() if b != a)
+        graph = build_nonadaptive(inst, policy, RngSeed(seed))
+        want = [sum(policy_beats(graph, a, b) for b in items.tolist() if b != a)
                 for a in items.tolist()]
         assert graph.wins_within(items).tolist() == want
         assert TournamentGraph.wins_within(graph, items).tolist() == want
+        assert graph.dense().wins_within(items).tolist() == want
 
     @given(name=st.sampled_from(["komod-hard", "lemma1", "lemma2"]),
            size=st.integers(1, 30), seed=st.integers(0, 2 ** 32), data=st.data())

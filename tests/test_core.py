@@ -116,6 +116,17 @@ class TestForcedWinner:
         with pytest.raises(InvalidQueryError):
             forced_winner(Instance((1.0, 2.0)), 0, 2)
 
+    @pytest.mark.parametrize("i, j", [(True, 0), (0, False), (0.0, 1.0),
+                                      ("0", 1), (np.float64(1), 0),
+                                      (np.bool_(False), 1)])
+    def test_non_integer_index_rejected(self, i, j):
+        with pytest.raises(InvalidQueryError, match="is not an integer"):
+            forced_winner(Instance((1.0, 5.0)), i, j)
+
+    def test_numpy_integer_taken_as_int(self):
+        winner = forced_winner(Instance((1.0, 5.0)), np.int64(0), np.uint16(1))
+        assert type(winner) is int and winner == 1
+
     @given(st.lists(st.integers(0, 6), min_size=2, max_size=6))
     def test_gap_rule(self, values):
         inst = Instance(tuple(float(v) for v in values))

@@ -1,6 +1,10 @@
 """The model's one rule, ``Instance.forces``, against every form of it that
-answers or checks a pair: they agree on which pairs are forced and who wins
-them, down to the last ulp of a value gap and past the float range."""
+answers or checks a pair: its one-pair form ``forced_winner``, which a
+session asks for an adversary asked pair by pair and ``PivotKiller.decide``
+asks; the free-edge policies' fused rule (``PolicyTournament.beats``) and
+its dense copy; ``TournamentGraph.validate_for``; ``validate_log``; and the
+pivot-killer's batch form. They agree on which pairs are forced and who
+wins them, down to the last ulp of a value gap and past the float range."""
 
 import math
 

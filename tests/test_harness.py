@@ -208,8 +208,7 @@ class TestReproducibility:
                           seed=15)
         runs = []
         for below in (0, 10 ** 9):   # every rule on demand, then every one dense
-            monkeypatch.setattr(harness, "DENSE_BELOW_N", {})
-            monkeypatch.setattr(harness, "DENSE_BELOW_N_DEFAULT", below)
+            monkeypatch.setattr(harness, "DENSE_BELOW_N", below)
             runs.append(run_trials(cfg))
         assert np.array_equal(runs[0].errors, runs[1].errors)
         assert np.array_equal(runs[0].queries, runs[1].queries)
@@ -219,22 +218,24 @@ class TestReproducibility:
         small = build_nonadaptive(Instance((0.0,) * 10), "smaller-wins")
         large = build_nonadaptive(Instance((0.0,) * 600), "smaller-wins")
 
-        def dense(adv, static, algorithm="q-select"):
-            out = harness._engine_form(adv, static, algorithm)
+        def dense(adv, static):
+            out = harness._engine_form(adv, static)
             return not isinstance(out, RuleTournament) and \
                 isinstance(out, TournamentGraph)
 
         assert dense(small, static=False)          # below the crossover
         assert not dense(large, static=False)       # per trial, large n
         assert dense(large, static=True)            # reused by every trial
-        assert not dense(large, static=False, algorithm="q-sort")
-        assert dense(build_nonadaptive(Instance((0.0,) * 300), "larger-wins"),
-                     static=False, algorithm="q-sort")
+        edge = harness.DENSE_BELOW_N
+        assert dense(build_nonadaptive(Instance((0.0,) * (edge - 1)), "larger-wins"),
+                     static=False)
+        assert not dense(build_nonadaptive(Instance((0.0,) * edge), "larger-wins"),
+                         static=False)
         from advsel import adversary
         monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 50)
         assert not dense(small, static=True)        # past the budget
         killer = PivotKiller()
-        assert harness._engine_form(killer, True, "q-select") is killer
+        assert harness._engine_form(killer, True) is killer
 
     def test_worker_count_capped_at_cores(self, monkeypatch):
         monkeypatch.setenv("ADVSEL_THREADS", "100000")
@@ -291,6 +292,13 @@ class TestCsv:
         csv = bound_report(seed=20250810, scale=0.001).csv_text
         assert hashlib.sha256(csv.encode()).hexdigest() == \
             "0a3cc4b1b3c184fa37aac8eafafd9ff2dc7a23410bd4cbb16e5b6b7042f54d45"
+
+    def test_report_draw_contract_past_the_chunks(self):
+        # the same at a scale whose rows cross _SEED_CHUNK and the lane
+        # chunks: a seq row of 2400 trials, a q-select row of 480 lanes
+        csv = bound_report(seed=20250810, scale=0.12).csv_text
+        assert hashlib.sha256(csv.encode()).hexdigest() == \
+            "0e9ff5b1940c81faf46f41b7b9b5f8d359a4f8537f95ee3ed39f466e1874d872"
 
     def test_row_format_stable(self):
         cfg = TrialConfig(algorithm="compl", instance="zeros:6",

@@ -8,7 +8,8 @@ sequence is part of each algorithm's contract.
 
 Quick-select rounds run over lanes: a session is a block of one lane, and a
 ``LaneBlock`` runs many trials in lockstep against one graph, each lane
-drawing what its trial's own generator would, so one round serves both.
+drawing what its trial's own generator would, so one round serves both
+(``sorting.quick_sort`` runs over lanes the same way).
 """
 
 from __future__ import annotations
@@ -193,15 +194,32 @@ def modified_knockout(session, epsilon: float, items=None,
 
 
 class LaneBlock:
-    """Trials of quick-select run in lockstep as the lanes of one block,
-    against one graph that is valid for the instance: lane k is one trial,
-    drawing from lane k of ``rng`` exactly what its own ``Generator`` would.
-    Pass it to ``quick_select`` in place of a session; ``queries`` counts
-    each lane's queries."""
+    """Trials of quick-select or quick-sort run in lockstep as the lanes of
+    one block, against one graph: lane k is one trial, drawing from lane k
+    of ``rng`` exactly what its own ``Generator`` would, and its item i is
+    the graph's item ``k * stride + i``. The stride is 0 for a graph valid
+    for the one instance every trial shares, and n for a rule on the trials'
+    own instances stacked lane after lane. Pass it to ``quick_select`` or
+    ``quick_sort`` in place of a session; ``queries`` counts each lane's
+    queries."""
 
-    def __init__(self, graph, n_items: int, rng: PCG64Lanes):
+    def __init__(self, graph, n_items: int, rng: PCG64Lanes, stride: int = 0):
         self.graph, self.n_items, self.rng = graph, n_items, rng
+        self.stride = stride
         self.queries = np.zeros(len(rng), dtype=np.int64)
+
+    def lane_items(self, items: np.ndarray) -> np.ndarray:
+        """Every lane's ``items`` as graph items, lane after lane."""
+        lanes = len(self.queries)
+        flat = np.tile(items, lanes)
+        if self.stride:
+            flat += np.repeat(np.arange(0, lanes * self.stride, self.stride),
+                              len(items))
+        return flat
+
+    def trial_items(self, flat: np.ndarray) -> np.ndarray:
+        """Graph items as the items of their lanes' trials."""
+        return flat % self.stride if self.stride else flat
 
     def draw(self, lanes, sizes, starts):
         """Where each lane's pivot is in the flat items."""
@@ -318,8 +336,9 @@ def quick_select(session, items=None, rng=None):
     x = _resolve(session, items)
     if isinstance(session, LaneBlock):
         lanes = len(session.queries)
-        winners, _ = _select_lanes(session, np.tile(x, lanes), lanes)
-        return LaneResult(winners, int(session.queries.sum()), session.queries)
+        winners, _ = _select_lanes(session, session.lane_items(x), lanes)
+        return LaneResult(session.trial_items(winners), int(session.queries.sum()),
+                          session.queries)
     start = session.queries
     winners, rounds = _select_lanes(_SessionLane(session, _rng(rng)), x, 1)
     return SelectionResult(int(winners[0]), session.queries - start,

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -433,12 +433,15 @@ def forced_winner(instance: Instance, i: int, j: int) -> Optional[int]:
     return j if -gap > instance.delta else None
 
 
-def is_t_approx(output_value, instance: Instance, t: float):
+def is_t_approx(output_value, instance, t: float):
     """Whether ``output_value`` is within ``t`` of the instance maximum,
-    elementwise over an array of output values."""
+    elementwise over an array of output values. ``instance`` may also be
+    the maxima themselves, one per output value (for trials whose instances
+    differ)."""
     if not t >= 0:   # NaN too
         raise ValueError("t must be non-negative")
-    return output_value >= instance.max_value - t
+    maximum = instance.max_value if isinstance(instance, Instance) else instance
+    return output_value >= maximum - t
 
 
 def validate_log(instance: Instance, log: QueryLog) -> None:
@@ -469,14 +472,21 @@ def validate_log(instance: Instance, log: QueryLog) -> None:
         f"record {k}: pair ({i}, {j}) is forced toward {want} but {won} won")
 
 
-def is_t_sorted(output_order: Sequence[float] | Iterable[float], t: float) -> bool:
+def is_t_sorted(output_order: Iterable[float] | np.ndarray, t: float):
     """True iff no later element exceeds an earlier one by more than ``t``.
 
     Equivalent to the O(n^2) all-pairs check; implemented with a running
-    minimum of the prefix.
+    minimum of the prefix. A 2-D array is one sequence per row, and gives
+    one bool per row, from the same float expression.
     """
     if not t >= 0:   # NaN too
         raise ValueError("t must be non-negative")
+    if isinstance(output_order, np.ndarray) and output_order.ndim == 2:
+        rows = output_order
+        if not rows.shape[1]:
+            raise ValueError("sequence must be nonempty")
+        running_min = np.minimum.accumulate(rows[:, :-1], axis=1)
+        return ~(rows[:, 1:] > running_min + t).any(axis=1)
     seq = list(output_order)
     if not seq:
         raise ValueError("sequence must be nonempty")

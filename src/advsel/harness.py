@@ -14,9 +14,15 @@ keeps a build for every later trial exactly when nothing drew from that
 trial's generator, so the build is the same for every trial. An adversary is
 kept when it answers its own batches (a graph valid for the instance), and
 only with a kept instance: strategies can hold per-session state and are
-rebuilt for every trial. A q-select block whose adversary is kept runs its
-trials as the lanes of ``algorithms.LaneBlock``s, in lockstep, each lane
-drawing what its trial's own generator would.
+rebuilt for every trial.
+
+Lane rule: a q-select or q-sort block runs its trials as the lanes of
+``algorithms.LaneBlock``s, in lockstep, each lane drawing what its trial's
+own generator would, in two cases: its adversary is kept, or its instance is
+drawn per trial and its adversary is a policy that reads only values and
+index order (smaller-wins, larger-wins, lower-index-wins). Then the trials'
+instances are stacked lane after lane, and one policy on the stack answers
+every lane as it would answer the trial alone.
 """
 
 from __future__ import annotations
@@ -234,9 +240,15 @@ class _TrialStreams:
         return self.generator.bit_generator.state != self.current
 
 
+# policies that read only values and index order, so one rule answers the
+# trials' instances stacked: ``random`` would draw its coins for the stack
+STACKED_POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins")
+
+
 def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
-    """Run trials lo..hi-1 of a config: as lanes of ``quick_select`` blocks
-    when the algorithm is q-select and the adversary is kept, else one by one."""
+    """Run trials lo..hi-1 of a config: as lanes when the algorithm runs
+    over lanes and either the adversary is kept or the instance is drawn per
+    trial against a policy that stacks; else one by one."""
     start = time.perf_counter()
     adv_spec = parse_adversary(config.adversary)
     root = RngSeed(config.seed, config.stream)
@@ -250,8 +262,13 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
     keep_instance = not instance_rngs.drew()
     keep_adversary = keep_instance and not adversary_rngs.drew() \
         and comparator_for(instance, adversary) is adversary
-    if config.algorithm == "q-select" and keep_adversary:
-        errors, queries = _lane_trials(config, root, instance, adversary, lo, hi)
+    # the stacking is decided by the policy's name: a seeded ``random``
+    # leaves the trial's generator untouched, yet would draw for the stack
+    stacks = not keep_instance and adv_spec["kind"] == "nonadaptive" \
+        and adv_spec["policy"] in STACKED_POLICIES
+    if config.algorithm in ("q-select", "q-sort") and (keep_adversary or stacks):
+        errors, queries = _lane_trials(config, root, instance,
+                                       adversary if keep_adversary else None, lo, hi)
         return TrialData(errors=errors, queries=queries, round_sizes=[],
                          wall_time=time.perf_counter() - start, n=instance.n)
     adversary = _engine_form(adversary, keep_adversary)
@@ -290,18 +307,42 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
 
 def _lane_trials(config: TrialConfig, root: RngSeed, instance: Instance, graph,
                  lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Errors and queries of q-select trials lo..hi-1 against a kept graph,
-    run as the lanes of blocks of at most ``_SEED_CHUNK`` trials and about
-    ``_LANE_ITEMS`` items."""
-    chunk = max(1, min(_SEED_CHUNK, _LANE_ITEMS // instance.n))
-    winners, queries = [], []
+    """Errors and queries of trials lo..hi-1, run as the lanes of blocks of
+    at most ``_SEED_CHUNK`` trials and about ``_LANE_ITEMS`` items. ``graph``
+    is the kept adversary on ``instance``, trial lo's; when it is None, each
+    block stacks its trials' own instances, built as the trials would build
+    them, and asks one policy on the stack."""
+    n = instance.n
+    chunk = max(1, min(_SEED_CHUNK, _LANE_ITEMS // n))
+    if graph is None:
+        adv_spec = parse_adversary(config.adversary)
+        instance_rngs = _TrialStreams(root, 0, lo, hi)
+    errors, queries = [], []
     for first in range(lo, hi, chunk):
-        rng = root.pcg64_lanes(first, min(first + chunk, hi), 2)
-        result = run_algorithm("q-select", LaneBlock(graph, instance.n, rng), None)
-        winners.append(result.winners)
+        end = min(first + chunk, hi)
+        rng = root.pcg64_lanes(first, end, 2)
+        if graph is None:
+            # trial lo's instance is built already
+            trials = [instance if t == lo else
+                      build_instance(config.instance, instance_rngs.at(t))[0]
+                      for t in range(first, end)]
+            stacked = Instance(np.concatenate([i.values for i in trials]),
+                               instance.delta)
+            block = LaneBlock(adversary_from_spec(adv_spec, stacked), n, rng, n)
+            values = stacked.values.reshape(end - first, n)
+        else:
+            block = LaneBlock(graph, n, rng)
+            values = np.broadcast_to(instance.values, (end - first, n))
+        result = run_algorithm(config.algorithm, block, None)
+        if config.algorithm == "q-sort":
+            ok = is_t_sorted(np.take_along_axis(values, result.orders, 1), config.t)
+        else:
+            won = values[np.arange(end - first), result.winners]
+            ok = is_t_approx(won, values.max(axis=1) if graph is None else instance,
+                             config.t)
+        errors.append(~ok)
         queries.append(result.lane_queries)
-    errors = ~is_t_approx(instance.values[np.concatenate(winners)], instance, config.t)
-    return errors, np.concatenate(queries)
+    return np.concatenate(errors), np.concatenate(queries)
 
 
 def _worker_count() -> int:

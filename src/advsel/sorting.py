@@ -1,5 +1,8 @@
 """Sorting under adversarial comparators: win-count sort and quick-sort, plus
-the exact noiseless quick-sort cost used as the query-count oracle."""
+the exact noiseless quick-sort cost used as the query-count oracle.
+
+Quick-sort runs over lanes as quick-select does: a session is a block of one
+lane, and an ``algorithms.LaneBlock`` sorts many trials in lockstep."""
 
 from __future__ import annotations
 
@@ -7,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import _resolve, _rng
+from .algorithms import _NO_LANES, LaneBlock, _SessionLane, _resolve, _rng
 
-__all__ = ["SortResult", "complete_sort", "quick_sort", "exact_expected_queries"]
+__all__ = ["SortResult", "LaneSortResult", "complete_sort", "quick_sort",
+           "exact_expected_queries"]
 
 
 @dataclass(frozen=True)
@@ -34,35 +38,118 @@ def complete_sort(session, items=None, rng=None) -> SortResult:
     return SortResult(tuple(items[order].tolist()), session.queries - start)
 
 
-def quick_sort(session, items=None, rng=None) -> SortResult:
+@dataclass(frozen=True)
+class LaneSortResult:
+    """``quick_sort`` on a block: each lane's order, one row per lane, and
+    ``queries``, the block's total."""
+
+    orders: np.ndarray
+    queries: int
+    lane_queries: np.ndarray
+
+
+def quick_sort(session, items=None, rng=None):
     """Classic randomized quick-sort: partition on a uniform pivot into the
     items that beat it and the items it beat (stable encounter order), recurse
-    winners-side first."""
-    items = _resolve(session, items)
-    rng = _rng(rng)
+    winners-side first.
+
+    ``session`` may be a ``LaneBlock``, whose lanes all start from ``items``
+    and run in lockstep: the result is then a ``LaneSortResult``."""
+    x = _resolve(session, items)
+    if isinstance(session, LaneBlock):
+        lanes = len(session.queries)
+        out = session.trial_items(_sort_lanes(session, session.lane_items(x), lanes))
+        return LaneSortResult(out.reshape(lanes, len(x)), int(session.queries.sum()),
+                              session.queries)
     start = session.queries
-    out = items.copy()  # a single item is already in place
-    # segments of two or more items wait with their offset in `out` on an
-    # explicit stack, so deep partitions cannot hit the recursion limit;
-    # pivots and single items are written straight to theirs. The winners'
-    # side is popped first, so the draws come in depth-first order.
-    stack = [(items, 0)] if len(items) > 1 else []
-    while stack:
-        arr, begin = stack.pop()
-        p = int(rng.integers(len(arr)))
-        beat = session.pivot_round(int(arr[p]), arr)
-        winners = arr[beat]
-        lost = ~beat
-        lost[p] = False
-        losers = arr[lost]
-        mid = begin + len(winners)
-        out[mid] = arr[p]
-        for seg, offset in ((losers, mid + 1), (winners, begin)):
-            if len(seg) > 1:
-                stack.append((seg, offset))
-            elif len(seg):
-                out[offset] = seg[0]
+    out = _sort_lanes(_SessionLane(session, _rng(rng)), x, 1)
     return SortResult(tuple(out.tolist()), session.queries - start)
+
+
+def _sort_lanes(block, items: np.ndarray, count: int) -> np.ndarray:
+    """Quick-sort on the ``count`` lanes of a block, whose items are ``items``
+    cut into equal runs: a copy of ``items`` with each run in its lane's order.
+
+    Each lane keeps a stack of its segments of two or more items still to
+    partition, as (begin, length) in the flat order, so deep partitions cannot
+    hit the recursion limit. A step pops one segment per lane, partitions it,
+    and pushes the losers' side, then the winners': the winners' side is
+    partitioned first, and every lane draws in depth-first order. A pivot or
+    a single item is in place once written."""
+    out = items.copy()
+    m = len(items) // count
+    if m < 2:
+        return out
+    lanes = np.arange(count)
+    if isinstance(block, _SessionLane):
+        # one lane: a list of (begin, length) costs less per step than arrays
+        step, stack, depth = _partition_one, [(0, m)], None
+    else:
+        # a lane's stack: disjoint segments, each of two or more of its m items
+        step = _partition_lanes
+        stack = np.empty((2, count, m // 2), dtype=np.int64)
+        stack[0, :, 0] = np.arange(0, len(items), m)
+        stack[1, :, 0] = m
+        depth = np.ones(count, dtype=np.int64)
+    while len(lanes):
+        lanes = step(block, lanes, out, stack, depth)
+    return out
+
+
+def _partition_one(lane: _SessionLane, lanes, out, stack: list, depth):
+    """``_partition_lanes`` on a session, a block of one lane that draws from
+    its own generator: through Python ints, a list stack and slices of
+    ``out``."""
+    begin, size = stack.pop()
+    end = begin + size
+    items = out[begin:end]
+    at = lane.rng.integers(size)
+    pivot = items.item(at)
+    beat = lane.session.pivot_round(pivot, items)
+    lost = ~beat
+    lost[at] = False
+    winners, losers = items[beat], items[lost]
+    mid = begin + len(winners)
+    out[begin:mid] = winners
+    out[mid] = pivot
+    out[mid + 1:end] = losers
+    if end - mid > 2:
+        stack.append((mid + 1, end - mid - 1))
+    if mid - begin > 1:
+        stack.append((begin, mid - begin))
+    return lanes if stack else _NO_LANES
+
+
+def _partition_lanes(block, lanes, out, stack, depth):
+    """Pop the top segment of each of the ``lanes`` of a block, draw its
+    pivot and ask the pivot against the segment, all lanes in one batch, then
+    write each segment back stably as winners, pivot, losers, and push the
+    two sides that hold two or more items. The lanes with segments left."""
+    depth[lanes] -= 1
+    begin, size = stack[:, lanes, depth[lanes]]
+    starts = size.cumsum() - size
+    spots = np.arange(starts[-1] + size[-1]) + np.repeat(begin - starts, size)
+    items = out[spots]
+    at = block.draw(lanes, size, starts)
+    beat = block.pivot_round(lanes, items[at], items, size)
+    lost = ~beat
+    lost[at] = False
+    # an item's place in its segment's winners (losers): the winners (losers)
+    # before it in the step, less those before its segment
+    won_before = beat.cumsum() - beat
+    lost_before = lost.cumsum() - lost
+    won = np.add.reduceat(beat, starts, dtype=np.int64)
+    mid = begin + won
+    place = np.where(beat, won_before + np.repeat(begin - won_before[starts], size),
+                     lost_before + np.repeat(mid + 1 - lost_before[starts], size))
+    place[at] = mid
+    out[place] = items
+    for b, s in ((mid + 1, size - won - 1), (begin, won)):
+        push = s > 1
+        into = lanes[push]
+        stack[:, into, depth[into]] = b[push], s[push]
+        depth[into] += 1
+    return lanes[depth[lanes] > 0]
 
 
 def exact_expected_queries(n: int) -> float:

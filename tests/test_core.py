@@ -190,6 +190,33 @@ class TestSorted:
         assert is_t_sorted(seq, t) == brute
 
 
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 9),
+           t=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324]),
+                       st.floats(0, 1e6)))
+    def test_rows_match_the_sequence_form(self, data, rows, cols, t):
+        # each later value is free or lies within an ulp of the prefix
+        # minimum plus t, where one rounding would flip the verdict
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+        table = []
+        for _ in range(rows):
+            row = [data.draw(values)]
+            for _ in range(cols - 1):
+                edge = min(row) + t
+                row.append(data.draw(st.one_of(values, st.sampled_from(
+                    [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]))))
+            table.append(row)
+        got = is_t_sorted(np.array(table), t)
+        assert got.dtype == bool and got.shape == (rows,)
+        assert got.tolist() == [is_t_sorted(row, t) for row in table]
+
+    def test_rows_reject_nan_or_negative_t_and_empty_rows(self):
+        for t in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                is_t_sorted(np.zeros((3, 4)), t)
+        with pytest.raises(ValueError):
+            is_t_sorted(np.zeros((3, 0)), 1.0)
+
+
 _INDEX = st.integers(-1, 4)   # an instance of 4 items, and one index past each end
 
 

@@ -1,7 +1,8 @@
-"""Quick-select trials in lockstep. ``PCG64Lanes`` must draw what numpy's
-``Generator.integers`` draws on each lane's state, bit for bit, and a
-``LaneBlock`` of trials must give every trial the winner, queries and error
-of the same trial run alone through a session."""
+"""Quick-select and quick-sort trials in lockstep. ``PCG64Lanes`` must draw
+what numpy's ``Generator.integers`` draws on each lane's state, bit for bit,
+and a ``LaneBlock`` of trials must give every trial the winner or order,
+queries and error of the same trial run alone through a session, whether
+the trials share a kept adversary or stack their own instances."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from advsel import harness
 from advsel.adversary import (ComparatorSession, lemma_one_construction,
                               lemma_two_construction, parse_adversary)
 from advsel.algorithms import LaneBlock, LaneResult, quick_select
-from advsel.core import RngSeed
+from advsel.core import Instance, RngSeed, is_t_sorted
 from advsel.harness import TrialConfig, build_instance
+from advsel.sorting import LaneSortResult, quick_sort
 
 # ranges past numpy's bounded-integer edge cases: 3 * 2**30 + 1 and 2**31 + 1
 # reject about a quarter and a half of their first uint32s
@@ -169,11 +171,101 @@ def test_rule_above_dense_budget(lane_calls, monkeypatch):
     assert data.errors.tolist() == errors
 
 
-@pytest.mark.parametrize("adversary", ["random", "pivot-killer"])
+def _trials_alone(cfg, lo, hi):
+    """Winners or orders, queries and errors of trials lo..hi-1, each run
+    alone through a session on its own build of the instance and adversary."""
+    root = RngSeed(cfg.seed, cfg.stream)
+    spec = parse_adversary(cfg.adversary)
+    outputs, queries, errors = [], [], []
+    for t in range(lo, hi):
+        inst, cgraph = build_instance(cfg.instance, root.generator(t, 0))
+        adv = harness.adversary_from_spec(spec, inst, root.generator(t, 1), cgraph)
+        session = ComparatorSession(inst, adv, record=False)
+        result = harness.run_algorithm(cfg.algorithm, session, root.generator(t, 2))
+        assert session.violations == 0
+        if cfg.algorithm == "q-sort":
+            outputs.append(list(result.order))
+            errors.append(not is_t_sorted(inst.values[outputs[-1]].tolist(), cfg.t))
+        else:
+            outputs.append(result.winner)
+            errors.append(inst.values[result.winner] < inst.max_value - cfg.t)
+        queries.append(result.queries)
+    return inst, outputs, queries, errors
+
+
+@pytest.mark.parametrize("kind", KEPT)
+@pytest.mark.parametrize("lo,hi", [(0, 45), (13, 50)])
+def test_sort_lanes_equal_trials_run_alone(kind, lo, hi, lane_calls, monkeypatch):
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    instance, adversary = KEPT[kind]
+    cfg = TrialConfig(algorithm="q-sort", instance=instance, adversary=adversary,
+                      t=0.0, trials=50, seed=9, stream=2)
+    inst, orders, queries, errors = _trials_alone(cfg, lo, hi)
+    data = harness._trial_block(cfg, lo, hi)
+    assert lane_calls == [(lo, hi)]
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+    assert data.violations == 0 and data.round_sizes == [] and data.n == inst.n
+    root = RngSeed(9, 2)
+    adv = harness.adversary_from_spec(parse_adversary(adversary), inst,
+                                      root.generator(lo, 1),
+                                      build_instance(instance, root.generator(lo, 0))[1])
+    result = quick_sort(LaneBlock(adv, inst.n, root.pcg64_lanes(lo, hi, 2)))
+    assert isinstance(result, LaneSortResult)
+    assert result.orders.tolist() == orders
+    assert result.lane_queries.tolist() == queries
+    assert result.queries == sum(queries)
+
+
+@pytest.mark.parametrize("algorithm", ["q-sort", "q-select"])
+@pytest.mark.parametrize("instance", ["zeroone:30", "uniform01:30"])
+@pytest.mark.parametrize("policy", ["smaller-wins", "larger-wins", "lower-index-wins"])
+@pytest.mark.parametrize("lo,hi", [(0, 45), (13, 50)])
+def test_stacked_lanes_equal_trials_run_alone(algorithm, instance, policy, lo, hi,
+                                              lane_calls, monkeypatch):
+    # each trial draws its instance: the lanes stack them, 7 at a time
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    cfg = TrialConfig(algorithm=algorithm, instance=instance, adversary=policy,
+                      t=0.5, trials=50, seed=9, stream=2)
+    inst, outputs, queries, errors = _trials_alone(cfg, lo, hi)
+    data = harness._trial_block(cfg, lo, hi)
+    assert lane_calls == [(lo, hi)]
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+    assert data.n == inst.n == 30 and data.violations == 0
+    # one block on the stack of all the trials' instances
+    root = RngSeed(9, 2)
+    stacked = Instance(np.concatenate([
+        build_instance(instance, root.generator(t, 0))[0].values
+        for t in range(lo, hi)]))
+    block = LaneBlock(harness.adversary_from_spec(parse_adversary(policy), stacked),
+                      30, root.pcg64_lanes(lo, hi, 2), 30)
+    result = harness.run_algorithm(algorithm, block, None)
+    lane_outputs = result.orders if algorithm == "q-sort" else result.winners
+    assert lane_outputs.tolist() == outputs
+    assert result.lane_queries.tolist() == queries
+
+
+# adversaries built per trial, and the instances each is tried on
+PER_TRIAL = {
+    "random": ("random", ("zeros:20", "zeroone:20")),
+    "pivot-killer": ("pivot-killer", ("zeros:20", "zeroone:20")),
+    # it draws nothing from the trial's generator, yet on a stack it would
+    # draw a coin for every pair of the stack
+    "seeded-random": ({"kind": "nonadaptive", "policy": "random", "seed": 5},
+                      ("zeroone:20",)),
+    "construction": ("construction", ("komodhard:20",)),
+}
+
+
+@pytest.mark.parametrize("adversary", PER_TRIAL)
 def test_per_trial_adversaries_are_not_lanes(adversary, lane_calls):
-    cfg = TrialConfig(algorithm="q-select", instance="zeros:20",
-                      adversary=adversary, trials=6, seed=1)
-    harness.run_trials(cfg)
+    spec, instances = PER_TRIAL[adversary]
+    for algorithm in ("q-select", "q-sort"):
+        for instance in instances:
+            cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                              adversary=spec, trials=6, seed=1)
+            harness.run_trials(cfg)
     assert lane_calls == []
 
 

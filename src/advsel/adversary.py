@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import (MAX_INSTANCE_SIZE, Instance, InvalidQueryError, QueryLog,
-                   RngSeed, as_index, check_choice, check_keys, check_number,
-                   forced_winner)
+from .core import (MAX_INSTANCE_SIZE, Instance, InvalidQueryError, PCG64Lanes,
+                   QueryLog, RngSeed, as_index, check_choice, check_keys,
+                   check_number, forced_winner)
 
 __all__ = [
     "TournamentGraph",
@@ -708,10 +708,25 @@ def lemma_one_construction(n: int, seed=None) -> tuple[Instance, ConstructionTou
     algorithm can tell the single 1 apart from the 0s.
     """
     n = _require_odd(n)
-    rng = _seed_rng(seed)
-    values = np.zeros(n)
-    values[int(rng.integers(n))] = 1.0
+    values = _lemma_one_values(n, _seed_rng(seed).integers(n))
     return _valid_pair(Instance(values), ConstructionTournament((n,)))
+
+
+def _lemma_one_values(n: int, top) -> np.ndarray:
+    """lemma1's values: all 0 but a 1 at index ``top``, one row per entry
+    when ``top`` is an array."""
+    top = np.asarray(top)
+    values = np.zeros((*top.shape, n))
+    np.put_along_axis(values, top[..., None], 1.0, axis=-1)
+    return values
+
+
+def _lemma_one_lanes(n: int, lanes: PCG64Lanes) -> np.ndarray:
+    """``lemma_one_construction``'s values on each lane of ``lanes``, one row
+    per lane, from the same one ``integers(n)`` draw. Its graph is the same
+    for every draw."""
+    return _lemma_one_values(n, lanes.integers(np.arange(len(lanes)),
+                                               np.full(len(lanes), n)))
 
 
 def lemma_two_construction(n: int, seed=None) -> tuple[Instance, ConstructionTournament]:
@@ -792,12 +807,16 @@ _KOMOD_GROUPS = np.array([
 
 class Construction(NamedTuple):
     """A named instance builder: its integer params, in order, whether a seed
-    follows them, and ``size``, the item count of the params (default: the first)."""
+    follows them, ``size``, the item count of the params (default: the first),
+    and ``lanes``, for a construction whose graph is the same for every draw:
+    its values drawn on each lane of a ``PCG64Lanes`` from the params, one row
+    per lane, as the construction draws them on a generator."""
 
     builder: Callable
     params: tuple[str, ...]
     seeded: bool
     size: Optional[Callable[..., int]] = None
+    lanes: Optional[Callable[..., np.ndarray]] = None
 
     def items(self, args) -> int:
         return self.size(*args) if self.size else args[0]
@@ -809,7 +828,8 @@ class Construction(NamedTuple):
 # name -> what a {"kind": "construction"} spec builds from its "params" (and an optional
 # "seed" when seeded). "pivot-killer" is adaptive: its one param is the flag "memoized".
 CONSTRUCTION_TABLE = {
-    "lemma1": Construction(lemma_one_construction, ("n",), True),
+    "lemma1": Construction(lemma_one_construction, ("n",), True,
+                           lanes=_lemma_one_lanes),
     "lemma2": Construction(lemma_two_construction, ("n",), True),
     "seq-hard": Construction(sequential_hard_instance, ("r", "s"), False,
                              _layered_size),

@@ -6,10 +6,11 @@ against non-adaptive graphs, adaptive strategies, or the Scheffe comparator.
 Randomness comes from an explicit ``numpy.random.Generator``; the draw
 sequence is part of each algorithm's contract.
 
-Quick-select rounds run over lanes: a session is a block of one lane, and a
-``LaneBlock`` runs many trials in lockstep against one graph, each lane
-drawing what its trial's own generator would, so one round serves both
-(``sorting.quick_sort`` runs over lanes the same way).
+Quick-select, sequential selection and the complete tournament run over
+lanes: a session is a block of one lane, and a ``LaneBlock`` runs many trials
+in lockstep against one graph, each lane drawing what its trial's own
+generator would, so one implementation serves both (``sorting.quick_sort``
+runs over lanes the same way).
 """
 
 from __future__ import annotations
@@ -110,42 +111,23 @@ def _rng(rng) -> np.random.Generator:
     return rng if rng is not None else np.random.default_rng()
 
 
-def _pick_max_wins(items: np.ndarray, wins: np.ndarray, rng) -> int:
-    maxers = items[wins == wins.max()]
-    if len(maxers) == 1:
-        return int(maxers[0])
-    return int(maxers[int(rng.integers(len(maxers)))])
-
-
-def _round_robin_winner(session, items: np.ndarray, rng) -> int:
-    if len(items) == 1:
-        return int(items[0])
-    return _pick_max_wins(items, session.round_robin(items), rng)
-
-
-def complete_tournament(session, items=None, rng=None) -> SelectionResult:
+def complete_tournament(session, items=None, rng=None):
     """Round-robin: query every pair once, return an item with the most wins
     (ties broken uniformly). The output value is always within 2 of the
-    maximum, against any adversary."""
-    items = _resolve(session, items)
-    start = session.queries
-    winner = _round_robin_winner(session, items, _rng(rng))
-    return SelectionResult(winner, session.queries - start, rounds=1)
+    maximum, against any adversary.
+
+    ``session`` may be a ``LaneBlock``: the result is then a ``LaneResult``."""
+    x = _resolve(session, items)
+    return _run_lanes(session, rng, lambda block: _round_robin_lanes(block, x))
 
 
-def sequential_select(session, items=None, rng=None) -> SelectionResult:
+def sequential_select(session, items=None, rng=None):
     """Visit the items in uniformly random order, always keeping the winner
-    of the last comparison. Exactly n-1 queries."""
-    items = _resolve(session, items)
-    rng = _rng(rng)
-    if len(items) == 1:
-        return SelectionResult(int(items[0]), 0, rounds=1)
-    visit = items[rng.permutation(len(items))].tolist()
-    start = session.queries
-    champ = visit[0]
-    for x in visit[1:]:
-        champ = session.query(x, champ)
-    return SelectionResult(champ, session.queries - start, rounds=1)
+    of the last comparison. Exactly n-1 queries.
+
+    ``session`` may be a ``LaneBlock``: the result is then a ``LaneResult``."""
+    x = _resolve(session, items)
+    return _run_lanes(session, rng, lambda block: _sequential_lanes(block, x))
 
 
 def _matching(session, items: np.ndarray, rng) -> np.ndarray:
@@ -189,32 +171,40 @@ def modified_knockout(session, epsilon: float, items=None,
         field = np.concatenate([x, *saved])
         _, first = np.unique(field, return_index=True)
         x = field[np.sort(first)]
-    winner = _round_robin_winner(session, x, rng)
-    return SelectionResult(winner, session.queries - start, rounds=len(saved) + 1)
+    winners, _ = _round_robin_lanes(_SessionLane(session, rng), x)
+    return SelectionResult(int(winners[0]), session.queries - start,
+                           rounds=len(saved) + 1)
 
 
 class LaneBlock:
-    """Trials of quick-select or quick-sort run in lockstep as the lanes of
-    one block, against one graph: lane k is one trial, drawing from lane k
-    of ``rng`` exactly what its own ``Generator`` would, and its item i is
-    the graph's item ``k * stride + i``. The stride is 0 for a graph valid
-    for the one instance every trial shares, and n for a rule on the trials'
-    own instances stacked lane after lane. Pass it to ``quick_select`` or
-    ``quick_sort`` in place of a session; ``queries`` counts each lane's
-    queries."""
+    """Trials run in lockstep as the lanes of one block, against one graph:
+    lane k is one trial, drawing from lane k of ``rng`` exactly what its own
+    ``Generator`` would, and its item i is the graph's item
+    ``k * stride + i``. The stride is 0 for a graph the trials share: one
+    valid for the one instance every trial shares, or lemma1's graph, the
+    same for every draw of the values each lane draws. It is n for a rule on
+    the trials' own instances stacked lane after lane. Pass it to
+    ``quick_select``, ``quick_sort``, ``sequential_select`` (seq) or
+    ``complete_tournament`` (compl) in place of a session; ``queries``
+    counts each lane's queries."""
 
     def __init__(self, graph, n_items: int, rng: PCG64Lanes, stride: int = 0):
         self.graph, self.n_items, self.rng = graph, n_items, rng
         self.stride = stride
         self.queries = np.zeros(len(rng), dtype=np.int64)
 
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def _offsets(self) -> np.ndarray:
+        """Each lane's first graph item, for a nonzero stride."""
+        return np.arange(0, len(self) * self.stride, self.stride)
+
     def lane_items(self, items: np.ndarray) -> np.ndarray:
         """Every lane's ``items`` as graph items, lane after lane."""
-        lanes = len(self.queries)
-        flat = np.tile(items, lanes)
+        flat = np.tile(items, len(self))
         if self.stride:
-            flat += np.repeat(np.arange(0, lanes * self.stride, self.stride),
-                              len(items))
+            flat += np.repeat(self._offsets(), len(items))
         return flat
 
     def trial_items(self, flat: np.ndarray) -> np.ndarray:
@@ -229,6 +219,28 @@ class LaneBlock:
         self.queries[lanes] += sizes - 1
         return self.graph.beats(items, np.repeat(pivots, sizes))
 
+    def visit(self, items: np.ndarray) -> np.ndarray:
+        """Each lane's ``items`` as graph items, in the order of one
+        ``permutation`` draw of the lane: one row per lane."""
+        rows = items[self.rng.permutation(len(items))]
+        if self.stride:
+            rows += self._offsets()[:, None]
+        return rows
+
+    def challenge(self, items: np.ndarray, champions: np.ndarray) -> np.ndarray:
+        """One query per lane, its item against its champion: the winners."""
+        self.queries += 1
+        return np.where(self.graph.beats(items, champions), items, champions)
+
+    def round_robin(self, items: np.ndarray) -> np.ndarray:
+        """Every pair of ``items`` asked once on each lane: each lane's wins,
+        one row per lane, counted once for a graph the lanes share."""
+        m = len(items)
+        self.queries += m * (m - 1) // 2
+        if not self.stride:
+            return np.broadcast_to(self.graph.wins_within(items), (len(self), m))
+        return np.stack([self.graph.wins_within(items + k) for k in self._offsets()])
+
 
 class _SessionLane:
     """A session as a block of one lane, drawing from its own generator."""
@@ -238,11 +250,29 @@ class _SessionLane:
     def __init__(self, session, rng):
         self.session, self.rng = session, rng
 
+    def __len__(self) -> int:
+        return 1
+
+    def lane_items(self, items: np.ndarray) -> np.ndarray:
+        return items
+
+    def trial_items(self, flat: np.ndarray) -> np.ndarray:
+        return flat
+
     def draw(self, lanes, sizes, starts):
         return self.rng.integers(sizes[0])     # the one lane starts at 0
 
     def pivot_round(self, lanes, pivot, items, sizes):
         return self.session.pivot_round(int(pivot), items)
+
+    def visit(self, items: np.ndarray) -> np.ndarray:
+        return items[self.rng.permutation(len(items))][None]
+
+    def challenge(self, item: np.ndarray, champion: np.ndarray) -> np.ndarray:
+        return np.array([self.session.query(item.item(), champion.item())])
+
+    def round_robin(self, items: np.ndarray) -> np.ndarray:
+        return self.session.round_robin(items)[None]
 
 
 _ONE_LANE = np.zeros(1, dtype=np.int64)   # lane ids, and the start, of a block of one
@@ -251,7 +281,7 @@ _NO_LANES = np.zeros(0, dtype=np.int64)
 
 @dataclass(frozen=True)
 class LaneResult:
-    """``quick_select`` on a block: each lane's winner and queries, and
+    """A selector run on a block: each lane's winner and queries, and
     ``queries``, the block's total."""
 
     winners: np.ndarray
@@ -289,15 +319,16 @@ def _quickselect_round(block, lanes, items, sizes):
             items[kept.cumsum()[done] - 1])
 
 
-def _select_lanes(block, items, count: int):
-    """Quick-select rounds on the ``count`` lanes of a block, whose items are
-    ``items`` cut into equal runs, until each lane is down to one item: per
-    lane, the winner and the rounds."""
-    m = len(items) // count
+def _select_lanes(block, items: np.ndarray):
+    """Quick-select rounds on each lane of a block, every lane starting from
+    ``items``, until each lane is down to one item: per lane, the winner and
+    the rounds."""
+    count, m = len(block), len(items)
     rounds = np.zeros(count, dtype=np.int64)
     if m == 1:
-        return items.copy(), rounds
+        return np.repeat(items, count), rounds
     winners = np.empty(count, dtype=np.int64)
+    items = block.lane_items(items)
     lanes, sizes = np.arange(count), np.full(count, m)
     r = 0
     while len(lanes):
@@ -307,7 +338,7 @@ def _select_lanes(block, items, count: int):
         if len(done):
             winners[done] = won
             rounds[done] = r
-    return winners, rounds
+    return block.trial_items(winners), rounds
 
 
 def _session_round(lane: _SessionLane, items: np.ndarray) -> np.ndarray:
@@ -334,15 +365,56 @@ def quick_select(session, items=None, rng=None):
     ``session`` may be a ``LaneBlock``, whose lanes all start from ``items``
     and run in lockstep: the result is then a ``LaneResult``."""
     x = _resolve(session, items)
+    return _run_lanes(session, rng, lambda block: _select_lanes(block, x))
+
+
+def _run_lanes(session, rng, run):
+    """``run(block)`` on a ``LaneBlock`` (a ``LaneResult``), or on a session
+    as a block of one lane drawing from ``rng`` (a ``SelectionResult``).
+    ``run`` gives each lane's winner, as an item of its trial, and its
+    rounds."""
     if isinstance(session, LaneBlock):
-        lanes = len(session.queries)
-        winners, _ = _select_lanes(session, session.lane_items(x), lanes)
-        return LaneResult(session.trial_items(winners), int(session.queries.sum()),
-                          session.queries)
+        winners, _ = run(session)
+        return LaneResult(winners, int(session.queries.sum()), session.queries)
     start = session.queries
-    winners, rounds = _select_lanes(_SessionLane(session, _rng(rng)), x, 1)
+    winners, rounds = run(_SessionLane(session, _rng(rng)))
     return SelectionResult(int(winners[0]), session.queries - start,
                            rounds=int(rounds[0]))
+
+
+_ONE_ROUND = (1,)   # the rounds of a selector of one round, read for a session
+
+
+def _sequential_lanes(block, items: np.ndarray):
+    """Sequential selection on each lane of a block: the lane visits
+    ``items`` in the order of one ``permutation`` draw, asking each item in
+    turn against the winner of the last query. Per lane, that winner."""
+    visit = block.visit(items)
+    champions = visit[:, 0]
+    for column in visit.T[1:]:
+        champions = block.challenge(column, champions)
+    return block.trial_items(champions), _ONE_ROUND
+
+
+def _most_wins(block, items: np.ndarray, wins: np.ndarray) -> np.ndarray:
+    """Per lane, an item of ``items`` with the most wins in the lane's row of
+    ``wins``: the leader, or one of the tied leaders by one draw of the lane
+    (a lane with one leader draws nothing)."""
+    if len(wins) == 1:      # a block of one needs no per-lane reductions
+        row = wins[0]
+        leaders = items[row == row.max()]
+        pick = block.draw(_ONE_LANE, (len(leaders),), 0) if len(leaders) > 1 else 0
+        return leaders[np.reshape(pick, 1)]
+    top = wins == wins.max(axis=1, keepdims=True)
+    tied = np.count_nonzero(top, axis=1)
+    pick = np.reshape(block.draw(np.arange(len(wins)), tied, 0), (-1, 1))
+    return items[(top.cumsum(axis=1) > pick).argmax(axis=1)]
+
+
+def _round_robin_lanes(block, items: np.ndarray):
+    """The round-robin on each lane of a block: per lane, an item with the
+    most wins among ``items``."""
+    return _most_wins(block, items, block.round_robin(items)), _ONE_ROUND
 
 
 def combined_select(session, epsilon: float, items=None,
@@ -376,7 +448,7 @@ def combined_select(session, epsilon: float, items=None,
             if keep.any():
                 x = x[keep]
             else:
-                x = np.array([_pick_max_wins(x, wins, rng)], dtype=np.int64)
+                x = _most_wins(lane, x, wins[None])
     sizes.append(len(x))
     return SelectionResult(int(x[0]), session.queries - start,
                            rounds=len(sizes) - 1, sizes=tuple(sizes))

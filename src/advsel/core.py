@@ -276,11 +276,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MULT_LO = np.uint64(_PCG64_MULT & (1 << 64) - 1)
-_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_MULT = tuple(np.uint64(h) for h in (_PCG64_MULT & _MASK64, _PCG64_MULT >> 64))
 
 
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The high 64 bits of a * b, from the products of their 32-bit limbs."""
     a0, a1 = a & _MASK32, a >> 32
     b0, b1 = b & _MASK32, b >> 32
@@ -290,14 +291,40 @@ def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
     return a1 * b1 + (mid >> 32) + (cross >> 32)
 
 
+def _affine(x, a, c) -> np.ndarray:
+    """x * a + c modulo 2**128, elementwise on (low, high) uint64 halves,
+    stacked on a new first axis; uint64 products wrap modulo 2**64."""
+    (x_lo, x_hi), (a_lo, a_hi), (c_lo, c_hi) = x, a, c
+    lo = x_lo * a_lo + c_lo
+    hi = x_hi * a_lo + x_lo * a_hi + _mulhi(x_lo, a_lo) + c_hi + (lo < c_lo)
+    return np.stack([lo, hi])
+
+
 def _lcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
     """PCG64's LCG step, state * mult + inc modulo 2**128, on (2, k) arrays of
-    uint64 halves, low first; uint64 products wrap modulo 2**64."""
-    lo, hi = state
-    new_lo = lo * _MULT_LO + inc[0]
-    new_hi = (hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo, _MULT_LO) + inc[1]
-              + (new_lo < inc[0]))
-    return np.stack([new_lo, new_hi])
+    uint64 halves, low first."""
+    return _affine(state, _MULT, inc)
+
+
+def _lcg_ahead(state: np.ndarray, inc: np.ndarray, steps: int) -> np.ndarray:
+    """The states after 1..``steps`` LCG steps of each lane of ``state``, as
+    (2, steps, lanes) halves, at once: step k's is A_k * state + G_k * inc,
+    A_k = mult**k and G_k the sum of mult**i for i < k, modulo 2**128 (the
+    jump-ahead of F. Brown, Trans. Am. Nucl. Soc. 1994)."""
+    a, g, jumps = 1, 0, []
+    for _ in range(steps):
+        a, g = a * _PCG64_MULT & _MASK128, (g * _PCG64_MULT + 1) & _MASK128
+        jumps.append((a & _MASK64, a >> 64, g & _MASK64, g >> 64))
+    a_lo, a_hi, g_lo, g_hi = np.array(jumps, dtype=np.uint64).T[:, :, None]
+    return _affine(state[:, None], (a_lo, a_hi),
+                   _affine(inc[:, None], (g_lo, g_hi), (0, 0)))
+
+
+def _xsl_rr(state: np.ndarray) -> np.ndarray:
+    """PCG64's output of each state, (2, ...) uint64 halves, low first: the
+    halves xor-ed, rotated right by the top 6 bits."""
+    word, rot = state[1] ^ state[0], state[1] >> 58
+    return word >> rot | word << (-rot & 63)
 
 
 class PCG64Lanes:
@@ -334,9 +361,7 @@ class PCG64Lanes:
         """Advance the listed lanes one LCG step: their 64-bit outputs."""
         state = _lcg_step(self._state[:, lanes], self._inc[:, lanes])
         self._state[:, lanes] = state
-        # XSL-RR: the halves xor-ed, rotated right by the top 6 bits
-        word, rot = state[1] ^ state[0], state[1] >> 58
-        return word >> rot | word << (-rot & 63)
+        return _xsl_rr(state)
 
     def _next_uint32(self, lanes: np.ndarray) -> np.ndarray:
         """Each listed lane's next uint32, as uint64 (lanes distinct)."""
@@ -371,6 +396,55 @@ class PCG64Lanes:
             redo = redo[(product[redo] & _MASK32) < threshold[redo]]
         out[draw] = product >> 32
         return out
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Each lane's ``Generator.permutation(n)``, one row per lane, for
+        0 <= n <= 2**32: numpy's Fisher-Yates shuffle of ``arange(n)`` from
+        the top (R. Durstenfeld, CACM 1964), whose swap for position i is
+        ``random_interval(i)``: the next uint32 masked to the smallest mask
+        of all ones that covers i, re-drawn while above i.
+
+        The words come as blocks of LCG steps run ahead on every lane and
+        read with a pointer per lane; each lane is then left at the step of
+        its last read, the high half of that step pending when only its low
+        half was read."""
+        if not 0 <= n <= _MASK32 + 1:
+            raise ValueError("n must lie within 0..2**32")
+        count = len(self)
+        out = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+        if n < 2:
+            return out
+        rows = np.arange(count)
+        # a lane's words: its pending uint32, then each step's low and high
+        # halves; step k's are columns 2k - 1 and 2k, its state states[:, k]
+        words = self._pending[:, None]
+        states = self._state[:, None]
+        at = (~self._has).astype(np.intp)   # the next word to read
+        swap = np.empty(count, dtype=np.uint64)
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            redo = rows
+            while len(redo):
+                if at[redo].max() >= words.shape[1]:
+                    words, states = self._run_ahead(words, states, 3 * i // 4 + 8)
+                swap[redo] = words[redo, at[redo]] & mask
+                at[redo] += 1
+                redo = redo[swap[redo] > i]
+            out[rows, i], out[rows, swap] = out[rows, swap], out[rows, i]
+        steps = at // 2
+        self._state = states[:, steps, rows]
+        self._pending = words[rows, 2 * steps]
+        self._has = at % 2 == 0
+        return out
+
+    def _run_ahead(self, words: np.ndarray, states: np.ndarray, steps: int):
+        """``words`` and ``states`` (see ``permutation``) with ``steps`` more
+        LCG steps of every lane after the last state, none of them taken."""
+        more = _lcg_ahead(states[:, -1], self._inc, steps)
+        out = _xsl_rr(more).T                            # (lanes, steps)
+        halves = np.stack([out & _MASK32, out >> 32], axis=2)
+        return (np.concatenate([words, halves.reshape(len(out), 2 * steps)], axis=1),
+                np.concatenate([states, more], axis=1))
 
 
 def _uint32_words(n: int) -> list[int]:

@@ -8,12 +8,13 @@ threshold can never be flipped by rounding.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .adversary import CONSTRUCTION_TABLE, Construction, TournamentGraph
-from .core import MAX_INSTANCE_SIZE, Instance, check_choice
+from .core import MAX_INSTANCE_SIZE, Instance, PCG64Lanes, check_choice
 
 __all__ = [
     "make_zeros",
@@ -21,6 +22,7 @@ __all__ = [
     "make_uniform01",
     "make_zeroone",
     "parse_generator",
+    "lane_values",
     "GENERATOR_NAMES",
     "MAX_INSTANCE_SIZE",
 ]
@@ -62,10 +64,8 @@ _GENERATORS = {
 GENERATOR_NAMES = tuple(_GENERATORS)
 
 
-def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
-                    ) -> tuple[Instance, Optional[TournamentGraph]]:
-    """Build an instance (and, for the named constructions, its graph) from a
-    spec string like ``zeros:10``, ``uniform01:100`` or ``seqhard:3,3``."""
+def _parse(spec: str):
+    """The entry and the integer arguments of a spec string, checked."""
     name, _, arg = spec.partition(":")
     entry = _GENERATORS[check_choice("generator", name, GENERATOR_NAMES)]
     try:
@@ -78,7 +78,24 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     if not 1 <= entry.items(args) <= MAX_INSTANCE_SIZE:
         raise ValueError(f"generator {spec!r} must ask for 1 to "
                          f"{MAX_INSTANCE_SIZE} items")
+    return name, entry, args
+
+
+def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
+                    ) -> tuple[Instance, Optional[TournamentGraph]]:
+    """Build an instance (and, for the named constructions, its graph) from a
+    spec string like ``zeros:10``, ``uniform01:100`` or ``seqhard:3,3``."""
+    name, entry, args = _parse(spec)
     if entry.seeded and rng is None:
         raise ValueError(f"{name} draws from a generator (pass a seed)")
     built = entry.build(args, rng)
     return built if isinstance(built, tuple) else (built, None)
+
+
+def lane_values(spec: str) -> Optional[Callable[[PCG64Lanes], np.ndarray]]:
+    """For a spec whose construction graph is the same for every draw of its
+    values (lemma1): a function of a ``PCG64Lanes`` giving each lane's values,
+    one row per lane, as ``parse_generator`` draws one instance's on a
+    generator in the lane's state. None for any other spec."""
+    _, entry, args = _parse(spec)
+    return None if entry.lanes is None else partial(entry.lanes, *args)

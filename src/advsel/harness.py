@@ -16,13 +16,19 @@ kept when it answers its own batches (a graph valid for the instance), and
 only with a kept instance: strategies can hold per-session state and are
 rebuilt for every trial.
 
-Lane rule: a q-select or q-sort block runs its trials as the lanes of
-``algorithms.LaneBlock``s, in lockstep, each lane drawing what its trial's
-own generator would, in two cases: its adversary is kept, or its instance is
-drawn per trial and its adversary is a policy that reads only values and
-index order (smaller-wins, larger-wins, lower-index-wins). Then the trials'
-instances are stacked lane after lane, and one policy on the stack answers
-every lane as it would answer the trial alone.
+Lane rule: a q-select, q-sort, seq or compl block runs its trials as the
+lanes of ``algorithms.LaneBlock``s, in lockstep, each lane drawing what its
+trial's own generator would, in three cases:
+
+- its adversary is kept: every lane asks that one graph;
+- its instance is drawn per trial and its adversary is a policy that reads
+  only values and index order (smaller-wins, larger-wins, lower-index-wins):
+  the trials' instances are stacked lane after lane, and one policy on the
+  stack answers every lane as it would answer the trial alone;
+- its instance is drawn per trial and its adversary is the construction's own
+  graph, which carries no hidden permutation and so is the same for every
+  draw (lemma1): the lanes share that graph, and each lane draws its values
+  on its trial's instance stream (``generators.lane_values``).
 """
 
 from __future__ import annotations
@@ -38,14 +44,13 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import (ComparatorSession, RuleTournament, TournamentGraph,
-                        adversary_from_spec, comparator_for, fits_dense_budget,
-                        parse_adversary)
+from .adversary import (ComparatorSession, TournamentGraph, adversary_from_spec,
+                        comparator_for, parse_adversary)
 from .algorithms import (LaneBlock, combined_select, complete_tournament,
                          modified_knockout, quick_select, sequential_select)
 from .core import (Instance, RngSeed, check_choice, check_keys, check_number,
                    is_t_approx, is_t_sorted)
-from .generators import parse_generator
+from .generators import lane_values, parse_generator
 from .sorting import complete_sort, quick_sort
 
 __all__ = [
@@ -176,27 +181,12 @@ def build_instance(source, rng) -> tuple[Instance, Optional[TournamentGraph]]:
     raise ValueError(f"bad instance source {source!r}")
 
 
-# n below which a rule adversary built for a single trial answers a session's
-# batches faster from a dense matrix: the matrix costs O(n^2) to build once,
-# each on-demand batch a few numpy operations. Measured on a 2-core x86 box;
-# see README.
-DENSE_BELOW_N = 64
-
-
-def _engine_form(adversary, kept: bool):
-    """The dense matrix of a rule adversary where that is cheaper: when the
-    harness keeps it for every trial, or when n is small. Everything else
-    is returned as it is."""
-    if isinstance(adversary, RuleTournament) and fits_dense_budget(adversary.n) \
-            and (kept or adversary.n < DENSE_BELOW_N):
-        return adversary.dense()
-    return adversary
-
-
 def run_algorithm(algorithm: str, session, rng, epsilon=None):
-    """Run one algorithm, by id, on a session (or q-select on a
-    ``LaneBlock``): its ``SelectionResult``, ``SortResult`` or
-    ``LaneResult``. The algorithms are looked up in this module when called."""
+    """Run one algorithm, by id, on a session, or q-select, q-sort, seq or
+    compl on a ``LaneBlock`` (the lane rule's kept graph, stacked policy or
+    lemma1's shared graph): its ``SelectionResult``, ``SortResult``,
+    ``LaneResult`` or ``LaneSortResult``. The algorithms are looked up in
+    this module when called, so a tracer may wrap them by name."""
     if algorithm == "ko-mod":
         return modified_knockout(session, epsilon, rng=rng)
     if algorithm == "comb":
@@ -243,12 +233,14 @@ class _TrialStreams:
 # policies that read only values and index order, so one rule answers the
 # trials' instances stacked: ``random`` would draw its coins for the stack
 STACKED_POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins")
+# the algorithms written over lanes
+LANE_ALGORITHMS = ("q-select", "q-sort", "seq", "compl")
 
 
 def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
-    """Run trials lo..hi-1 of a config: as lanes when the algorithm runs
-    over lanes and either the adversary is kept or the instance is drawn per
-    trial against a policy that stacks; else one by one."""
+    """Run trials lo..hi-1 of a config: as lanes when the algorithm runs over
+    lanes and the lane rule (see the module docstring) holds; else one by
+    one."""
     start = time.perf_counter()
     adv_spec = parse_adversary(config.adversary)
     root = RngSeed(config.seed, config.stream)
@@ -266,12 +258,15 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
     # leaves the trial's generator untouched, yet would draw for the stack
     stacks = not keep_instance and adv_spec["kind"] == "nonadaptive" \
         and adv_spec["policy"] in STACKED_POLICIES
-    if config.algorithm in ("q-select", "q-sort") and (keep_adversary or stacks):
-        errors, queries = _lane_trials(config, root, instance,
-                                       adversary if keep_adversary else None, lo, hi)
+    # a construction's own graph that is the same for every draw (lemma1):
+    # the lanes share it and draw their own values
+    shares = adversary is cgraph and isinstance(config.instance, str) \
+        and lane_values(config.instance) is not None
+    if config.algorithm in LANE_ALGORITHMS and (keep_adversary or stacks or shares):
+        errors, queries = _lane_trials(config, root, None if shares else instance,
+                                       None if stacks else adversary, lo, hi)
         return TrialData(errors=errors, queries=queries, round_sizes=[],
                          wall_time=time.perf_counter() - start, n=instance.n)
-    adversary = _engine_form(adversary, keep_adversary)
 
     is_sort = config.algorithm in SORTERS
     is_comb = config.algorithm == "comb"
@@ -284,8 +279,8 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
         if t > lo and not keep_instance:
             instance, cgraph = build_instance(config.instance, instance_rngs.at(t))
         if t > lo and not keep_adversary:
-            adversary = _engine_form(adversary_from_spec(
-                adv_spec, instance, adversary_rngs.at(t), cgraph), False)
+            adversary = adversary_from_spec(adv_spec, instance,
+                                            adversary_rngs.at(t), cgraph)
         session = ComparatorSession(instance, adversary, record=False)
         result = run_algorithm(config.algorithm, session, alg_rngs.at(t),
                                config.epsilon)
@@ -305,14 +300,20 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
                      n=instance.n)
 
 
-def _lane_trials(config: TrialConfig, root: RngSeed, instance: Instance, graph,
-                 lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _lane_trials(config: TrialConfig, root: RngSeed, instance: Optional[Instance],
+                 graph, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Errors and queries of trials lo..hi-1, run as the lanes of blocks of
-    at most ``_SEED_CHUNK`` trials and about ``_LANE_ITEMS`` items. ``graph``
-    is the kept adversary on ``instance``, trial lo's; when it is None, each
-    block stacks its trials' own instances, built as the trials would build
-    them, and asks one policy on the stack."""
-    n = instance.n
+    at most ``_SEED_CHUNK`` trials and about ``_LANE_ITEMS`` items, in the
+    lane rule's three cases:
+
+    - ``graph`` is the kept adversary on ``instance``, trial lo's;
+    - ``graph`` is None: each block stacks its trials' own instances, built
+      as the trials would build them, and asks one policy on the stack;
+    - ``instance`` is None: ``graph`` is a construction's graph that is the
+      same for every draw, and each lane draws its values on its trial's
+      instance stream, as the trial would."""
+    draw = lane_values(config.instance) if instance is None else None
+    n = graph.n if instance is None else instance.n
     chunk = max(1, min(_SEED_CHUNK, _LANE_ITEMS // n))
     if graph is None:
         adv_spec = parse_adversary(config.adversary)
@@ -330,16 +331,19 @@ def _lane_trials(config: TrialConfig, root: RngSeed, instance: Instance, graph,
                                instance.delta)
             block = LaneBlock(adversary_from_spec(adv_spec, stacked), n, rng, n)
             values = stacked.values.reshape(end - first, n)
-        else:
+        elif draw is None:
             block = LaneBlock(graph, n, rng)
             values = np.broadcast_to(instance.values, (end - first, n))
+        else:
+            block = LaneBlock(graph, n, rng)
+            values = draw(root.pcg64_lanes(first, end, 0))
         result = run_algorithm(config.algorithm, block, None)
         if config.algorithm == "q-sort":
             ok = is_t_sorted(np.take_along_axis(values, result.orders, 1), config.t)
         else:
             won = values[np.arange(end - first), result.winners]
-            ok = is_t_approx(won, values.max(axis=1) if graph is None else instance,
-                             config.t)
+            ok = is_t_approx(won, instance if graph is not None and draw is None
+                             else values.max(axis=1), config.t)
         errors.append(~ok)
         queries.append(result.lane_queries)
     return np.concatenate(errors), np.concatenate(queries)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from advsel import harness
-from advsel.adversary import ComparatorSession, PivotKiller, build_nonadaptive
+from advsel.adversary import ComparatorSession, build_nonadaptive
 from advsel.algorithms import combined_select, quick_select
-from advsel.core import Instance, RngSeed
+from advsel.core import RngSeed
 from advsel.generators import parse_generator
 from advsel.harness import (CSV_HEADER, TrialConfig, check_concentration,
                             csv_row, estimate, run_trials, wilson_interval)
@@ -134,13 +134,16 @@ class TestReproducibility:
         assert np.array_equal(a.errors, b.errors)
         assert np.array_equal(a.queries, b.queries)
 
-    @pytest.mark.parametrize("algorithm,instance,epsilon", [
-        ("q-select", "zeros:40", None), ("comb", "uniform01:64", 0.2),
-    ], ids=["q-select", "comb"])
+    @pytest.mark.parametrize("algorithm,instance,epsilon,adversary,t", [
+        ("q-select", "zeros:40", None, "random", 2.0),
+        ("comb", "uniform01:64", 0.2, "random", 2.0),
+        ("seq", "lemma1:15", None, "construction", 0.9),
+        ("compl", "lemma1:5", None, "construction", 0.9),
+    ], ids=["q-select", "comb", "seq-lemma1", "compl-lemma1"])
     def test_worker_count_does_not_change_results(self, monkeypatch, algorithm,
-                                                  instance, epsilon):
+                                                  instance, epsilon, adversary, t):
         cfg = TrialConfig(algorithm=algorithm, instance=instance,
-                          adversary="random", t=2.0, epsilon=epsilon, trials=64,
+                          adversary=adversary, t=t, epsilon=epsilon, trials=64,
                           seed=13)
         monkeypatch.setenv("ADVSEL_THREADS", "1")
         serial = run_trials(cfg)
@@ -152,15 +155,21 @@ class TestReproducibility:
         assert serial.violations == parallel.violations
         assert len(serial.round_sizes) == (64 if algorithm == "comb" else 0)
 
-    @pytest.mark.parametrize("adversary", [
-        {"kind": "nonadaptive"},
-        {"kind": "nonadaptive", "policy": "random", "seed": None},
-        "random", "smaller-wins",
-    ], ids=["default-policy", "null-seed", "random", "smaller-wins"])
-    def test_block_split_does_not_change_results(self, adversary):
+    @pytest.mark.parametrize("algorithm,instance,adversary,t", [
+        ("q-select", "zeros:30", {"kind": "nonadaptive"}, 2.0),
+        ("q-select", "zeros:30",
+         {"kind": "nonadaptive", "policy": "random", "seed": None}, 2.0),
+        ("q-select", "zeros:30", "random", 2.0),
+        ("q-select", "zeros:30", "smaller-wins", 2.0),
+        ("seq", "lemma1:15", "construction", 0.9),
+        ("compl", "lemma1:5", "construction", 0.9),
+    ], ids=["default-policy", "null-seed", "random", "smaller-wins",
+            "seq-lemma1", "compl-lemma1"])
+    def test_block_split_does_not_change_results(self, algorithm, instance,
+                                                 adversary, t):
         # what a worker runs: a block may start at any trial
-        cfg = TrialConfig(algorithm="q-select", instance="zeros:30",
-                          adversary=adversary, t=2.0, trials=40, seed=3)
+        cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                          adversary=adversary, t=t, trials=40, seed=3)
         whole = harness._trial_block(cfg, 0, 40)
         parts = [harness._trial_block(cfg, 0, 17),
                  harness._trial_block(cfg, 17, 40)]
@@ -192,50 +201,6 @@ class TestReproducibility:
             winner = quick_select(session, rng=root.generator(t, 2)).winner
             assert data.queries[t] == session.queries
             assert data.errors[t] == (inst.values[winner] < inst.max_value)
-
-    @pytest.mark.parametrize("algorithm,instance,adversary", [
-        ("q-select", "zeros:70", "random"),
-        ("q-sort", "uniform01:70", "smaller-wins"),
-        ("ko-mod", "komodhard:68", "construction"),
-        ("comb", "seqhard:3,4", "construction"),
-        ("compl-sort", "zeroone:70", "larger-wins"),
-        ("q-sort", "lemma2:71", "construction"),
-    ])
-    def test_on_demand_and_dense_agree(self, monkeypatch, algorithm, instance,
-                                       adversary):
-        cfg = TrialConfig(algorithm=algorithm, instance=instance,
-                          adversary=adversary, t=2.0, epsilon=0.2, trials=12,
-                          seed=15)
-        runs = []
-        for below in (0, 10 ** 9):   # every rule on demand, then every one dense
-            monkeypatch.setattr(harness, "DENSE_BELOW_N", below)
-            runs.append(run_trials(cfg))
-        assert np.array_equal(runs[0].errors, runs[1].errors)
-        assert np.array_equal(runs[0].queries, runs[1].queries)
-
-    def test_when_rules_stay_dense(self, monkeypatch):
-        from advsel.adversary import RuleTournament, TournamentGraph
-        small = build_nonadaptive(Instance((0.0,) * 10), "smaller-wins")
-        large = build_nonadaptive(Instance((0.0,) * 600), "smaller-wins")
-
-        def dense(adv, static):
-            out = harness._engine_form(adv, static)
-            return not isinstance(out, RuleTournament) and \
-                isinstance(out, TournamentGraph)
-
-        assert dense(small, static=False)          # below the crossover
-        assert not dense(large, static=False)       # per trial, large n
-        assert dense(large, static=True)            # reused by every trial
-        edge = harness.DENSE_BELOW_N
-        assert dense(build_nonadaptive(Instance((0.0,) * (edge - 1)), "larger-wins"),
-                     static=False)
-        assert not dense(build_nonadaptive(Instance((0.0,) * edge), "larger-wins"),
-                         static=False)
-        from advsel import adversary
-        monkeypatch.setattr(adversary, "DENSE_CELL_BUDGET", 50)
-        assert not dense(small, static=True)        # past the budget
-        killer = PivotKiller()
-        assert harness._engine_form(killer, True) is killer
 
     def test_worker_count_capped_at_cores(self, monkeypatch):
         monkeypatch.setenv("ADVSEL_THREADS", "100000")

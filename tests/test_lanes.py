@@ -1,18 +1,21 @@
-"""Quick-select and quick-sort trials in lockstep. ``PCG64Lanes`` must draw
-what numpy's ``Generator.integers`` draws on each lane's state, bit for bit,
-and a ``LaneBlock`` of trials must give every trial the winner or order,
-queries and error of the same trial run alone through a session, whether
-the trials share a kept adversary or stack their own instances."""
+"""Quick-select, quick-sort, sequential selection and the complete
+tournament in lockstep. ``PCG64Lanes`` must draw what numpy's
+``Generator.integers`` and ``Generator.permutation`` draw on each lane's
+state, bit for bit, and a ``LaneBlock`` of trials must give every trial the
+winner or order, queries and error of the same trial run alone through a
+session, whether the trials share a kept adversary, stack their own
+instances, or draw their own values under a construction graph they share."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advsel import harness
 from advsel.adversary import (ComparatorSession, lemma_one_construction,
                               lemma_two_construction, parse_adversary)
-from advsel.algorithms import LaneBlock, LaneResult, quick_select
+from advsel.algorithms import (LaneBlock, LaneResult, complete_tournament,
+                               quick_select, sequential_select)
 from advsel.core import Instance, RngSeed, is_t_sorted
 from advsel.harness import TrialConfig, build_instance
 from advsel.sorting import LaneSortResult, quick_sort
@@ -49,6 +52,48 @@ def test_lanes_draw_what_numpy_draws(seed, lo, count, data):
         want = [gens[k].integers(r) for k, r in zip(subset, m)]
         assert got.tolist() == want
     assert lanes.states() == [g.bit_generator.state for g in gens]
+
+
+def _check_permutation(root, lo, count, n, pending, m):
+    """Each lane's ``permutation(n)``, state and next ``integers(m)`` against
+    numpy's, after a first draw on the ``pending`` lanes leaves a uint32
+    pending there."""
+    lanes = root.pcg64_lanes(lo, lo + count, 2)
+    gens = _generators(root, lo, lo + count, 2)
+    lanes.integers(np.array(pending, dtype=np.intp), np.full(len(pending), 7))
+    for k in pending:
+        gens[k].integers(7)
+    assert lanes.permutation(n).tolist() == [g.permutation(n).tolist() for g in gens]
+    assert lanes.states() == [g.bit_generator.state for g in gens]
+    assert lanes.integers(np.arange(count), np.full(count, m)).tolist() == \
+        [g.integers(m) for g in gens]
+
+
+# the edges of the shuffle's masks: each power of two and the next n
+EDGES = [2 ** k + d for k in range(1, 17) for d in (0, 1) if 2 ** k + d <= 2 ** 16]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), lo=st.integers(0, 2 ** 32 - 64),
+       n=st.one_of(st.integers(0, 70), st.sampled_from([e for e in EDGES
+                                                       if e <= 2 ** 12 + 1])),
+       data=st.data())
+def test_permutation_is_numpys(seed, lo, n, data):
+    count = data.draw(st.integers(1, 24), label="lanes")
+    pending = data.draw(st.lists(st.integers(0, count - 1), unique=True),
+                        label="pending")
+    _check_permutation(RngSeed(seed, 5), lo, count, n, pending,
+                       data.draw(RANGES, label="next range"))
+
+
+# a long shuffle costs about 20 us per position, so few examples
+@settings(max_examples=3, deadline=None)
+@example(seed=2 ** 64, n=2 ** 16, pending=[1])
+@given(seed=st.integers(0, 2 ** 64), n=st.sampled_from([e for e in EDGES
+                                                        if e > 2 ** 12 + 1]),
+       pending=st.sampled_from([[], [0], [1], [0, 1]]))
+def test_permutation_of_large_n_is_numpys(seed, n, pending):
+    _check_permutation(RngSeed(seed, 5), 7, 2, n, pending, 2 ** 31 + 1)
 
 
 def test_rejected_draws_are_drawn_again():
@@ -246,6 +291,45 @@ def test_stacked_lanes_equal_trials_run_alone(algorithm, instance, policy, lo, h
     assert result.lane_queries.tolist() == queries
 
 
+# seq and compl: every kept kind, lemma1's instance drawn per trial under its
+# one graph, a stacked policy, and n = 1, 2, 3
+SELECTORS = {
+    **KEPT,
+    "lemma1-per-trial": ("lemma1:15", "construction"),
+    "stacked": ("uniform01:12", "larger-wins"),
+    "kept-n1": ("zeros:1", "smaller-wins"),
+    "stacked-n2": ("zeroone:2", "smaller-wins"),
+    "lemma1-n3": ("lemma1:3", "construction"),
+}
+
+
+@pytest.mark.parametrize("algorithm", ["seq", "compl"])
+@pytest.mark.parametrize("kind", SELECTORS)
+@pytest.mark.parametrize("lo,hi", [(0, 45), (13, 50)])
+def test_selector_lanes_equal_trials_run_alone(algorithm, kind, lo, hi,
+                                               lane_calls, monkeypatch):
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    instance, adversary = SELECTORS[kind]
+    cfg = TrialConfig(algorithm=algorithm, instance=instance, adversary=adversary,
+                      t=0.5, trials=50, seed=9, stream=2)
+    inst, winners, queries, errors = _trials_alone(cfg, lo, hi)
+    results = []    # the blocks' results, which hold each lane's winner
+    run_algorithm = harness.run_algorithm
+
+    def spy(*args):
+        results.append(run_algorithm(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "run_algorithm", spy)
+    data = harness._trial_block(cfg, lo, hi)
+    assert lane_calls == [(lo, hi)]
+    assert all(isinstance(r, LaneResult) for r in results)
+    assert np.concatenate([r.winners for r in results]).tolist() == winners
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+    assert data.violations == 0 and data.round_sizes == [] and data.n == inst.n
+
+
 # adversaries built per trial, and the instances each is tried on
 PER_TRIAL = {
     "random": ("random", ("zeros:20", "zeroone:20")),
@@ -254,14 +338,15 @@ PER_TRIAL = {
     # draw a coin for every pair of the stack
     "seeded-random": ({"kind": "nonadaptive", "policy": "random", "seed": 5},
                       ("zeroone:20",)),
-    "construction": ("construction", ("komodhard:20",)),
+    # their graphs carry a permutation drawn per trial
+    "construction": ("construction", ("komodhard:20", "lemma2:21")),
 }
 
 
 @pytest.mark.parametrize("adversary", PER_TRIAL)
 def test_per_trial_adversaries_are_not_lanes(adversary, lane_calls):
     spec, instances = PER_TRIAL[adversary]
-    for algorithm in ("q-select", "q-sort"):
+    for algorithm in harness.LANE_ALGORITHMS:
         for instance in instances:
             cfg = TrialConfig(algorithm=algorithm, instance=instance,
                               adversary=spec, trials=6, seed=1)
@@ -272,10 +357,12 @@ def test_per_trial_adversaries_are_not_lanes(adversary, lane_calls):
 def test_lanes_start_from_any_items():
     inst, adv = lemma_one_construction(15, 2)
     items = [3, 1, 4, 14, 5, 9, 2, 6]
-    block = LaneBlock(adv, inst.n, RngSeed(4).pcg64_lanes(0, 20, 2))
-    result = quick_select(block, items)
-    for t in range(20):
-        session = ComparatorSession(inst, adv, record=False)
-        alone = quick_select(session, items, RngSeed(4).generator(t, 2))
-        assert result.winners[t] == alone.winner
-        assert result.lane_queries[t] == alone.queries
+    for select in (quick_select, sequential_select, complete_tournament):
+        for lanes in (20, 1):
+            block = LaneBlock(adv, inst.n, RngSeed(4).pcg64_lanes(0, lanes, 2))
+            result = select(block, items)
+            for t in range(lanes):
+                session = ComparatorSession(inst, adv, record=False)
+                alone = select(session, items, RngSeed(4).generator(t, 2))
+                assert result.winners[t] == alone.winner
+                assert result.lane_queries[t] == alone.queries

@@ -41,9 +41,11 @@ def test_tracer_counts_every_scheffe_test(tracer):
 
 def test_tracer_counts_every_adversary_build(tracer, monkeypatch):
     # the construction's own graph is built through adversary_from_spec
-    # too; a harness that built it elsewhere would hide it from the count
+    # too; a harness that built it elsewhere would hide it from the count.
+    # lemma2's graph carries a permutation drawn per trial, so it is built
+    # once per trial
     monkeypatch.delenv("ADVSEL_THREADS", raising=False)
-    config = harness.TrialConfig(algorithm="seq", instance="lemma1:15",
+    config = harness.TrialConfig(algorithm="seq", instance="lemma2:15",
                                  adversary="construction", trials=5, seed=3)
     with tracer.Tracer() as t:
         harness.run_trials(config)

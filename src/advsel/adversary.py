@@ -8,7 +8,7 @@ answer online from the query history (plus an optional pivot hint). Either
 way, pairs whose value gap exceeds delta are forced (``Instance.forces``):
 the session returns the larger value's index no matter what the adversary
 says, and counts the disagreement as a model violation. A graph that passed
-``validate_for`` can disagree with none, and is not checked again.
+``validate_for`` can disagree with none, so its batches are not checked.
 """
 
 from __future__ import annotations
@@ -147,6 +147,12 @@ class TournamentGraph:
 
     def out_degrees(self) -> np.ndarray:
         return self.wins_within(np.arange(self.n))
+
+    def order_key(self) -> Optional[np.ndarray]:
+        """Int64 keys, a permutation of 0..n-1 with ``key[a] > key[b]``
+        exactly when a beats b, when the graph is shown to be an order;
+        else None, as here."""
+        return None
 
     def _blocks(self, rows: np.ndarray, cols: np.ndarray):
         """(first row, beats over rows x cols) for blocks of rows, so no
@@ -384,7 +390,8 @@ class ComparatorSession:
     (see ``comparator_for``); any other is asked one ``query`` at a time, in
     the same order, a pivot round passing its pivot as the hint. Both write
     the same log. ``record=False`` keeps only the count, except for an
-    adversary asked pair by pair, whose ``decide`` may read the log.
+    adversary asked pair by pair, whose ``decide`` may read the log. A single
+    ``query`` always asks ``decide`` and checks the answer's forced pair.
     """
 
     def __init__(self, instance: Instance, adversary: AdaptiveStrategy,
@@ -395,10 +402,6 @@ class ComparatorSession:
         self._n = instance.n
         self._bulk = comparator_for(instance, adversary)
         self.log = QueryLog(recording=record or self._bulk is None)
-        # a dense graph valid for the instance answers single queries with no
-        # check; a rule has no matrix and goes through decide()
-        self._matrix = (getattr(adversary, "matrix", None)
-                        if self._bulk is adversary else None)
 
     @property
     def n_items(self) -> int:
@@ -418,17 +421,14 @@ class ComparatorSession:
             raise InvalidQueryError("cannot compare an index with itself")
         if not (0 <= i < self._n and 0 <= j < self._n):
             raise InvalidQueryError(f"indices ({i}, {j}) out of range for n={self._n}")
-        if self._matrix is not None:
-            answer = i if self._matrix[i, j] else j
-        else:
-            answer = self.adversary.decide(self.instance, i, j, self.log, pivot)
-            if answer != i and answer != j:
-                raise AdversaryProtocolError(
-                    f"adversary answered {answer} for pair ({i}, {j})")
-            want = forced_winner(self.instance, i, j)
-            if want is not None and answer != want:
-                self.violations += 1
-                answer = want
+        answer = self.adversary.decide(self.instance, i, j, self.log, pivot)
+        if answer != i and answer != j:
+            raise AdversaryProtocolError(
+                f"adversary answered {answer} for pair ({i}, {j})")
+        want = forced_winner(self.instance, i, j)
+        if want is not None and answer != want:
+            self.violations += 1
+            answer = want
         self.log.append(i, j, answer)
         return answer
 
@@ -489,7 +489,7 @@ class PolicyTournament(RuleTournament):
     choice. ``coin`` holds the fair coins of the ``random`` policy; only
     ``coin[min(a, b), max(a, b)]`` is read, as a's win when a < b."""
 
-    __slots__ = ("instance", "policy", "coin")
+    __slots__ = ("instance", "policy", "coin", "_key")
 
     def __init__(self, instance: Instance, policy: str,
                  coin: Optional[np.ndarray] = None):
@@ -498,6 +498,46 @@ class PolicyTournament(RuleTournament):
             raise ValueError("the random policy and only it takes a coin array")
         self.instance, self.policy, self.coin = instance, policy, coin
         self._checked = instance  # valid by construction
+        self._key = _UNSOUGHT
+
+    def order_key(self) -> Optional[np.ndarray]:
+        """The keys of an order (see ``TournamentGraph.order_key``), sought
+        once: larger-wins is always one, ranked by (value desc, index asc).
+        Smaller-wins and lower-index-wins are one when no pair is forced,
+        ``fl(max - min) <= delta``, in the policy's own order: (value asc,
+        index asc) and the index. They are one too when every two distinct
+        values are forced, each gap between neighbouring sorted distinct
+        values above delta: value order, ties to the lower index. ``random``
+        never is.
+
+        Exact under rounding: the values are finite and rounded subtraction
+        is monotone, so ``fl(max - min)`` bounds every ``fl(v_a - v_b)``
+        ``beats`` computes, and the gap between neighbouring distinct values
+        bounds every larger gap from below."""
+        if self._key is _UNSOUGHT:
+            self._key = self._find_order()
+        return self._key
+
+    def _find_order(self) -> Optional[np.ndarray]:
+        if self.policy == "random":
+            return None
+        values, delta = self.instance.values, self.instance.delta
+        if self.policy != "larger-wins":
+            with np.errstate(over="ignore"):
+                free = values.max() - values.min() <= delta
+            if free:    # the policy's own order
+                if self.policy == "lower-index-wins":
+                    return np.arange(self.n - 1, -1, -1)
+                return _top_first(np.argsort(values, kind="stable"))
+        # value order, ties to the lower index
+        order = np.argsort(-values, kind="stable")
+        if self.policy != "larger-wins":
+            ranked = values[order]
+            with np.errstate(over="ignore"):
+                gaps = ranked[:-1] - ranked[1:]
+            if ((gaps > 0) & (gaps <= delta)).any():
+                return None     # a free pair of distinct values
+        return _top_first(order)
 
     def beats(self, a, b):
         values, delta = self.instance.values, self.instance.delta
@@ -533,6 +573,16 @@ class PolicyTournament(RuleTournament):
         forced = _prefix_lengths(values, ranked, np.greater, delta)
         free_end = _prefix_lengths(values, ranked, np.greater_equal, -delta)
         return forced + free_end - rank - 1
+
+
+_UNSOUGHT = object()    # an order key not looked for yet
+
+
+def _top_first(order: np.ndarray) -> np.ndarray:
+    """Keys ranking ``order[0]`` highest and ``order[-1]`` lowest."""
+    key = np.empty(len(order), dtype=np.int64)
+    key[order] = np.arange(len(order) - 1, -1, -1)
+    return key
 
 
 def _prefix_lengths(x: np.ndarray, ranked: np.ndarray, holds, limit) -> np.ndarray:

@@ -186,12 +186,20 @@ class LaneBlock:
     the trials' own instances stacked lane after lane. Pass it to
     ``quick_select``, ``quick_sort``, ``sequential_select`` (seq) or
     ``complete_tournament`` (compl) in place of a session; ``queries``
-    counts each lane's queries."""
+    counts each lane's queries.
+
+    A graph that is an order (``order_key``) answers as one: the lanes then
+    carry each graph item's key in place of the item, and a query is one
+    comparison of keys."""
 
     def __init__(self, graph, n_items: int, rng: PCG64Lanes, stride: int = 0):
         self.graph, self.n_items, self.rng = graph, n_items, rng
         self.stride = stride
         self.queries = np.zeros(len(rng), dtype=np.int64)
+        self.key = graph.order_key()
+        if self.key is not None:
+            self._item_of = np.empty_like(self.key)
+            self._item_of[self.key] = np.arange(len(self.key))
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -200,15 +208,21 @@ class LaneBlock:
         """Each lane's first graph item, for a nonzero stride."""
         return np.arange(0, len(self) * self.stride, self.stride)
 
+    def _keyed(self, flat: np.ndarray) -> np.ndarray:
+        """Graph items as the lanes carry them."""
+        return flat if self.key is None else self.key[flat]
+
     def lane_items(self, items: np.ndarray) -> np.ndarray:
-        """Every lane's ``items`` as graph items, lane after lane."""
-        flat = np.tile(items, len(self))
-        if self.stride:
-            flat += np.repeat(self._offsets(), len(items))
-        return flat
+        """Every lane's ``items`` as the lanes carry them, lane after lane."""
+        if not self.stride:
+            return np.tile(self._keyed(items), len(self))
+        flat = np.tile(items, len(self)) + np.repeat(self._offsets(), len(items))
+        return self._keyed(flat)
 
     def trial_items(self, flat: np.ndarray) -> np.ndarray:
-        """Graph items as the items of their lanes' trials."""
+        """What the lanes carry as the items of their lanes' trials."""
+        if self.key is not None:
+            flat = self._item_of[flat]
         return flat % self.stride if self.stride else flat
 
     def draw(self, lanes, sizes, starts):
@@ -217,19 +231,24 @@ class LaneBlock:
 
     def pivot_round(self, lanes, pivots, items, sizes):
         self.queries[lanes] += sizes - 1
-        return self.graph.beats(items, np.repeat(pivots, sizes))
+        pivots = np.repeat(pivots, sizes)
+        if self.key is not None:
+            return items > pivots
+        return self.graph.beats(items, pivots)
 
     def visit(self, items: np.ndarray) -> np.ndarray:
-        """Each lane's ``items`` as graph items, in the order of one
+        """Each lane's ``items`` as the lanes carry them, in the order of one
         ``permutation`` draw of the lane: one row per lane."""
         rows = items[self.rng.permutation(len(items))]
         if self.stride:
             rows += self._offsets()[:, None]
-        return rows
+        return self._keyed(rows)
 
     def challenge(self, items: np.ndarray, champions: np.ndarray) -> np.ndarray:
         """One query per lane, its item against its champion: the winners."""
         self.queries += 1
+        if self.key is not None:
+            return np.maximum(items, champions)
         return np.where(self.graph.beats(items, champions), items, champions)
 
     def round_robin(self, items: np.ndarray) -> np.ndarray:
@@ -237,6 +256,11 @@ class LaneBlock:
         one row per lane, counted once for a graph the lanes share."""
         m = len(items)
         self.queries += m * (m - 1) // 2
+        if self.key is not None:
+            # an item beats exactly the items of its lane with lower keys
+            rows = items + self._offsets()[:, None] if self.stride else items
+            ranks = self.key[rows].argsort(axis=-1).argsort(axis=-1)
+            return np.broadcast_to(ranks, (len(self), m))
         if not self.stride:
             return np.broadcast_to(self.graph.wins_within(items), (len(self), m))
         return np.stack([self.graph.wins_within(items + k) for k in self._offsets()])

@@ -349,8 +349,8 @@ class _Liar:
 
 
 def fig1_session(kind):
-    """A session on fig1's instance against a dense graph (answered from
-    its matrix), a rule, the pivot-killer or a liar with no batch form."""
+    """A session on fig1's instance against a dense graph, a rule, the
+    pivot-killer or a liar with no batch form."""
     inst, graph = fig1()
     adversary = {"graph": graph, "rule": build_nonadaptive(inst, "smaller-wins"),
                  "pivot-killer": PivotKiller(), "liar": _Liar()}[kind]
@@ -744,6 +744,57 @@ class TestCountedWins:
         expect = want[np.ix_(items, items)].sum(axis=1).tolist()
         assert graph.wins_within(items).tolist() == expect
         assert TournamentGraph.wins_within(graph, items).tolist() == expect
+
+
+_MAX = sys.float_info.max
+# gaps of exactly 1 and 0.1-step floats around it (0.1 * 11 is 1.1000000000000001),
+# both zeros, and magnitudes whose differences overflow
+ORDER_GRID = ([0.0, -0.0, 2.0, 3.0, -1.0, 1e308, -1e308, _MAX, -_MAX]
+              + [0.1 * k for k in range(1, 13)])
+
+
+class TestOrderKey:
+    """A policy graph's order key, when it gives one, ranks every ordered
+    pair as ``beats`` does."""
+
+    @given(pool=st.lists(st.sampled_from(ORDER_GRID), min_size=1, max_size=5),
+           delta=st.sampled_from([1.0, 0.1, 0.5, 1e300]),
+           policy=st.sampled_from(NONADAPTIVE_POLICIES),
+           seed=st.integers(0, 2 ** 32), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_key_ranks_as_beats(self, pool, delta, policy, seed, data):
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40),
+                           label="values")
+        graph = build_nonadaptive(Instance(values, delta), policy, RngSeed(seed))
+        key = graph.order_key()
+        if policy == "random":
+            assert key is None
+        if key is None:
+            return
+        assert graph.order_key() is key     # sought once
+        n = len(values)
+        assert key.dtype == np.int64 and sorted(key.tolist()) == list(range(n))
+        idx = np.arange(n)
+        beats = graph.beats(idx[:, None], idx[None, :])
+        assert np.array_equal(key[:, None] > key[None, :], beats)
+
+    @pytest.mark.parametrize("policy, values, delta, ordered", [
+        ("larger-wins", [0.0, 0.6, 1.2], 1.0, True),
+        ("smaller-wins", [0.0, 0.6, 1.2], 1.0, False),  # a cycle
+        ("lower-index-wins", [0.0, 0.6, 1.2], 1.0, False),
+        ("smaller-wins", [0.0, 0.5, 1.0], 1.0, True),   # no pair forced
+        ("lower-index-wins", [3.0, 0.0, 1.5, 0.0], 1.0, True),  # all forced
+        ("smaller-wins", [0.0, 1.0, 2.0], 1.0, False),  # gaps at delta: free
+        ("random", [0.0, 0.0, 0.0], 1.0, False),
+    ])
+    def test_which_graphs_are_orders(self, policy, values, delta, ordered):
+        graph = build_nonadaptive(Instance(values, delta), policy, RngSeed(1))
+        assert (graph.order_key() is not None) == ordered
+
+    def test_other_graphs_are_not_orders(self):
+        inst, graph = lemma_one_construction(5, seed=1)
+        assert graph.order_key() is None
+        assert graph.dense().order_key() is None
 
 
 class TestLemmaRule:

@@ -138,6 +138,8 @@ def _explicit(n):
 KEPT = {
     "smaller-wins": ("zeros:30", "smaller-wins"),
     "lower-index-wins": ({"values": [0.0, 2.5, 1.0, 0.5] * 8}, "lower-index-wins"),
+    "larger-wins": ({"values": [0.0, 2.5, 1.0, 0.5] * 8}, "larger-wins"),
+    "distinct": ("distinct:30", "lower-index-wins"),    # every pair forced
     "explicit-dense": _explicit(25),
     "seeded-random": ("zeros:40", {"kind": "nonadaptive", "policy": "random",
                                    "seed": 5}),
@@ -366,3 +368,64 @@ def test_lanes_start_from_any_items():
                 alone = select(session, items, RngSeed(4).generator(t, 2))
                 assert result.winners[t] == alone.winner
                 assert result.lane_queries[t] == alone.queries
+
+
+# stacked rows of the q-select and q-sort kinds: every pair of the stack is free
+STACKED = {"stacked-zeroone": ("zeroone:30", "lower-index-wins"),
+           "stacked-uniform01": ("uniform01:30", "smaller-wins")}
+# the kinds whose graph is an order, so that their lanes carry its keys
+KEYED = ("smaller-wins", "larger-wins", "distinct", "stacked", "kept-n1",
+         "stacked-n2", *STACKED)
+KINDS = {**SELECTORS, **STACKED}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_carry_keys_exactly_for_orders(kind, monkeypatch):
+    """The harness's blocks carry keys where the graph is an order and ask
+    the graph elsewhere: a silent fallback to the rule fails here."""
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    keyed = []
+    make = harness.LaneBlock
+
+    def spy(*args):
+        block = make(*args)
+        keyed.append(block.key is not None)
+        return block
+
+    monkeypatch.setattr(harness, "LaneBlock", spy)
+    instance, adversary = KINDS[kind]
+    for algorithm in harness.LANE_ALGORITHMS:
+        cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                          adversary=adversary, trials=10, seed=9)
+        harness._trial_block(cfg, 0, 10)
+    assert keyed == [kind in KEYED] * 8     # two blocks per algorithm
+
+
+@pytest.mark.parametrize("algorithm", harness.LANE_ALGORITHMS)
+@pytest.mark.parametrize("kind", KEYED)
+def test_keys_answer_as_the_graph(algorithm, kind):
+    """Lanes on an order's keys give each lane the output and queries that
+    lanes asking the graph's dense copy, which carries no keys, give it: on
+    a graph the lanes share and on a stack of the trials' instances."""
+    instance, adversary = KINDS[kind]
+    root = RngSeed(9, 2)
+    count = 20
+    inst, cgraph = build_instance(instance, root.generator(0, 0))
+    stride = 0
+    if kind.startswith("stacked"):
+        stride = inst.n
+        inst = Instance(np.concatenate([
+            build_instance(instance, root.generator(t, 0))[0].values
+            for t in range(count)]))
+    graph = harness.adversary_from_spec(parse_adversary(adversary), inst,
+                                        root.generator(0, 1), cgraph)
+    results = []
+    for g in (graph, graph.dense()):
+        block = LaneBlock(g, stride or inst.n, root.pcg64_lanes(0, count, 2),
+                          stride)
+        assert (block.key is not None) == (g is graph)
+        results.append(harness.run_algorithm(algorithm, block, None))
+    keys, rule = results
+    out = "orders" if algorithm == "q-sort" else "winners"
+    assert getattr(keys, out).tolist() == getattr(rule, out).tolist()
+    assert keys.lane_queries.tolist() == rule.lane_queries.tolist()

@@ -151,7 +151,10 @@ class TournamentGraph:
     def order_key(self) -> Optional[np.ndarray]:
         """Int64 keys, a permutation of 0..n-1 with ``key[a] > key[b]``
         exactly when a beats b, when the graph is shown to be an order;
-        else None, as here."""
+        else None, as here. The keys rank ``beats``: what a session's
+        ``duel`` and round-robins ask, and a kept graph's pivot rounds,
+        which are its ``beats``. A pivot round answered otherwise
+        (``_PivotKillerRule``) never reads them."""
         return None
 
     def _blocks(self, rows: np.ndarray, cols: np.ndarray):
@@ -385,13 +388,15 @@ class ComparatorSession:
     tallied in ``violations``. Single-owner: not safe for concurrent queries.
 
     Algorithms ask whole batches (``pivot_round``, ``duel``, ``round_robin``)
-    of int64 index arrays. An adversary with a batch form (``bulk``: a valid
-    graph, the pivot-killer, memoized or not) answers a batch in one call
-    (see ``comparator_for``); any other is asked one ``query`` at a time, in
-    the same order, a pivot round passing its pivot as the hint. Both write
-    the same log. ``record=False`` keeps only the count, except for an
-    adversary asked pair by pair, whose ``decide`` may read the log. A single
-    ``query`` always asks ``decide`` and checks the answer's forced pair.
+    of int64 index arrays, or duel on order keys (``keyed_duel``) when the
+    session has them (``order_key``). An adversary with a batch form
+    (``bulk``: a valid graph, the pivot-killer, memoized or not) answers a
+    batch in one call (see ``comparator_for``); any other is asked one
+    ``query`` at a time, in the same order, a pivot round passing its pivot
+    as the hint. Both write the same log. ``record=False`` keeps only the
+    count, except for an adversary asked pair by pair, whose ``decide`` may
+    read the log. A single ``query`` always asks ``decide`` and checks the
+    answer's forced pair.
     """
 
     def __init__(self, instance: Instance, adversary: AdaptiveStrategy,
@@ -470,6 +475,20 @@ class ComparatorSession:
             self.log.count += len(a)
         return mask
 
+    def order_key(self) -> Optional[np.ndarray]:
+        """The keys of ``TournamentGraph.order_key``, which rank ``duel``'s
+        answers, when the session keeps no log and a graph answers its
+        batches; else None: a log needs each pair, a memo must see each
+        pair, and a strategy asked pair by pair may read the log."""
+        if self.log.recording or not isinstance(self._bulk, TournamentGraph):
+            return None
+        return self._bulk.order_key()
+
+    def keyed_duel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``duel`` on the keys of ``order_key``: each pair's winning key."""
+        self.log.count += len(a)
+        return np.maximum(a, b)
+
     def round_robin(self, items: np.ndarray) -> np.ndarray:
         """Compare every pair of ``items`` once, row by row: the wins of each
         item."""
@@ -501,9 +520,10 @@ class PolicyTournament(RuleTournament):
         self._key = _UNSOUGHT
 
     def order_key(self) -> Optional[np.ndarray]:
-        """The keys of an order (see ``TournamentGraph.order_key``), sought
-        once: larger-wins is always one, ranked by (value desc, index asc).
-        Smaller-wins and lower-index-wins are one when no pair is forced,
+        """The keys of an order, ranking ``beats`` (see
+        ``TournamentGraph.order_key``), sought once: larger-wins is always
+        one, ranked by (value desc, index asc). Smaller-wins and
+        lower-index-wins are one when no pair is forced,
         ``fl(max - min) <= delta``, in the policy's own order: (value asc,
         index asc) and the index. They are one too when every two distinct
         values are forced, each gap between neighbouring sorted distinct
@@ -635,7 +655,9 @@ def build_nonadaptive(instance: Instance, policy: str,
 class _PivotKillerRule(PolicyTournament):
     """``PivotKiller``'s answers in closed form: in a pivot round every item
     that is not forced to lose beats the pivot; other free pairs go to the
-    lower index."""
+    lower index. Its ``order_key`` ranks those other pairs, ``beats``, as
+    lower-index-wins does; its pivot rounds answer otherwise and never use
+    the key."""
 
     __slots__ = ()
 

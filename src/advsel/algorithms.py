@@ -130,25 +130,24 @@ def sequential_select(session, items=None, rng=None):
     return _run_lanes(session, rng, lambda block: _sequential_lanes(block, x))
 
 
-def _matching(session, items: np.ndarray, rng) -> np.ndarray:
-    """Pair ``items`` by one random perfect matching and duel each pair: the
-    positions in ``items`` of each pair's winner, in pair order, then the
-    bye of an odd count."""
-    perm = rng.permutation(len(items))
-    half = len(items) // 2
-    a, b = perm[0:2 * half:2], perm[1:2 * half:2]
-    return np.concatenate([np.where(session.duel(items[a], items[b]), a, b),
-                           perm[2 * half:]])
-
-
-def _knockout_round(session, items: np.ndarray, rng) -> np.ndarray:
-    return items if len(items) == 1 else items[_matching(session, items, rng)]
+def _matching(session, items: np.ndarray, rng, keyed: bool = False) -> np.ndarray:
+    """Pair ``items`` by one random perfect matching and duel each pair: each
+    pair's winner, in pair order, then the bye of an odd count. The pairs
+    are a shuffled copy of ``items`` read two by two: the draws, and the
+    order, of ``items[rng.permutation(len(items))]``. ``keyed``: the items
+    are the keys of ``session.order_key()``, and the pairs duel on them."""
+    drawn = items.copy()
+    rng.shuffle(drawn)
+    half = len(drawn) // 2
+    a, b = drawn[0:2 * half:2], drawn[1:2 * half:2]
+    won = session.keyed_duel(a, b) if keyed else np.where(session.duel(a, b), a, b)
+    return np.concatenate([won, drawn[2 * half:]])
 
 
 def knockout_round(session, items, rng) -> list[int]:
     """Pair the items of one random perfect matching and keep the winners;
     an odd leftover gets a bye. floor(m/2) queries, ceil(m/2) survivors."""
-    return _knockout_round(session, _resolve(session, items), rng).tolist()
+    return _matching(session, _resolve(session, items), rng).tolist()
 
 
 def modified_knockout(session, epsilon: float, items=None,
@@ -165,7 +164,7 @@ def modified_knockout(session, epsilon: float, items=None,
     while len(x) > params.n1:
         picked = rng.choice(len(x), size=params.n1, replace=False)
         saved.append(x[picked])
-        x = _knockout_round(session, x, rng)
+        x = _matching(session, x, rng)
     if saved:
         # the survivors, then each pool item they lack, at its first place
         field = np.concatenate([x, *saved])
@@ -190,7 +189,8 @@ class LaneBlock:
 
     A graph that is an order (``order_key``) answers as one: the lanes then
     carry each graph item's key in place of the item, and a query is one
-    comparison of keys."""
+    comparison of keys. The keys rank ``beats``; a block takes them only
+    from a kept graph, whose pivot rounds are its ``beats``."""
 
     def __init__(self, graph, n_items: int, rng: PCG64Lanes, stride: int = 0):
         self.graph, self.n_items, self.rng = graph, n_items, rng
@@ -465,9 +465,15 @@ def combined_select(session, epsilon: float, items=None,
             x = _session_round(lane, x)
         if len(x) > params.shrink_threshold * sizes[-1]:
             reps = params.ko_reps(len(sizes))  # round index, from 1
-            wins = np.zeros(len(x), dtype=np.int64)
+            # the pairs duel on keys where the session has them: sought only
+            # here, as most runs never re-pair
+            key = session.order_key()
+            field = x if key is None else key[x]
+            tally = np.zeros(session.n_items, dtype=np.int64)
             for _ in range(reps):
-                wins[_matching(session, x, rng)] += 1   # a bye counts as a win
+                # a bye counts as a win
+                tally[_matching(session, field, rng, key is not None)] += 1
+            wins = tally[field]
             keep = wins > params.win_fraction * reps
             if keep.any():
                 x = x[keep]

@@ -6,7 +6,10 @@ time, for the same (instance, adversary, seed).
 The memoized pivot-killer answers batches too: its memo replays a stored
 answer inside a batch (ko-mod's final round-robin and comb's re-paired duels
 repeat pairs) and is shared with single queries, so it must match the same
-memoized strategy asked pair by pair, a fresh one per transcript."""
+memoized strategy asked pair by pair, a fresh one per transcript.
+
+A session that keeps no log duels on order keys where its batch form is an
+order (comb's re-pairings), and must answer as the pairs would."""
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from advsel.algorithms import (combined_select, complete_tournament,
                                modified_knockout, quick_select,
                                sequential_select)
 from advsel.core import Instance, RngSeed, validate_log
+from advsel.harness import TrialConfig, run_trials
 from advsel.sorting import complete_sort, quick_sort
 
 from test_transcripts import LogReader
@@ -383,3 +387,96 @@ def test_answers_depend_only_on_the_queries(values, kind, seed):
             fresh = ComparatorSession(inst, make(inst, seed))
             assert [session.query(i, j) for i, j in pairs] == \
                 [fresh.query(i, j) for i, j in pairs]
+
+
+KEYED_ADVERSARIES = ("larger-wins", "smaller-wins", "lower-index-wins",
+                     "pivot-killer", "memoized-pivot-killer")
+
+
+@st.composite
+def keyed_values(draw):
+    """Values all equal, distinct with every pair forced, or mixed: a free
+    pair of distinct values and a forced pair, so that only larger-wins is
+    an order. Fields of 2 and 3 items come up often."""
+    kind = draw(st.sampled_from(["equal", "forced", "mixed"]))
+    n = draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, 30)))
+    if kind == "equal":
+        return kind, [draw(st.integers(0, 3))] * n
+    if kind == "forced":
+        return kind, [1.5 * k for k in draw(st.permutations(range(n)))]
+    n = max(n, 3)
+    rest = draw(st.lists(st.integers(0, 2), min_size=n - 3, max_size=n - 3))
+    return kind, draw(st.permutations([0, 1, 2, *rest]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=keyed_values(), adversary=st.sampled_from(KEYED_ADVERSARIES),
+       epsilon=st.sampled_from([0.1, 0.5, 0.91]),
+       algorithm=st.sampled_from(["comb", "ko-mod"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_keyed_duels_answer_as_pairs(case, adversary, epsilon, algorithm, seed):
+    """comb and ko-mod on a session that keeps no log, which duels on order
+    keys where it has them, give the winner, queries, rounds, sizes,
+    violations and next draw of the same adversary asked pair by pair; the
+    memoized pivot-killer's memo ends up holding every pair asked."""
+    kind, values = case
+    inst = Instance(tuple(map(float, values)))
+    run = combined_select if algorithm == "comb" else modified_knockout
+
+    def make():
+        if adversary == "pivot-killer":
+            return PivotKiller()
+        if adversary == "memoized-pivot-killer":
+            return memoized_killer()
+        return build_nonadaptive(inst, adversary)
+
+    batched, paired = make(), make()
+    outcomes = []
+    for adv in (batched, PairByPair(paired)):
+        session = ComparatorSession(inst, adv, record=False)
+        rng = RngSeed(seed).generator()
+        result = run(session, epsilon, rng=rng)
+        outcomes.append((result, session.queries, session.violations,
+                         rng.integers(2 ** 32)))
+    assert outcomes[0] == outcomes[1]
+    assert getattr(batched, "_memo", None) == getattr(paired, "_memo", None)
+    keyed = ComparatorSession(inst, batched, record=False).order_key() is not None
+    assert keyed == (adversary != "memoized-pivot-killer"
+                     and (kind != "mixed" or adversary == "larger-wins"))
+
+
+@pytest.fixture
+def duel_calls(monkeypatch):
+    """Every ``ComparatorSession.duel`` and ``keyed_duel`` call, by name."""
+    calls = []
+    for name in ("duel", "keyed_duel"):
+        method = getattr(ComparatorSession, name)
+
+        def spy(self, a, b, name=name, method=method):
+            calls.append(name)
+            return method(self, a, b)
+
+        monkeypatch.setattr(ComparatorSession, name, spy)
+    return calls
+
+
+MEMO_SPEC = {"kind": "construction", "name": "pivot-killer",
+             "params": {"memoized": True}}
+
+
+@pytest.mark.parametrize("instance, adversary, keyed", [
+    ("zeros:301", "pivot-killer", True),
+    ("uniform01:301", "pivot-killer", True),
+    ("lemma2:301", "pivot-killer", False),
+    ("zeros:301", MEMO_SPEC, False),
+], ids=["zeros", "uniform01", "lemma2", "memoized"])
+def test_comb_repairings_duel_on_keys_exactly_for_orders(instance, adversary,
+                                                         keyed, duel_calls):
+    """comb's re-pairings through ``run_trials`` duel on keys against the
+    pivot-killer where its rule is an order, asking ``duel`` for no pair,
+    and ask ``duel`` against lemma2 and the memoized pivot-killer: a silent
+    fallback from the keys fails here."""
+    cfg = TrialConfig(algorithm="comb", instance=instance, adversary=adversary,
+                      epsilon=0.1, trials=2, seed=4)
+    run_trials(cfg)
+    assert set(duel_calls) == {"keyed_duel" if keyed else "duel"}

@@ -86,6 +86,30 @@ def test_permutation_is_numpys(seed, lo, n, data):
                        data.draw(RANGES, label="next range"))
 
 
+@settings(max_examples=60, deadline=None)
+@example(seed=0, n=2 ** 16 + 1, pending=True)
+@example(seed=0, n=2 ** 16, pending=False)
+@given(seed=st.integers(0, 2 ** 64),
+       n=st.one_of(st.integers(0, 70), st.sampled_from([*EDGES, 2 ** 16 + 1])),
+       pending=st.booleans())
+def test_shuffled_copy_is_permutation(seed, n, pending):
+    """``algorithms._matching`` draws its pairs by shuffling a copy of the
+    int64 items: the draws, order and generator state of gathering them
+    through ``permutation``, with or without a uint32 pending first."""
+    gens = [RngSeed(seed, 5).generator() for _ in range(2)]
+    if pending:
+        for g in gens:
+            g.integers(7)
+    # 64-bit draws, which leave a pending uint32 pending
+    items = gens[0].integers(-2 ** 40, 2 ** 40, size=n)
+    gens[1].integers(-2 ** 40, 2 ** 40, size=n)
+    assert gens[0].bit_generator.state["has_uint32"] == pending
+    shuffled = items.copy()
+    gens[0].shuffle(shuffled)
+    assert shuffled.tolist() == items[gens[1].permutation(n)].tolist()
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
 # a long shuffle costs about 20 us per position, so few examples
 @settings(max_examples=3, deadline=None)
 @example(seed=2 ** 64, n=2 ** 16, pending=[1])

@@ -942,7 +942,7 @@ def parse_adversary(spec) -> dict:
     else:
         name = spec.get("name")
         checked = {"kind": kind, "name": name,
-                   "params": _construction_params(name, spec.get("params") or {})}
+                   "params": _construction_params(name, spec.get("params", {}))}
     check_keys(f"{kind} adversary spec", spec, checked)
     return checked
 

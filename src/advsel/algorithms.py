@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "SelectionResult",
     "LaneResult",
     "LaneBlock",
+    "run_sign",
     "KoModParams",
     "CombParams",
     "complete_tournament",
@@ -190,7 +191,13 @@ class LaneBlock:
     A graph that is an order (``order_key``) answers as one: the lanes then
     carry each graph item's key in place of the item, and a query is one
     comparison of keys. The keys rank ``beats``; a block takes them only
-    from a kept graph, whose pivot rounds are its ``beats``."""
+    from a kept graph, whose pivot rounds are its ``beats``.
+
+    With stride 0, keys that run monotone over the starting items
+    (``run_sign``) make every lane's segment one run of them: the items a
+    pivot beats, or that beat it, are the run on one side of it. q-select
+    and q-sort then carry each lane's run sizes, not its items, so a round
+    costs O(1) per lane; every other block carries items."""
 
     def __init__(self, graph, n_items: int, rng: PCG64Lanes, stride: int = 0):
         self.graph, self.n_items, self.rng = graph, n_items, rng
@@ -270,6 +277,7 @@ class _SessionLane:
     """A session as a block of one lane, drawing from its own generator."""
 
     __slots__ = ("session", "rng")
+    key, stride = None, 0   # it carries items, never a run
 
     def __init__(self, session, rng):
         self.session, self.rng = session, rng
@@ -343,10 +351,49 @@ def _quickselect_round(block, lanes, items, sizes):
             items[kept.cumsum()[done] - 1])
 
 
+def run_sign(key: Optional[np.ndarray], items: np.ndarray, stride: int = 0) -> int:
+    """Whether lanes that all start from ``items`` hold one run of an order:
+    +1 when ``key`` ascends over ``items`` in their given order, so each
+    item beats every item before it; -1 when it descends, so each item
+    beats every item after it; 0 when there is no key, the lanes stack their
+    own instances (a nonzero ``stride``), or the keys are out of order."""
+    if key is None or stride:
+        return 0
+    steps = np.diff(key[items])
+    if (steps > 0).all():
+        return 1
+    return -1 if (steps < 0).all() else 0
+
+
+def _select_run(block, items: np.ndarray, sign: int):
+    """``_select_lanes`` on a block whose lanes hold one run (``run_sign``),
+    carrying each lane's run size alone: a round draws its pivot at place p
+    of a run of s items, as the item path draws it, and keeps the s - 1 - p
+    items after it (ascending) or the p before it (descending), or the pivot
+    alone when that side is empty. The winner is the run's top item."""
+    count = len(block)
+    rounds = np.zeros(count, dtype=np.int64)
+    lanes = np.arange(count) if len(items) > 1 else _NO_LANES
+    sizes = np.full(len(lanes), len(items))
+    r = 0
+    while len(lanes):
+        r += 1
+        at = block.rng.integers(lanes, sizes)
+        block.queries[lanes] += sizes - 1
+        sizes = sizes - 1 - at if sign > 0 else at
+        live = sizes > 1
+        rounds[lanes[~live]] = r
+        lanes, sizes = lanes[live], sizes[live]
+    return np.repeat(items[-1 if sign > 0 else 0], count), rounds
+
+
 def _select_lanes(block, items: np.ndarray):
     """Quick-select rounds on each lane of a block, every lane starting from
     ``items``, until each lane is down to one item: per lane, the winner and
     the rounds."""
+    sign = run_sign(block.key, items, block.stride)
+    if sign:
+        return _select_run(block, items, sign)
     count, m = len(block), len(items)
     rounds = np.zeros(count, dtype=np.int64)
     if m == 1:

@@ -29,6 +29,12 @@ trial's own generator would, in three cases:
   graph, which carries no hidden permutation and so is the same for every
   draw (lemma1): the lanes share that graph, and each lane draws its values
   on its trial's instance stream (``generators.lane_values``).
+
+A kept graph whose order keys run monotone over the items (``zeros:n`` or
+``distinct:n`` against smaller-wins, larger-wins or lower-index-wins) makes a
+q-select or q-sort block one run (``algorithms.run_sign``): its lanes carry
+run sizes in place of items, and a q-select run takes ``_SEED_CHUNK`` lanes
+at any n.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ import numpy as np
 from .adversary import (ComparatorSession, TournamentGraph, adversary_from_spec,
                         comparator_for, parse_adversary)
 from .algorithms import (LaneBlock, combined_select, complete_tournament,
-                         modified_knockout, quick_select, sequential_select)
+                         modified_knockout, quick_select, run_sign,
+                         sequential_select)
 from .core import (Instance, RngSeed, check_choice, check_keys, check_number,
                    is_t_approx, is_t_sorted)
 from .generators import lane_values, parse_generator
@@ -199,7 +206,8 @@ def run_algorithm(algorithm: str, session, rng, epsilon=None):
 
 # trials whose generator states are derived in one step
 _SEED_CHUNK = 1024
-# items a block of q-select lanes holds at once, so its arrays stay a few MB
+# items (or, for a q-sort run, stacked segment sizes) a block of lanes holds
+# at once, so its arrays stay a few MB; a q-select run holds none
 _LANE_ITEMS = 1 << 17
 
 
@@ -303,8 +311,9 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
 def _lane_trials(config: TrialConfig, root: RngSeed, instance: Optional[Instance],
                  graph, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Errors and queries of trials lo..hi-1, run as the lanes of blocks of
-    at most ``_SEED_CHUNK`` trials and about ``_LANE_ITEMS`` items, in the
-    lane rule's three cases:
+    at most ``_SEED_CHUNK`` trials and, unless the block is a q-select run
+    (``algorithms.run_sign``), about ``_LANE_ITEMS`` items, in the lane
+    rule's three cases:
 
     - ``graph`` is the kept adversary on ``instance``, trial lo's;
     - ``graph`` is None: each block stacks its trials' own instances, built
@@ -314,7 +323,10 @@ def _lane_trials(config: TrialConfig, root: RngSeed, instance: Optional[Instance
       instance stream, as the trial would."""
     draw = lane_values(config.instance) if instance is None else None
     n = graph.n if instance is None else instance.n
-    chunk = max(1, min(_SEED_CHUNK, _LANE_ITEMS // n))
+    # a q-select run carries each lane's run size alone
+    select_run = (config.algorithm == "q-select" and graph is not None
+                  and draw is None and run_sign(graph.order_key(), np.arange(n)))
+    chunk = _SEED_CHUNK if select_run else max(1, min(_SEED_CHUNK, _LANE_ITEMS // n))
     if graph is None:
         adv_spec = parse_adversary(config.adversary)
         instance_rngs = _TrialStreams(root, 0, lo, hi)

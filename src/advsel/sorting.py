@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import _NO_LANES, LaneBlock, _SessionLane, _resolve, _rng
+from .algorithms import (_NO_LANES, LaneBlock, _SessionLane, _resolve, _rng,
+                         run_sign)
 
 __all__ = ["SortResult", "LaneSortResult", "complete_sort", "quick_sort",
            "exact_expected_queries"]
@@ -58,9 +59,13 @@ def quick_sort(session, items=None, rng=None):
     x = _resolve(session, items)
     if isinstance(session, LaneBlock):
         lanes = len(session.queries)
-        out = session.trial_items(_sort_lanes(session, session.lane_items(x), lanes))
-        return LaneSortResult(out.reshape(lanes, len(x)), int(session.queries.sum()),
-                              session.queries)
+        sign = run_sign(session.key, x, session.stride)
+        if sign:
+            out = _sort_run(session, x, sign)
+        else:
+            out = session.trial_items(_sort_lanes(session, session.lane_items(x),
+                                                  lanes)).reshape(lanes, len(x))
+        return LaneSortResult(out, int(session.queries.sum()), session.queries)
     start = session.queries
     out = _sort_lanes(_SessionLane(session, _rng(rng)), x, 1)
     return SortResult(tuple(out.tolist()), session.queries - start)
@@ -94,6 +99,38 @@ def _sort_lanes(block, items: np.ndarray, count: int) -> np.ndarray:
     while len(lanes):
         lanes = step(block, lanes, out, stack, depth)
     return out
+
+
+def _sort_run(block, items: np.ndarray, sign: int) -> np.ndarray:
+    """``_sort_lanes`` on a block whose lanes hold one run (``run_sign``),
+    each lane's stack holding segment sizes alone: every segment stays a run
+    in the key order of ``items``, so a pivot at place p of s items has the
+    s - 1 - p items after it as winners (ascending) or the p before it
+    (descending). A step pops one size per lane, draws once, and pushes the
+    losers' size, then the winners', in ``_partition_lanes``'s order. Each
+    lane's order is ``items`` in descending key order, one row per lane."""
+    count, m = len(block), len(items)
+    order = np.tile(items[::-1] if sign > 0 else items, (count, 1))
+    if m < 2:
+        return order
+    # disjoint segments of two or more items each
+    stack = np.empty((count, m // 2), dtype=np.int64)
+    stack[:, 0] = m
+    depth = np.ones(count, dtype=np.int64)
+    lanes = np.arange(count)
+    while len(lanes):
+        depth[lanes] -= 1
+        size = stack[lanes, depth[lanes]]
+        at = block.rng.integers(lanes, size)
+        block.queries[lanes] += size - 1
+        won = size - 1 - at if sign > 0 else at
+        for s in (size - 1 - won, won):
+            push = s > 1
+            into = lanes[push]
+            stack[into, depth[into]] = s[push]
+            depth[into] += 1
+        lanes = lanes[depth[lanes] > 0]
+    return order
 
 
 def _partition_one(lane: _SessionLane, lanes, out, stack: list, depth):

@@ -530,6 +530,23 @@ class TestAdversarySpec:
                            "params": params}, inst)
         assert np.array_equal(built.dense().matrix, graph.dense().matrix)
 
+    @pytest.mark.parametrize("params", [[], 0, False, "", None])
+    @pytest.mark.parametrize("name", ["pivot-killer", None, "lemma1"])
+    def test_params_must_be_an_object(self, name, params):
+        # only a missing "params" means no params
+        spec = {"kind": "construction", "params": params}
+        if name is not None:
+            spec["name"] = name
+        with pytest.raises(ValueError, match="construction 'params' must be an object"):
+            parse_adversary(spec)
+        del spec["params"]
+        if name == "lemma1":
+            with pytest.raises(ValueError, match="param 'n'"):
+                parse_adversary(spec)
+        else:
+            assert parse_adversary(spec)["params"] == ({"memoized": False}
+                                                      if name else {})
+
     def test_komodhard_builds_past_the_construction_cap(self):
         inst, graph = parse_generator("komodhard:4097", RngSeed(1).generator())
         assert inst.n == 4097 and graph.winner(0, 1) in (0, 1)

@@ -189,6 +189,16 @@ class TestSelect:
         # a sentence naming what is wrong, not the bare repr of a missing key
         assert not re.fullmatch(r"error: '\w*'\n", err)
 
+    @pytest.mark.parametrize("params", ["[]", "0", "false", '""', "null"])
+    @pytest.mark.parametrize("name", ['"name": "pivot-killer", ', "",
+                                      '"name": "lemma1", '])
+    def test_construction_params_must_be_an_object(self, capsys, name, params):
+        spec = '{"kind": "construction", %s"params": %s}' % (name, params)
+        err = assert_one_line_input_error(
+            capsys, "select", "--gen", "zeros:5", "--algo", "q-select",
+            "--adversary", spec, "--seed", "1")
+        assert "construction 'params' must be an object" in err
+
     def test_overflowing_instance_one_line_error(self, capsys, tmp_path):
         for text in ('{"values": [1%s]}' % ("0" * 400),
                      '{"values": [1.0], "delta": 1%s}' % ("0" * 400),

@@ -453,3 +453,95 @@ def test_keys_answer_as_the_graph(algorithm, kind):
     out = "orders" if algorithm == "q-sort" else "winners"
     assert getattr(keys, out).tolist() == getattr(rule, out).tolist()
     assert keys.lane_queries.tolist() == rule.lane_queries.tolist()
+
+
+@pytest.fixture()
+def run_calls(monkeypatch):
+    """(algorithm, lanes, sign) of every block run as one run of an order."""
+    from advsel import algorithms, sorting
+    calls = []
+    for module, name, algorithm in ((algorithms, "_select_run", "q-select"),
+                                    (sorting, "_sort_run", "q-sort")):
+        def spy(block, items, sign, run=getattr(module, name), algorithm=algorithm):
+            calls.append((algorithm, len(block), sign))
+            return run(block, items, sign)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# zeros:n ranks its items in descending index order under each policy, and
+# distinct:n, whose every pair is forced, in ascending
+RUN_SIGNS = {"zeros": -1, "distinct": 1}
+
+
+@pytest.mark.parametrize("algorithm", ["q-select", "q-sort"])
+@pytest.mark.parametrize("generator", RUN_SIGNS)
+@pytest.mark.parametrize("policy", ["smaller-wins", "larger-wins", "lower-index-wins"])
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("lo,hi", [(0, 45), (13, 50)])
+def test_run_blocks_equal_trials_run_alone(algorithm, generator, policy, n, lo, hi,
+                                           lane_calls, run_calls, monkeypatch):
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    cfg = TrialConfig(algorithm=algorithm, instance=f"{generator}:{n}",
+                      adversary=policy, t=0.0, trials=50, seed=9, stream=2)
+    inst, outputs, queries, errors = _trials_alone(cfg, lo, hi)
+    results = []
+    run_algorithm = harness.run_algorithm
+
+    def spy(*args):
+        results.append(run_algorithm(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "run_algorithm", spy)
+    data = harness._trial_block(cfg, lo, hi)
+    assert lane_calls == [(lo, hi)]
+    # every block of 7 lanes (the last one shorter) ran as a run
+    sign = RUN_SIGNS[generator] if n > 1 else 1
+    blocks = [min(7, hi - k) for k in range(lo, hi, 7)]
+    assert run_calls == [(algorithm, count, sign) for count in blocks]
+    out = "orders" if algorithm == "q-sort" else "winners"
+    assert np.concatenate([getattr(r, out) for r in results]).tolist() == outputs
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+    assert data.violations == 0 and data.n == n
+
+
+@pytest.mark.parametrize("algorithm", ["q-select", "q-sort"])
+@pytest.mark.parametrize("kind", ["smaller-wins", "distinct"])
+def test_items_out_of_run_order_carry_items(algorithm, kind, run_calls):
+    """On the same kept graph, reversed items are a run of the other sign,
+    and permuted items fall back to the item path: both give every lane what
+    the trial gives alone on those items."""
+    instance, adversary = KEPT[kind]
+    root = RngSeed(9, 2)
+    inst, _ = build_instance(instance, root.generator(0, 0))
+    adv = harness.adversary_from_spec(parse_adversary(adversary), inst,
+                                      root.generator(0, 1))
+    run = quick_sort if algorithm == "q-sort" else quick_select
+    ours = {"smaller-wins": -1, "distinct": 1}[kind]
+    permuted = np.random.default_rng(3).permutation(inst.n)
+    for items, calls in ((np.arange(inst.n)[::-1], [(algorithm, 20, -ours)]),
+                         (permuted, [])):
+        run_calls.clear()
+        result = run(LaneBlock(adv, inst.n, root.pcg64_lanes(0, 20, 2)), items)
+        assert run_calls == calls
+        for t in range(20):
+            session = ComparatorSession(inst, adv, record=False)
+            alone = run(session, items, root.generator(t, 2))
+            if algorithm == "q-sort":
+                assert result.orders[t].tolist() == list(alone.order)
+            else:
+                assert result.winners[t] == alone.winner
+            assert result.lane_queries[t] == alone.queries
+
+
+def test_select_runs_hold_no_items(run_calls, monkeypatch):
+    """A q-select run takes ``_SEED_CHUNK`` lanes whatever n is; a q-sort run
+    holds segment sizes, so the item cap still bounds its lanes."""
+    monkeypatch.setattr(harness, "_LANE_ITEMS", 100)    # 2 lanes of 50 items
+    for algorithm in ("q-select", "q-sort"):
+        cfg = TrialConfig(algorithm=algorithm, instance="zeros:50",
+                          adversary="smaller-wins", trials=6, seed=1)
+        harness.run_trials(cfg)
+    assert run_calls == [("q-select", 6, -1)] + [("q-sort", 2, -1)] * 3

@@ -809,14 +809,32 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, ConstructionTou
     (2 over every 0) land correctly and every 1 has the 2 in its out-fan,
     then relabeled by a seeded permutation.
     """
-    n = _require_odd(n)
-    m = (n - 1) // 2
-    rng = _seed_rng(seed)
-    canon_values = np.concatenate(([2.0], np.zeros(m), np.ones(m)))
-    perm = rng.permutation(n)  # canonical position p becomes index perm[p]
-    values = np.empty(n)
-    values[perm] = canon_values
-    return _valid_pair(Instance(values), ConstructionTournament((n,), perm))
+    perm = _seed_rng(seed).permutation(_require_odd(n))
+    return _valid_pair(Instance(_lemma_two_values(n, perm)),
+                       ConstructionTournament((n,), perm))
+
+
+def _lemma_two_values(n: int, perm) -> np.ndarray:
+    """lemma2's values under ``perm``: canonical position p becomes index
+    perm[p], one row per row of ``perm``."""
+    m = (_require_odd(n) - 1) // 2
+    return _permuted(np.concatenate(([2.0], np.zeros(m), np.ones(m))), perm)
+
+
+def _lemma_two_lanes(n: int, lanes: PCG64Lanes) -> np.ndarray:
+    """``lemma_two_construction``'s values on each lane of ``lanes``, one row
+    per lane, from the same ``permutation(n)`` draw."""
+    return _lemma_two_values(n, lanes.permutation(n))
+
+
+def _permuted(canon: np.ndarray, perm) -> np.ndarray:
+    """Values with ``canon[p]`` at index ``perm[p]``, or at ``perm[k, p]`` in
+    row k of a 2-D ``perm``."""
+    perm = np.asarray(perm)
+    values = np.empty(perm.shape)
+    rows = (np.arange(len(perm))[:, None],) if perm.ndim == 2 else ()
+    values[(*rows, perm)] = canon
+    return values
 
 
 def _layered_size(r: int, s: int) -> int:
@@ -853,17 +871,30 @@ def komod_hard_instance(n: int, seed=None) -> tuple[Instance, ConstructionTourna
     than lower-index-wins: a single dominant 1 would otherwise out-win 0* in
     the final round-robin and the construction would lose its teeth.
     """
+    g = _komod_groups(n)
+    perm = _seed_rng(seed).permutation(n)
+    return _valid_pair(Instance(_komod_values(n, perm)),
+                       ConstructionTournament((1, g, g, g, 1), perm, _KOMOD_GROUPS))
+
+
+def _komod_groups(n: int) -> int:
+    """The size g = (n - 2) / 3 of komod-hard's groups of 2s, 1s and 0s."""
     if n < 5 or (n - 2) % 3 != 0:
         raise ValueError(f"need n - 2 divisible by 3 and n >= 5, got {n}")
-    rng = _seed_rng(seed)
-    g = (n - 2) // 3
+    return (n - 2) // 3
+
+
+def _komod_values(n: int, perm) -> np.ndarray:
+    """komod-hard's values under ``perm``, as ``_lemma_two_values``."""
+    g = _komod_groups(n)
     # canonical order: [3] [2]*g [1]*g [0]*g [0*]
-    canon_values = np.concatenate(([3.0], np.full(g, 2.0), np.ones(g), np.zeros(g), [0.0]))
-    perm = rng.permutation(n)  # canonical position p becomes index perm[p]
-    values = np.empty(n)
-    values[perm] = canon_values
-    return _valid_pair(Instance(values),
-                       ConstructionTournament((1, g, g, g, 1), perm, _KOMOD_GROUPS))
+    return _permuted(np.concatenate(([3.0], np.full(g, 2.0), np.ones(g),
+                                     np.zeros(g), [0.0])), perm)
+
+
+def _komod_lanes(n: int, lanes: PCG64Lanes) -> np.ndarray:
+    """``komod_hard_instance``'s values on each lane, as ``_lemma_two_lanes``."""
+    return _komod_values(n, lanes.permutation(n))
 
 
 # Who beats whom between komod-hard's value groups, in canonical order
@@ -880,15 +911,17 @@ _KOMOD_GROUPS = np.array([
 class Construction(NamedTuple):
     """A named instance builder: its integer params, in order, whether a seed
     follows them, ``size``, the item count of the params (default: the first),
-    and ``lanes``, for a construction whose graph is the same for every draw:
-    its values drawn on each lane of a ``PCG64Lanes`` from the params, one row
-    per lane, as the construction draws them on a generator."""
+    ``lanes``, for a seeded builder: its values drawn on each lane of a
+    ``PCG64Lanes`` from the params, one row per lane, as the builder draws
+    them on a generator, and ``shared``: whether the graph it builds is the
+    same for every draw of its values (it carries no drawn permutation)."""
 
     builder: Callable
     params: tuple[str, ...]
     seeded: bool
     size: Optional[Callable[..., int]] = None
     lanes: Optional[Callable[..., np.ndarray]] = None
+    shared: bool = False
 
     def items(self, args) -> int:
         return self.size(*args) if self.size else args[0]
@@ -901,11 +934,13 @@ class Construction(NamedTuple):
 # "seed" when seeded). "pivot-killer" is adaptive: its one param is the flag "memoized".
 CONSTRUCTION_TABLE = {
     "lemma1": Construction(lemma_one_construction, ("n",), True,
-                           lanes=_lemma_one_lanes),
-    "lemma2": Construction(lemma_two_construction, ("n",), True),
+                           lanes=_lemma_one_lanes, shared=True),
+    "lemma2": Construction(lemma_two_construction, ("n",), True,
+                           lanes=_lemma_two_lanes),
     "seq-hard": Construction(sequential_hard_instance, ("r", "s"), False,
                              _layered_size),
-    "komod-hard": Construction(komod_hard_instance, ("n",), True),
+    "komod-hard": Construction(komod_hard_instance, ("n",), True,
+                               lanes=_komod_lanes),
 }
 
 SHORTHAND = {
@@ -950,14 +985,18 @@ def parse_adversary(spec) -> dict:
 def _construction_params(name, params) -> dict:
     if not isinstance(params, dict):
         raise ValueError("construction 'params' must be an object")
-    if name is None or name == "pivot-killer":
-        check_keys(f"{name or 'nameless construction'} params", params,
-                   ("memoized",) if name else ())
+    if name is None:
+        if params:
+            raise ValueError("the nameless construction (the instance's own "
+                             f"graph) takes no params, got {next(iter(params))!r}")
+        return {}
+    if name == "pivot-killer":
+        check_keys(f"{name} params", params, ("memoized",))
         memoized = params.get("memoized", False)
         if not isinstance(memoized, bool):
             raise ValueError(f"{name} param 'memoized' must be true or false, "
                              f"got {memoized!r}")
-        return {"memoized": memoized} if name else {}
+        return {"memoized": memoized}
     entry = CONSTRUCTION_TABLE[check_choice(
         "construction", name, (*CONSTRUCTION_TABLE, "pivot-killer"))]
     check_keys(f"{name} params", params, entry.params + ("seed",) * entry.seeded)

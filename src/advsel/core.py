@@ -279,6 +279,10 @@ _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _MULT = tuple(np.uint64(h) for h in (_PCG64_MULT & _MASK64, _PCG64_MULT >> 64))
+# LCG steps ``_lcg_ahead`` takes by their own jump constants before doubling
+_AHEAD_BY_JUMP = 32
+# values of all lanes one block of ``PCG64Lanes.fill`` draws
+_FILL_WORDS = 1 << 17
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,16 +312,28 @@ def _lcg_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
 
 def _lcg_ahead(state: np.ndarray, inc: np.ndarray, steps: int) -> np.ndarray:
     """The states after 1..``steps`` LCG steps of each lane of ``state``, as
-    (2, steps, lanes) halves, at once: step k's is A_k * state + G_k * inc,
-    A_k = mult**k and G_k the sum of mult**i for i < k, modulo 2**128 (the
-    jump-ahead of F. Brown, Trans. Am. Nucl. Soc. 1994)."""
+    (2, steps, lanes) halves: step k's is A_k * state + G_k * inc, A_k =
+    mult**k and G_k the sum of mult**i for i < k, modulo 2**128 (the
+    jump-ahead of F. Brown, Trans. Am. Nucl. Soc. 1994). Past the first
+    ``_AHEAD_BY_JUMP`` steps the states double: with L made, the next L are
+    the first L stepped L times more, A_L * s + G_L * inc."""
     a, g, jumps = 1, 0, []
-    for _ in range(steps):
+    for _ in range(min(steps, _AHEAD_BY_JUMP)):
         a, g = a * _PCG64_MULT & _MASK128, (g * _PCG64_MULT + 1) & _MASK128
         jumps.append((a & _MASK64, a >> 64, g & _MASK64, g >> 64))
     a_lo, a_hi, g_lo, g_hi = np.array(jumps, dtype=np.uint64).T[:, :, None]
-    return _affine(state[:, None], (a_lo, a_hi),
-                   _affine(inc[:, None], (g_lo, g_hi), (0, 0)))
+    out = _affine(state[:, None], (a_lo, a_hi),
+                  _affine(inc[:, None], (g_lo, g_hi), (0, 0)))
+    while out.shape[1] < steps:
+        more = min(out.shape[1], steps - out.shape[1])
+        shift = _affine(inc, _halves(g), (0, 0))[:, None]
+        out = np.concatenate([out, _affine(out[:, :more], _halves(a), shift)], axis=1)
+        a, g = a * a & _MASK128, g * (a + 1) & _MASK128
+    return out
+
+
+def _halves(x: int) -> tuple[np.uint64, np.uint64]:
+    return np.uint64(x & _MASK64), np.uint64(x >> 64)
 
 
 def _xsl_rr(state: np.ndarray) -> np.ndarray:
@@ -337,6 +353,12 @@ class PCG64Lanes:
     is the XSL-RR permutation (M. O'Neill, HMC-CS-2014-0905). A 64-bit
     output is handed out as two uint32s, low half first, the high half
     waiting in ``uinteger`` with ``has_uint32`` set, as numpy buffers it.
+
+    Three of numpy's draws are modelled: ``integers(m)``, one value on each
+    listed lane, and ``permutation(n)`` and ``integers(0, hi, size=n)``
+    (``fill``) on every lane, which read one word stream run ahead on all
+    lanes (``_stream``). Lanes in lockstep all hold a pending half or none
+    do; ``integers`` then reads or steps them all with no per-lane split.
     """
 
     def __init__(self, state: np.ndarray, inc: np.ndarray):
@@ -364,14 +386,24 @@ class PCG64Lanes:
         return _xsl_rr(state)
 
     def _next_uint32(self, lanes: np.ndarray) -> np.ndarray:
-        """Each listed lane's next uint32, as uint64 (lanes distinct)."""
+        """Each listed lane's next uint32, as uint64 (lanes distinct). Lanes
+        in lockstep all hold a pending half or none do: those read the halves,
+        or take one step, with no split of the lanes."""
         has = self._has[lanes]
+        held = np.count_nonzero(has)
+        if held == len(lanes):
+            self._has[lanes] = False
+            return self._pending[lanes]
+        if not held:
+            word = self._step(lanes)
+            self._pending[lanes] = word >> 32
+            self._has[lanes] = True
+            return word & _MASK32
         out = self._pending[lanes]
         fresh = ~has
-        if fresh.any():
-            word = self._step(lanes[fresh])
-            out[fresh] = word & _MASK32
-            self._pending[lanes[fresh]] = word >> 32
+        word = self._step(lanes[fresh])
+        out[fresh] = word & _MASK32
+        self._pending[lanes[fresh]] = word >> 32
         self._has[lanes] = fresh
         return out
 
@@ -383,17 +415,31 @@ class PCG64Lanes:
         draws nothing."""
         lanes = np.asarray(lanes, dtype=np.intp)
         m = np.asarray(m, dtype=np.uint64)
-        if len(m) and not (m.min() >= 1 and m.max() <= _MASK32):
+        if not len(m):
+            return np.zeros(0, dtype=np.int64)
+        least = m.min()
+        if not (least >= 1 and m.max() <= _MASK32):
             raise ValueError("each range must lie within 1..2**32-1")
-        out = np.zeros(len(lanes), dtype=np.int64)
-        draw = np.flatnonzero(m > 1)
-        lanes, m = lanes[draw], m[draw]
+        count = len(m)
+        # the lanes that draw: every lane unless some range is 1
+        draw = None if least > 1 else np.flatnonzero(m > 1)
+        if draw is not None:
+            lanes, m = lanes[draw], m[draw]
         product = self._next_uint32(lanes) * m
-        threshold = (_MASK32 + 1 - m) % m
-        redo = np.flatnonzero((product & _MASK32) < threshold)
-        while len(redo):
-            product[redo] = self._next_uint32(lanes[redo]) * m[redo]
-            redo = redo[(product[redo] & _MASK32) < threshold[redo]]
+        # the threshold (2**32 - m) % m is below m: only a low half below m
+        # can be re-drawn, so only those lanes compute it
+        redo = np.flatnonzero((product & _MASK32) < m)
+        if len(redo):
+            threshold = (_MASK32 + 1 - m[redo]) % m[redo]
+            while True:
+                again = (product[redo] & _MASK32) < threshold
+                if not again.any():
+                    break
+                redo, threshold = redo[again], threshold[again]
+                product[redo] = self._next_uint32(lanes[redo]) * m[redo]
+        if draw is None:
+            return (product >> 32).view(np.int64)
+        out = np.zeros(count, dtype=np.int64)
         out[draw] = product >> 32
         return out
 
@@ -405,9 +451,8 @@ class PCG64Lanes:
         of all ones that covers i, re-drawn while above i.
 
         The words come as blocks of LCG steps run ahead on every lane and
-        read with a pointer per lane; each lane is then left at the step of
-        its last read, the high half of that step pending when only its low
-        half was read."""
+        read with a pointer per lane (``_stream``); each lane is then left
+        at the step of its last read (``_settle``)."""
         if not 0 <= n <= _MASK32 + 1:
             raise ValueError("n must lie within 0..2**32")
         count = len(self)
@@ -415,11 +460,7 @@ class PCG64Lanes:
         if n < 2:
             return out
         rows = np.arange(count)
-        # a lane's words: its pending uint32, then each step's low and high
-        # halves; step k's are columns 2k - 1 and 2k, its state states[:, k]
-        words = self._pending[:, None]
-        states = self._state[:, None]
-        at = (~self._has).astype(np.intp)   # the next word to read
+        words, states, at = self._stream()
         swap = np.empty(count, dtype=np.uint64)
         for i in range(n - 1, 0, -1):
             mask = (1 << i.bit_length()) - 1
@@ -431,19 +472,71 @@ class PCG64Lanes:
                 at[redo] += 1
                 redo = redo[swap[redo] > i]
             out[rows, i], out[rows, swap] = out[rows, swap], out[rows, i]
+        self._settle(words, states, at)
+        return out
+
+    def fill(self, hi: int, n: int) -> np.ndarray:
+        """Each lane's ``Generator.integers(0, hi, size=n)``, one row per
+        lane, for 1 <= hi < 2**32: n bounded draws in a row, each as
+        ``integers`` draws it, the first word whose product with hi has a
+        low half of at least (2**32 - hi) % hi (hi = 1 draws nothing).
+
+        The words are read as ``permutation`` reads them, a rejected word
+        moving only its own lane's pointer, about ``_FILL_WORDS`` values of
+        all lanes at a time."""
+        if not 1 <= hi <= _MASK32:
+            raise ValueError("hi must lie within 1..2**32-1")
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        count = len(self)
+        out = np.zeros((count, n), dtype=np.int64)
+        if hi == 1 or not count:
+            return out
+        threshold = (_MASK32 + 1 - hi) % hi
+        words_per_value = (_MASK32 + 1) / (_MASK32 + 1 - threshold)
+        width = max(1, _FILL_WORDS // count)
+        for lo in range(0, n, width):
+            size = min(width, n - lo)
+            words, states, at = self._stream()
+            short = size
+            while short > 0:
+                words, states = self._run_ahead(
+                    words, states, math.ceil(short * words_per_value / 2) + 1)
+                # the low half of each product, as uint32 products wrap
+                ok = (np.arange(words.shape[1]) >= at[:, None]) \
+                    & (words * np.uint32(hi) >= threshold)
+                # words a lane accepts, so far
+                rank = np.cumsum(ok, axis=1, dtype=np.int32)
+                short = size - rank[:, -1].min()
+            accepted = words[ok & (rank <= size)].astype(np.uint64)
+            out[:, lo:lo + size] = (accepted * hi >> 32).reshape(count, size)
+            self._settle(words, states, np.count_nonzero(rank < size, axis=1) + 1)
+        return out
+
+    def _stream(self):
+        """Every lane's words, states and read pointer, as ``permutation``
+        and ``fill`` read them: a lane's words are its pending uint32, then
+        each step's low and high halves, step k's columns 2k - 1 and 2k and
+        its state ``states[:, k]``; ``at`` is the next word it reads."""
+        return (self._pending[:, None].astype(np.uint32), self._state[:, None],
+                (~self._has).astype(np.intp))
+
+    def _settle(self, words: np.ndarray, states: np.ndarray, at: np.ndarray) -> None:
+        """Leave each lane at the step of the last word it read (``at`` is the
+        next), that step's high half pending when only its low half was read."""
+        rows = np.arange(len(at))
         steps = at // 2
         self._state = states[:, steps, rows]
-        self._pending = words[rows, 2 * steps]
+        self._pending = words[rows, 2 * steps].astype(np.uint64)
         self._has = at % 2 == 0
-        return out
 
     def _run_ahead(self, words: np.ndarray, states: np.ndarray, steps: int):
         """``words`` and ``states`` (see ``permutation``) with ``steps`` more
         LCG steps of every lane after the last state, none of them taken."""
         more = _lcg_ahead(states[:, -1], self._inc, steps)
-        out = _xsl_rr(more).T                            # (lanes, steps)
-        halves = np.stack([out & _MASK32, out >> 32], axis=2)
-        return (np.concatenate([words, halves.reshape(len(out), 2 * steps)], axis=1),
+        # each lane's outputs in a row, each read as its low, then high uint32
+        halves = np.ascontiguousarray(_xsl_rr(more).T, dtype="<u8").view("<u4")
+        return (np.concatenate([words, halves], axis=1),
                 np.concatenate([states, more], axis=1))
 
 

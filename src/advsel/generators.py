@@ -41,12 +41,29 @@ def make_distinct(n: int) -> Instance:
 
 
 def make_uniform01(n: int, rng: np.random.Generator) -> Instance:
-    return Instance(rng.integers(0, GRID + 1, size=n) / GRID)
+    return Instance(_uniform01_values(rng.integers(0, GRID + 1, size=n)))
 
 
 def make_zeroone(n: int, rng: np.random.Generator) -> Instance:
     """Each value an independent fair coin in {0, 1}: every pair is free."""
-    return Instance(rng.integers(0, 2, size=n).astype(float))
+    return Instance(_zeroone_values(rng.integers(0, 2, size=n)))
+
+
+# a drawn generator's values from its draws of integers(0, hi), written once
+# for a generator and for the lanes of a ``PCG64Lanes``
+
+def _uniform01_values(draws: np.ndarray) -> np.ndarray:
+    return draws / GRID
+
+
+def _zeroone_values(draws: np.ndarray) -> np.ndarray:
+    return draws.astype(float)
+
+
+def _drawn_lanes(values: Callable[[np.ndarray], np.ndarray], hi: int):
+    """The ``Construction.lanes`` entry of a generator whose n values are
+    ``values`` of n draws of ``integers(0, hi)``: one row per lane."""
+    return lambda n, lanes: values(lanes.fill(hi, n))
 
 
 # name -> entry: a spec's integer arguments are its params (a seeded entry also gets
@@ -54,8 +71,10 @@ def make_zeroone(n: int, rng: np.random.Generator) -> Instance:
 _GENERATORS = {
     "zeros": Construction(make_zeros, ("n",), False),
     "distinct": Construction(make_distinct, ("n",), False),
-    "uniform01": Construction(make_uniform01, ("n",), True),
-    "zeroone": Construction(make_zeroone, ("n",), True),
+    "uniform01": Construction(make_uniform01, ("n",), True,
+                              lanes=_drawn_lanes(_uniform01_values, GRID + 1)),
+    "zeroone": Construction(make_zeroone, ("n",), True,
+                            lanes=_drawn_lanes(_zeroone_values, 2)),
     "lemma1": CONSTRUCTION_TABLE["lemma1"],
     "lemma2": CONSTRUCTION_TABLE["lemma2"],
     "seqhard": CONSTRUCTION_TABLE["seq-hard"],
@@ -92,10 +111,16 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     return built if isinstance(built, tuple) else (built, None)
 
 
-def lane_values(spec: str) -> Optional[Callable[[PCG64Lanes], np.ndarray]]:
-    """For a spec whose construction graph is the same for every draw of its
-    values (lemma1): a function of a ``PCG64Lanes`` giving each lane's values,
+def lane_values(spec: str, shared: bool = False
+                ) -> Optional[Callable[[PCG64Lanes], np.ndarray]]:
+    """For a spec that draws its values (uniform01, zeroone and the seeded
+    constructions): a function of a ``PCG64Lanes`` giving each lane's values,
     one row per lane, as ``parse_generator`` draws one instance's on a
-    generator in the lane's state. None for any other spec."""
+    generator in the lane's state. None for a spec that draws nothing; with
+    ``shared``, None also unless the spec's construction graph is the same
+    for every draw of its values (lemma1; lemma2's and komodhard's carry the
+    permutation drawn with them)."""
     _, entry, args = _parse(spec)
-    return None if entry.lanes is None else partial(entry.lanes, *args)
+    if entry.lanes is None or (shared and not entry.shared):
+        return None
+    return partial(entry.lanes, *args)

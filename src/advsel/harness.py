@@ -23,12 +23,15 @@ trial's own generator would, in three cases:
 - its adversary is kept: every lane asks that one graph;
 - its instance is drawn per trial and its adversary is a policy that reads
   only values and index order (smaller-wins, larger-wins, lower-index-wins):
-  the trials' instances are stacked lane after lane, and one policy on the
-  stack answers every lane as it would answer the trial alone;
+  each lane draws its trial's values on its trial's instance stream
+  (``generators.lane_values``), with no instance or generator built per
+  trial; a block checks its lanes' values as one instance, stacked lane
+  after lane, and one policy on the stack answers every lane as it would
+  answer the trial alone;
 - its instance is drawn per trial and its adversary is the construction's own
   graph, which carries no hidden permutation and so is the same for every
   draw (lemma1): the lanes share that graph, and each lane draws its values
-  on its trial's instance stream (``generators.lane_values``).
+  as in the case above.
 
 A kept graph whose order keys run monotone over the items (``zeros:n`` or
 ``distinct:n`` against smaller-wins, larger-wins or lower-index-wins) makes a
@@ -104,8 +107,8 @@ class TrialConfig:
         if not 1 <= self.trials <= 2 ** 32:
             # a trial index is one 32-bit word of its generator's spawn key
             raise ValueError("trials must be between 1 and 2**32")
-        if not self.t >= 0:   # NaN too
-            raise ValueError(f"t must be >= 0, got {self.t!r}")
+        if not 0 <= self.t < math.inf:   # NaN too
+            raise ValueError(f"t must be >= 0 and finite, got {self.t!r}")
         parse_adversary(self.adversary)
         if self.algorithm in ("ko-mod", "comb") and self.epsilon is None:
             raise ValueError(f"{self.algorithm} needs epsilon")
@@ -269,7 +272,7 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
     # a construction's own graph that is the same for every draw (lemma1):
     # the lanes share it and draw their own values
     shares = adversary is cgraph and isinstance(config.instance, str) \
-        and lane_values(config.instance) is not None
+        and lane_values(config.instance, shared=True) is not None
     if config.algorithm in LANE_ALGORITHMS and (keep_adversary or stacks or shares):
         errors, queries = _lane_trials(config, root, None if shares else instance,
                                        None if stacks else adversary, lo, hi)
@@ -316,46 +319,43 @@ def _lane_trials(config: TrialConfig, root: RngSeed, instance: Optional[Instance
     rule's three cases:
 
     - ``graph`` is the kept adversary on ``instance``, trial lo's;
-    - ``graph`` is None: each block stacks its trials' own instances, built
-      as the trials would build them, and asks one policy on the stack;
+    - ``graph`` is None: each lane draws its values on its trial's instance
+      stream, as the trial would, and each block checks its lanes' values as
+      one ``Instance`` (the delta of ``instance``, trial lo's), the trials'
+      instances stacked, and asks one policy on the stack;
     - ``instance`` is None: ``graph`` is a construction's graph that is the
-      same for every draw, and each lane draws its values on its trial's
-      instance stream, as the trial would."""
-    draw = lane_values(config.instance) if instance is None else None
+      same for every draw, and each lane draws its values as above."""
+    # each lane's own values, drawn on its trial's instance stream
+    draw = None if graph is not None and instance is not None \
+        else lane_values(config.instance)
     n = graph.n if instance is None else instance.n
     # a q-select run carries each lane's run size alone
-    select_run = (config.algorithm == "q-select" and graph is not None
-                  and draw is None and run_sign(graph.order_key(), np.arange(n)))
+    select_run = (config.algorithm == "q-select" and draw is None
+                  and run_sign(graph.order_key(), np.arange(n)))
     chunk = _SEED_CHUNK if select_run else max(1, min(_SEED_CHUNK, _LANE_ITEMS // n))
     if graph is None:
         adv_spec = parse_adversary(config.adversary)
-        instance_rngs = _TrialStreams(root, 0, lo, hi)
     errors, queries = [], []
     for first in range(lo, hi, chunk):
         end = min(first + chunk, hi)
         rng = root.pcg64_lanes(first, end, 2)
-        if graph is None:
-            # trial lo's instance is built already
-            trials = [instance if t == lo else
-                      build_instance(config.instance, instance_rngs.at(t))[0]
-                      for t in range(first, end)]
-            stacked = Instance(np.concatenate([i.values for i in trials]),
-                               instance.delta)
-            block = LaneBlock(adversary_from_spec(adv_spec, stacked), n, rng, n)
-            values = stacked.values.reshape(end - first, n)
-        elif draw is None:
-            block = LaneBlock(graph, n, rng)
+        if draw is None:
             values = np.broadcast_to(instance.values, (end - first, n))
         else:
-            block = LaneBlock(graph, n, rng)
             values = draw(root.pcg64_lanes(first, end, 0))
+        if graph is None:
+            stacked = Instance(values.ravel(), instance.delta)
+            block = LaneBlock(adversary_from_spec(adv_spec, stacked), n, rng, n)
+            values = stacked.values.reshape(end - first, n)
+        else:
+            block = LaneBlock(graph, n, rng)
         result = run_algorithm(config.algorithm, block, None)
         if config.algorithm == "q-sort":
             ok = is_t_sorted(np.take_along_axis(values, result.orders, 1), config.t)
         else:
             won = values[np.arange(end - first), result.winners]
-            ok = is_t_approx(won, instance if graph is not None and draw is None
-                             else values.max(axis=1), config.t)
+            ok = is_t_approx(won, instance if draw is None else values.max(axis=1),
+                             config.t)
         errors.append(~ok)
         queries.append(result.lane_queries)
     return np.concatenate(errors), np.concatenate(queries)

@@ -530,6 +530,15 @@ class TestAdversarySpec:
                            "params": params}, inst)
         assert np.array_equal(built.dense().matrix, graph.dense().matrix)
 
+    @pytest.mark.parametrize("params", [{"n": 3}, {"memoized": True}, {"seed": 1}])
+    def test_nameless_construction_takes_no_params(self, params):
+        key = next(iter(params))
+        with pytest.raises(ValueError, match="^the nameless construction .* takes "
+                                             f"no params, got '{key}'$"):
+            parse_adversary({"kind": "construction", "params": params})
+        assert parse_adversary({"kind": "construction", "params": {}}) == \
+            parse_adversary("construction")
+
     @pytest.mark.parametrize("params", [[], 0, False, "", None])
     @pytest.mark.parametrize("name", ["pivot-killer", None, "lemma1"])
     def test_params_must_be_an_object(self, name, params):

@@ -322,6 +322,27 @@ class TestBench:
                                           str(cfg_path))
         assert "t must be >= 0" in err
 
+    @pytest.mark.parametrize("t", ["1e400", "-1e400", "Infinity"])
+    def test_infinite_t_rejected(self, capsys, tmp_path, t):
+        # an infinite t would count every trial's output as correct
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"algorithm": "q-select", "instance": "uniform01:50", '
+                            '"adversary": "smaller-wins", "trials": 20, '
+                            '"seed": 1, "t": %s}' % t)
+        err = assert_one_line_input_error(capsys, "bench", "--config",
+                                          str(cfg_path))
+        assert "t must be >= 0 and finite" in err
+
+    def test_nameless_construction_takes_no_params(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "algorithm": "seq", "instance": "lemma1:5", "trials": 3, "seed": 1,
+            "adversary": {"kind": "construction", "params": {"n": 3}}}))
+        err = assert_one_line_input_error(capsys, "bench", "--config",
+                                          str(cfg_path))
+        assert "nameless construction (the instance's own graph) takes no " \
+            "params, got 'n'" in err
+
     def test_seedless_config_rejected(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"algorithm": "compl",

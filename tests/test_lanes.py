@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advsel import harness
+from advsel import core, harness
 from advsel.adversary import (ComparatorSession, lemma_one_construction,
                               lemma_two_construction, parse_adversary)
 from advsel.algorithms import (LaneBlock, LaneResult, complete_tournament,
                                quick_select, sequential_select)
 from advsel.core import Instance, RngSeed, is_t_sorted
+from advsel.generators import lane_values, parse_generator
 from advsel.harness import TrialConfig, build_instance
 from advsel.sorting import LaneSortResult, quick_sort
 
@@ -54,19 +55,30 @@ def test_lanes_draw_what_numpy_draws(seed, lo, count, data):
     assert lanes.states() == [g.bit_generator.state for g in gens]
 
 
-def _check_permutation(root, lo, count, n, pending, m):
-    """Each lane's ``permutation(n)``, state and next ``integers(m)`` against
-    numpy's, after a first draw on the ``pending`` lanes leaves a uint32
-    pending there."""
+def _pending_lanes(root, lo, count, pending):
+    """Lanes lo..lo+count-1 and their generators, after a first draw on the
+    ``pending`` lanes leaves a uint32 pending there."""
     lanes = root.pcg64_lanes(lo, lo + count, 2)
     gens = _generators(root, lo, lo + count, 2)
     lanes.integers(np.array(pending, dtype=np.intp), np.full(len(pending), 7))
     for k in pending:
         gens[k].integers(7)
-    assert lanes.permutation(n).tolist() == [g.permutation(n).tolist() for g in gens]
+    return lanes, gens
+
+
+def _check_after(lanes, gens, m):
+    """Each lane's state and next ``integers(m)`` against numpy's."""
     assert lanes.states() == [g.bit_generator.state for g in gens]
-    assert lanes.integers(np.arange(count), np.full(count, m)).tolist() == \
+    assert lanes.integers(np.arange(len(gens)), np.full(len(gens), m)).tolist() == \
         [g.integers(m) for g in gens]
+
+
+def _check_permutation(root, lo, count, n, pending, m):
+    """Each lane's ``permutation(n)``, state and next ``integers(m)`` against
+    numpy's, some lanes holding a pending uint32 first."""
+    lanes, gens = _pending_lanes(root, lo, count, pending)
+    assert lanes.permutation(n).tolist() == [g.permutation(n).tolist() for g in gens]
+    _check_after(lanes, gens, m)
 
 
 # the edges of the shuffle's masks: each power of two and the next n
@@ -118,6 +130,101 @@ def test_shuffled_copy_is_permutation(seed, n, pending):
        pending=st.sampled_from([[], [0], [1], [0, 1]]))
 def test_permutation_of_large_n_is_numpys(seed, n, pending):
     _check_permutation(RngSeed(seed, 5), 7, 2, n, pending, 2 ** 31 + 1)
+
+
+# the ranges of the generators' draws, and two that reject about a quarter
+# and a half of the words
+FILL_RANGES = [2, 2 ** 20 + 1, 3 * 2 ** 30 + 1, 2 ** 31 + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), lo=st.integers(0, 2 ** 32 - 64),
+       hi=st.sampled_from(FILL_RANGES),
+       n=st.one_of(st.integers(0, 70), st.sampled_from([257, 1000, 4099])),
+       data=st.data())
+def test_fill_is_numpys(seed, lo, hi, n, data):
+    """``fill(hi, n)`` is each lane's ``Generator.integers(0, hi, size=n)``,
+    and leaves each lane where numpy leaves it."""
+    count = data.draw(st.integers(1, 24), label="lanes")
+    pending = data.draw(st.lists(st.integers(0, count - 1), unique=True),
+                        label="pending")
+    lanes, gens = _pending_lanes(RngSeed(seed, 5), lo, count, pending)
+    got = lanes.fill(hi, n)
+    assert got.dtype == np.int64 and got.shape == (count, n)
+    assert got.tolist() == [g.integers(0, hi, size=n).tolist() for g in gens]
+    _check_after(lanes, gens, data.draw(RANGES, label="next range"))
+
+
+@pytest.mark.parametrize("width", [1, 5, 64])
+@pytest.mark.parametrize("hi", FILL_RANGES)
+def test_fill_in_blocks_is_numpys(width, hi, monkeypatch):
+    """A fill of more values than one block takes reads on, block after
+    block, from where the last block left each lane."""
+    monkeypatch.setattr(core, "_FILL_WORDS", width)
+    lanes, gens = _pending_lanes(RngSeed(8, 5), 3, 6, [1, 4, 5])
+    assert lanes.fill(hi, 70).tolist() == [g.integers(0, hi, size=70).tolist()
+                                           for g in gens]
+    _check_after(lanes, gens, 2 ** 31 + 1)
+
+
+def _lane_drawing(word):
+    """One lane whose next uint32 is ``word``, and a generator in its state:
+    the state one LCG step before the state (high half 0, low half ``word``),
+    whose XSL-RR output is ``word`` itself."""
+    inc = 2 * 0x5851F42D4C957F2D + 1
+    state = (word - inc) * pow(core._PCG64_MULT, -1, 2 ** 128) % 2 ** 128
+    lanes = core.PCG64Lanes(*(np.array([[x & core._MASK64], [x >> 64]], dtype=np.uint64)
+                              for x in (state, inc)))
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return lanes, gen
+
+
+@pytest.mark.parametrize("hi,below", [(hi, below) for hi in FILL_RANGES + [3]
+                                      for below in (0, 1)
+                                      if (2 ** 32 - hi) % hi >= below])
+def test_draws_at_the_rejection_threshold(hi, below):
+    """A word whose product with hi has a low half of exactly the threshold
+    (2**32 - hi) % hi is kept, and one just below it is drawn again, by
+    ``fill`` and by ``integers`` as by numpy."""
+    threshold = (2 ** 32 - hi) % hi
+    # a word w with w * hi = threshold - below modulo 2**32 (hi odd), or 0
+    word = 0 if hi % 2 == 0 else (threshold - below) * pow(hi, -1, 2 ** 32) % 2 ** 32
+    for draw in (lambda lanes: lanes.fill(hi, 3)[0].tolist(),
+                 lambda lanes: [lanes.integers([0], [hi])[0] for _ in range(3)]):
+        lanes, gen = _lane_drawing(word)
+        assert draw(lanes) == gen.integers(0, hi, size=3).tolist()
+        assert lanes.states() == [gen.bit_generator.state]
+
+
+def test_fill_of_one_draws_nothing():
+    lanes = RngSeed(2).pcg64_lanes(0, 3, 0)
+    before = lanes.states()
+    assert lanes.fill(1, 4).tolist() == [[0] * 4] * 3
+    assert lanes.fill(7, 0).shape == (3, 0)
+    assert lanes.states() == before
+    for hi, n in ((0, 1), (2 ** 32, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            lanes.fill(hi, n)
+
+
+def test_lockstep_lanes_draw_what_numpy_draws():
+    """Lanes that all hold a pending uint32, or none, as a block's lanes
+    do, and a mix of the two, each with ranges of 1 among them or not."""
+    root = RngSeed(13)
+    lanes = root.pcg64_lanes(0, 10, 2)
+    gens = _generators(root, 0, 10, 2)
+    subsets = [np.arange(10), np.arange(10), np.arange(0, 10, 2), np.arange(10),
+               np.arange(1, 10, 2), np.arange(10)]
+    for k, subset in enumerate(subsets):
+        m = np.full(len(subset), 2 ** 31 + 1 if k % 2 else 5, dtype=np.uint64)
+        if k >= 3:
+            m[::3] = 1
+        assert lanes.integers(subset, m).tolist() == \
+            [gens[j].integers(r) for j, r in zip(subset, m.tolist())]
+    assert lanes.states() == [g.bit_generator.state for g in gens]
 
 
 def test_rejected_draws_are_drawn_again():
@@ -315,6 +422,64 @@ def test_stacked_lanes_equal_trials_run_alone(algorithm, instance, policy, lo, h
     lane_outputs = result.orders if algorithm == "q-sort" else result.winners
     assert lane_outputs.tolist() == outputs
     assert result.lane_queries.tolist() == queries
+
+
+@pytest.mark.parametrize("algorithm", ["q-sort", "q-select"])
+@pytest.mark.parametrize("instance", ["zeroone:30", "uniform01:30"])
+def test_stacked_blocks_build_one_instance(algorithm, instance, lane_calls,
+                                           monkeypatch):
+    """A stacked block builds its first trial's instance alone, as every
+    block does: its lanes draw every trial's values."""
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                      adversary="smaller-wins", t=0.5, trials=50, seed=9, stream=2)
+    _, _, queries, errors = _trials_alone(cfg, 13, 50)
+    builds = []
+    build = harness.build_instance
+
+    def spy(source, rng):
+        builds.append(source)
+        return build(source, rng)
+
+    monkeypatch.setattr(harness, "build_instance", spy)
+    data = harness._trial_block(cfg, 13, 50)
+    assert lane_calls == [(13, 50)] and builds == [instance]
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
+
+
+@pytest.mark.parametrize("spec", ["uniform01:30", "zeroone:30", "lemma1:15",
+                                  "lemma2:21", "komodhard:20"])
+def test_lane_values_are_the_generators(spec):
+    """Each lane's row of ``lane_values`` is the instance ``parse_generator``
+    draws on its trial's generator, which is left in the lane's state; only
+    lemma1's graph is the same for every draw."""
+    root = RngSeed(21, 4)
+    lanes = root.pcg64_lanes(5, 17, 0)
+    gens = _generators(root, 5, 17, 0)
+    rows = lane_values(spec)(lanes)
+    assert rows.tolist() == [parse_generator(spec, g)[0].values.tolist() for g in gens]
+    assert lanes.states() == [g.bit_generator.state for g in gens]
+    assert (lane_values(spec, shared=True) is not None) == spec.startswith("lemma1")
+    for unseeded in ("zeros:5", "distinct:5", "seqhard:3,2"):
+        assert lane_values(unseeded) is None
+
+
+@pytest.mark.parametrize("algorithm", harness.LANE_ALGORITHMS)
+@pytest.mark.parametrize("instance", ["lemma2:21", "komodhard:20"])
+def test_stacked_constructions_equal_trials_run_alone(algorithm, instance, lane_calls,
+                                                      monkeypatch):
+    """A construction whose graph is drawn with its values stacks its trials'
+    instances under a policy too (its pairs are not all free, and smaller-wins
+    on it is no order)."""
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
+    cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                      adversary="smaller-wins", t=0.5, trials=50, seed=9, stream=2)
+    _, _, queries, errors = _trials_alone(cfg, 13, 50)
+    data = harness._trial_block(cfg, 13, 50)
+    assert lane_calls == [(13, 50)]
+    assert data.queries.tolist() == queries
+    assert data.errors.tolist() == errors
 
 
 # seq and compl: every kept kind, lemma1's instance drawn per trial under its

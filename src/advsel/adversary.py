@@ -369,15 +369,27 @@ class _MemoizedBatches:
 
 
 def _round_robin_wins(beats, items: np.ndarray, log: Optional[QueryLog] = None):
-    """Wins of each of ``items`` from one ``beats`` call over every pair of
-    them, row by row (a before b in ``items``), each pair also logged, in that
-    order, to ``log`` if given."""
-    rows, cols = np.triu_indices(len(items), 1)
-    a, b = items[rows], items[cols]
-    a_wins = beats(a, b)
-    if log is not None:
-        log.extend(a, b, np.where(a_wins, a, b))
-    return np.bincount(np.where(a_wins, rows, cols), minlength=len(items))
+    """Wins of each of ``items`` from ``beats`` over every pair of them, row
+    by row (a before b in ``items``), each pair also logged, in that order, to
+    ``log`` if given. Rows go to ``beats`` in blocks of at most _BLOCK_CELLS
+    pairs (or one row), so the temporaries stay O(m) for m items: one block
+    up to m = 513."""
+    m = len(items)
+    wins = np.zeros(m, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(m - 1, 1))
+    for lo in range(0, m - 1, step):
+        r = np.arange(lo, min(lo + step, m - 1))
+        counts = m - 1 - r
+        rows = np.repeat(r, counts)
+        # the p-th pair of row r is (r, r + 1 + p)
+        cols = np.arange(len(rows)) + np.repeat(r + 1 - (counts.cumsum() - counts),
+                                                counts)
+        a, b = items[rows], items[cols]
+        a_wins = beats(a, b)
+        if log is not None:
+            log.extend(a, b, np.where(a_wins, a, b))
+        wins += np.bincount(np.where(a_wins, rows, cols), minlength=m)
+    return wins
 
 
 class ComparatorSession:
@@ -816,24 +828,15 @@ def lemma_two_construction(n: int, seed=None) -> tuple[Instance, ConstructionTou
 
 def _lemma_two_values(n: int, perm) -> np.ndarray:
     """lemma2's values under ``perm``: canonical position p becomes index
-    perm[p], one row per row of ``perm``."""
+    perm[p]."""
     m = (_require_odd(n) - 1) // 2
     return _permuted(np.concatenate(([2.0], np.zeros(m), np.ones(m))), perm)
 
 
-def _lemma_two_lanes(n: int, lanes: PCG64Lanes) -> np.ndarray:
-    """``lemma_two_construction``'s values on each lane of ``lanes``, one row
-    per lane, from the same ``permutation(n)`` draw."""
-    return _lemma_two_values(n, lanes.permutation(n))
-
-
-def _permuted(canon: np.ndarray, perm) -> np.ndarray:
-    """Values with ``canon[p]`` at index ``perm[p]``, or at ``perm[k, p]`` in
-    row k of a 2-D ``perm``."""
-    perm = np.asarray(perm)
-    values = np.empty(perm.shape)
-    rows = (np.arange(len(perm))[:, None],) if perm.ndim == 2 else ()
-    values[(*rows, perm)] = canon
+def _permuted(canon: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Values with ``canon[p]`` at index ``perm[p]``."""
+    values = np.empty(len(perm))
+    values[perm] = canon
     return values
 
 
@@ -892,11 +895,6 @@ def _komod_values(n: int, perm) -> np.ndarray:
                                      np.zeros(g), [0.0])), perm)
 
 
-def _komod_lanes(n: int, lanes: PCG64Lanes) -> np.ndarray:
-    """``komod_hard_instance``'s values on each lane, as ``_lemma_two_lanes``."""
-    return _komod_values(n, lanes.permutation(n))
-
-
 # Who beats whom between komod-hard's value groups, in canonical order
 # 3, 2s, 1s, plain 0s, 0* (row beats column).
 _KOMOD_GROUPS = np.array([
@@ -911,17 +909,16 @@ _KOMOD_GROUPS = np.array([
 class Construction(NamedTuple):
     """A named instance builder: its integer params, in order, whether a seed
     follows them, ``size``, the item count of the params (default: the first),
-    ``lanes``, for a seeded builder: its values drawn on each lane of a
-    ``PCG64Lanes`` from the params, one row per lane, as the builder draws
-    them on a generator, and ``shared``: whether the graph it builds is the
-    same for every draw of its values (it carries no drawn permutation)."""
+    and ``lanes``, for a seeded builder whose graph, if it builds one, is the
+    same for every draw of its values (it carries no drawn permutation): its
+    values drawn on each lane of a ``PCG64Lanes`` from the params, one row
+    per lane, as the builder draws them on a generator."""
 
     builder: Callable
     params: tuple[str, ...]
     seeded: bool
     size: Optional[Callable[..., int]] = None
     lanes: Optional[Callable[..., np.ndarray]] = None
-    shared: bool = False
 
     def items(self, args) -> int:
         return self.size(*args) if self.size else args[0]
@@ -934,13 +931,11 @@ class Construction(NamedTuple):
 # "seed" when seeded). "pivot-killer" is adaptive: its one param is the flag "memoized".
 CONSTRUCTION_TABLE = {
     "lemma1": Construction(lemma_one_construction, ("n",), True,
-                           lanes=_lemma_one_lanes, shared=True),
-    "lemma2": Construction(lemma_two_construction, ("n",), True,
-                           lanes=_lemma_two_lanes),
+                           lanes=_lemma_one_lanes),
+    "lemma2": Construction(lemma_two_construction, ("n",), True),
     "seq-hard": Construction(sequential_hard_instance, ("r", "s"), False,
                              _layered_size),
-    "komod-hard": Construction(komod_hard_instance, ("n",), True,
-                               lanes=_komod_lanes),
+    "komod-hard": Construction(komod_hard_instance, ("n",), True),
 }
 
 SHORTHAND = {

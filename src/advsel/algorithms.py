@@ -182,10 +182,12 @@ class LaneBlock:
     ``Generator`` would, and its item i is the graph's item
     ``k * stride + i``. The stride is 0 for a graph the trials share: one
     valid for the one instance every trial shares, or lemma1's graph, the
-    same for every draw of the values each lane draws. It is n for a rule on
-    the trials' own instances stacked lane after lane. Pass it to
-    ``quick_select``, ``quick_sort``, ``sequential_select`` (seq) or
-    ``complete_tournament`` (compl) in place of a session; ``queries``
+    same for every draw of the values each lane draws. It is n for a policy
+    on the trials' own instances stacked lane after lane. The harness stacks
+    only values in [0, 1] at delta 1 under a policy that is an order, so its
+    stacked blocks carry keys; one without keys serves as their reference.
+    Pass it to ``quick_select``, ``quick_sort``, ``sequential_select`` (seq)
+    or ``complete_tournament`` (compl) in place of a session; ``queries``
     counts each lane's queries.
 
     A graph that is an order (``order_key``) answers as one: the lanes then

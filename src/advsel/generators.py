@@ -111,16 +111,12 @@ def parse_generator(spec: str, rng: Optional[np.random.Generator] = None
     return built if isinstance(built, tuple) else (built, None)
 
 
-def lane_values(spec: str, shared: bool = False
-                ) -> Optional[Callable[[PCG64Lanes], np.ndarray]]:
-    """For a spec that draws its values (uniform01, zeroone and the seeded
-    constructions): a function of a ``PCG64Lanes`` giving each lane's values,
-    one row per lane, as ``parse_generator`` draws one instance's on a
-    generator in the lane's state. None for a spec that draws nothing; with
-    ``shared``, None also unless the spec's construction graph is the same
-    for every draw of its values (lemma1; lemma2's and komodhard's carry the
-    permutation drawn with them)."""
+def lane_values(spec: str) -> Optional[Callable[[PCG64Lanes], np.ndarray]]:
+    """For a spec with a lane form (uniform01, zeroone and lemma1): a
+    function of a ``PCG64Lanes`` giving each lane's values, one row per
+    lane, as ``parse_generator`` draws one instance's on a generator in the
+    lane's state. None for every other spec: one that draws nothing, and
+    lemma2 and komodhard, whose graph carries the permutation drawn with
+    their values."""
     _, entry, args = _parse(spec)
-    if entry.lanes is None or (shared and not entry.shared):
-        return None
-    return partial(entry.lanes, *args)
+    return None if entry.lanes is None else partial(entry.lanes, *args)

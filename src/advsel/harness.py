@@ -18,20 +18,22 @@ rebuilt for every trial.
 
 Lane rule: a q-select, q-sort, seq or compl block runs its trials as the
 lanes of ``algorithms.LaneBlock``s, in lockstep, each lane drawing what its
-trial's own generator would, in three cases:
+trial's own generator would, when its adversary is kept (every lane asks
+that one graph) or when both of these hold:
 
-- its adversary is kept: every lane asks that one graph;
-- its instance is drawn per trial and its adversary is a policy that reads
-  only values and index order (smaller-wins, larger-wins, lower-index-wins):
-  each lane draws its trial's values on its trial's instance stream
-  (``generators.lane_values``), with no instance or generator built per
-  trial; a block checks its lanes' values as one instance, stacked lane
-  after lane, and one policy on the stack answers every lane as it would
-  answer the trial alone;
-- its instance is drawn per trial and its adversary is the construction's own
-  graph, which carries no hidden permutation and so is the same for every
-  draw (lemma1): the lanes share that graph, and each lane draws its values
-  as in the case above.
+- its instance is drawn per trial;
+- its generator has a lane form (``generators.lane_values``: uniform01,
+  zeroone and lemma1), so each lane draws its trial's values on its trial's
+  instance stream, with no instance or generator built per trial.
+
+The lanes then share the construction's graph, when the adversary is that
+graph (lemma1's, the same for every draw), or stack, when the adversary is a
+policy graph that is an order (``PolicyTournament.order_key``: smaller-wins,
+larger-wins or lower-index-wins on these values, never ``random``, whose
+coins a stack would draw anew). A stacked block checks its lanes' values as
+one instance, stacked lane after lane, and one policy on the stack answers
+every lane as it would answer the trial alone. Every other block runs one
+session per trial.
 
 A kept graph whose order keys run monotone over the items (``zeros:n`` or
 ``distinct:n`` against smaller-wins, larger-wins or lower-index-wins) makes a
@@ -53,8 +55,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import (ComparatorSession, TournamentGraph, adversary_from_spec,
-                        comparator_for, parse_adversary)
+from .adversary import (ComparatorSession, PolicyTournament, TournamentGraph,
+                        adversary_from_spec, comparator_for, parse_adversary)
 from .algorithms import (LaneBlock, combined_select, complete_tournament,
                          modified_knockout, quick_select, run_sign,
                          sequential_select)
@@ -241,9 +243,6 @@ class _TrialStreams:
         return self.generator.bit_generator.state != self.current
 
 
-# policies that read only values and index order, so one rule answers the
-# trials' instances stacked: ``random`` would draw its coins for the stack
-STACKED_POLICIES = ("larger-wins", "smaller-wins", "lower-index-wins")
 # the algorithms written over lanes
 LANE_ALGORITHMS = ("q-select", "q-sort", "seq", "compl")
 
@@ -265,19 +264,19 @@ def _trial_block(config: TrialConfig, lo: int, hi: int) -> TrialData:
     keep_instance = not instance_rngs.drew()
     keep_adversary = keep_instance and not adversary_rngs.drew() \
         and comparator_for(instance, adversary) is adversary
-    # the stacking is decided by the policy's name: a seeded ``random``
-    # leaves the trial's generator untouched, yet would draw for the stack
-    stacks = not keep_instance and adv_spec["kind"] == "nonadaptive" \
-        and adv_spec["policy"] in STACKED_POLICIES
-    # a construction's own graph that is the same for every draw (lemma1):
-    # the lanes share it and draw their own values
-    shares = adversary is cgraph and isinstance(config.instance, str) \
-        and lane_values(config.instance, shared=True) is not None
-    if config.algorithm in LANE_ALGORITHMS and (keep_adversary or stacks or shares):
-        errors, queries = _lane_trials(config, root, None if shares else instance,
-                                       None if stacks else adversary, lo, hi)
-        return TrialData(errors=errors, queries=queries, round_sizes=[],
-                         wall_time=time.perf_counter() - start, n=instance.n)
+    if config.algorithm in LANE_ALGORITHMS:
+        # an instance drawn per trial whose values the lanes can draw: they
+        # share its construction's graph or stack under an order's policy
+        drawn = not keep_instance and isinstance(config.instance, str) \
+            and lane_values(config.instance) is not None
+        shares = drawn and adversary is cgraph
+        stacks = drawn and isinstance(adversary, PolicyTournament) \
+            and adversary.order_key() is not None
+        if keep_adversary or shares or stacks:
+            errors, queries = _lane_trials(config, root, None if shares else instance,
+                                           None if stacks else adversary, lo, hi)
+            return TrialData(errors=errors, queries=queries, round_sizes=[],
+                             wall_time=time.perf_counter() - start, n=instance.n)
 
     is_sort = config.algorithm in SORTERS
     is_comb = config.algorithm == "comb"
@@ -316,15 +315,15 @@ def _lane_trials(config: TrialConfig, root: RngSeed, instance: Optional[Instance
     """Errors and queries of trials lo..hi-1, run as the lanes of blocks of
     at most ``_SEED_CHUNK`` trials and, unless the block is a q-select run
     (``algorithms.run_sign``), about ``_LANE_ITEMS`` items, in the lane
-    rule's three cases:
+    rule's three forms:
 
     - ``graph`` is the kept adversary on ``instance``, trial lo's;
     - ``graph`` is None: each lane draws its values on its trial's instance
       stream, as the trial would, and each block checks its lanes' values as
       one ``Instance`` (the delta of ``instance``, trial lo's), the trials'
       instances stacked, and asks one policy on the stack;
-    - ``instance`` is None: ``graph`` is a construction's graph that is the
-      same for every draw, and each lane draws its values as above."""
+    - ``instance`` is None: ``graph`` is lemma1's graph, the same for every
+      draw, and each lane draws its values as above."""
     # each lane's own values, drawn on its trial's instance stream
     draw = None if graph is not None and instance is not None \
         else lane_values(config.instance)

@@ -15,7 +15,8 @@ from advsel.adversary import (NONADAPTIVE_POLICIES, AdversaryProtocolError,
                               comparator_for, komod_hard_instance,
                               lemma_one_construction, lemma_two_construction,
                               parse_adversary, sequential_hard_instance)
-from advsel.core import Instance, InvalidQueryError, RngSeed
+from advsel import adversary
+from advsel.core import Instance, InvalidQueryError, QueryLog, RngSeed
 from advsel.generators import parse_generator
 
 
@@ -770,6 +771,55 @@ class TestCountedWins:
         expect = want[np.ix_(items, items)].sum(axis=1).tolist()
         assert graph.wins_within(items).tolist() == expect
         assert TournamentGraph.wins_within(graph, items).tolist() == expect
+
+
+def _triangle_wins(beats, items, log):
+    """Round-robin wins from one ``beats`` call over ``np.triu_indices``."""
+    rows, cols = np.triu_indices(len(items), 1)
+    a, b = items[rows], items[cols]
+    a_wins = beats(a, b)
+    log.extend(a, b, np.where(a_wins, a, b))
+    return np.bincount(np.where(a_wins, rows, cols), minlength=len(items))
+
+
+class TestRoundRobinBlocks:
+    """A logged round-robin asks its pairs in blocks of rows, in the order
+    and with the answers of one batch over the upper triangle."""
+
+    @pytest.mark.parametrize("cells", [1, 5, 64, adversary._BLOCK_CELLS])
+    def test_equals_the_triangle(self, cells, monkeypatch):
+        monkeypatch.setattr(adversary, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        coins = rng.integers(0, 2, (60, 60)).astype(bool)
+        calls = []
+
+        def beats(a, b):
+            calls.append(len(a))
+            return coins[a, b] ^ (a > b)
+
+        for m in range(1, 41):
+            items = rng.permutation(60)[:m]
+            want_log, log = QueryLog(), QueryLog()
+            want = _triangle_wins(beats, items, want_log).tolist()
+            calls.clear()
+            assert adversary._round_robin_wins(beats, items, log).tolist() == want
+            assert list(log) == list(want_log) and log.count == want_log.count
+            # blocks of whole rows, each within the cap unless one row
+            assert sum(calls) == m * (m - 1) // 2
+            assert all(c <= cells or c < m for c in calls)
+            if (m - 1) ** 2 <= cells:
+                assert len(calls) == (m > 1)
+
+    def test_memory_is_linear(self):
+        items = np.arange(4000)
+        tracemalloc.start()
+        try:
+            adversary._round_robin_wins(lambda a, b: a < b, items)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one batch over the 8 million pairs would take about 330 MB
+        assert peak < 32 * 2 ** 20
 
 
 _MAX = sys.float_info.max

@@ -4,7 +4,11 @@ tournament in lockstep. ``PCG64Lanes`` must draw what numpy's
 state, bit for bit, and a ``LaneBlock`` of trials must give every trial the
 winner or order, queries and error of the same trial run alone through a
 session, whether the trials share a kept adversary, stack their own
-instances, or draw their own values under a construction graph they share."""
+instances, or draw their own values under a construction graph they share.
+Over drawn configs, a block gives the same with lanes, without them, and
+with every trial building its own instance and adversary."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advsel import core, harness
-from advsel.adversary import (ComparatorSession, lemma_one_construction,
+from advsel.adversary import (SHORTHAND, ComparatorSession, lemma_one_construction,
                               lemma_two_construction, parse_adversary)
 from advsel.algorithms import (LaneBlock, LaneResult, complete_tournament,
                                quick_select, sequential_select)
@@ -396,7 +400,7 @@ def test_sort_lanes_equal_trials_run_alone(kind, lo, hi, lane_calls, monkeypatch
 
 
 @pytest.mark.parametrize("algorithm", ["q-sort", "q-select"])
-@pytest.mark.parametrize("instance", ["zeroone:30", "uniform01:30"])
+@pytest.mark.parametrize("instance", ["zeroone:30", "uniform01:30", "lemma1:15"])
 @pytest.mark.parametrize("policy", ["smaller-wins", "larger-wins", "lower-index-wins"])
 @pytest.mark.parametrize("lo,hi", [(0, 45), (13, 50)])
 def test_stacked_lanes_equal_trials_run_alone(algorithm, instance, policy, lo, hi,
@@ -410,14 +414,14 @@ def test_stacked_lanes_equal_trials_run_alone(algorithm, instance, policy, lo, h
     assert lane_calls == [(lo, hi)]
     assert data.queries.tolist() == queries
     assert data.errors.tolist() == errors
-    assert data.n == inst.n == 30 and data.violations == 0
+    assert data.n == inst.n and data.violations == 0
     # one block on the stack of all the trials' instances
     root = RngSeed(9, 2)
     stacked = Instance(np.concatenate([
         build_instance(instance, root.generator(t, 0))[0].values
         for t in range(lo, hi)]))
     block = LaneBlock(harness.adversary_from_spec(parse_adversary(policy), stacked),
-                      30, root.pcg64_lanes(lo, hi, 2), 30)
+                      inst.n, root.pcg64_lanes(lo, hi, 2), inst.n)
     result = harness.run_algorithm(algorithm, block, None)
     lane_outputs = result.orders if algorithm == "q-sort" else result.winners
     assert lane_outputs.tolist() == outputs
@@ -448,36 +452,36 @@ def test_stacked_blocks_build_one_instance(algorithm, instance, lane_calls,
     assert data.errors.tolist() == errors
 
 
-@pytest.mark.parametrize("spec", ["uniform01:30", "zeroone:30", "lemma1:15",
-                                  "lemma2:21", "komodhard:20"])
+@pytest.mark.parametrize("spec", ["uniform01:30", "zeroone:30", "lemma1:15"])
 def test_lane_values_are_the_generators(spec):
     """Each lane's row of ``lane_values`` is the instance ``parse_generator``
-    draws on its trial's generator, which is left in the lane's state; only
-    lemma1's graph is the same for every draw."""
+    draws on its trial's generator, which is left in the lane's state. Specs
+    that draw nothing have no lane form, nor have lemma2 and komodhard, whose
+    graphs carry the permutation drawn with their values."""
     root = RngSeed(21, 4)
     lanes = root.pcg64_lanes(5, 17, 0)
     gens = _generators(root, 5, 17, 0)
     rows = lane_values(spec)(lanes)
     assert rows.tolist() == [parse_generator(spec, g)[0].values.tolist() for g in gens]
     assert lanes.states() == [g.bit_generator.state for g in gens]
-    assert (lane_values(spec, shared=True) is not None) == spec.startswith("lemma1")
-    for unseeded in ("zeros:5", "distinct:5", "seqhard:3,2"):
-        assert lane_values(unseeded) is None
+    for no_lanes in ("zeros:5", "distinct:5", "seqhard:3,2", "lemma2:21",
+                     "komodhard:20"):
+        assert lane_values(no_lanes) is None
 
 
 @pytest.mark.parametrize("algorithm", harness.LANE_ALGORITHMS)
 @pytest.mark.parametrize("instance", ["lemma2:21", "komodhard:20"])
 def test_stacked_constructions_equal_trials_run_alone(algorithm, instance, lane_calls,
                                                       monkeypatch):
-    """A construction whose graph is drawn with its values stacks its trials'
-    instances under a policy too (its pairs are not all free, and smaller-wins
-    on it is no order)."""
+    """A construction whose graph is drawn with its values has no lane form,
+    so under a policy too its trials run one session each, and the block
+    gives what they give alone."""
     monkeypatch.setattr(harness, "_SEED_CHUNK", 7)
     cfg = TrialConfig(algorithm=algorithm, instance=instance,
                       adversary="smaller-wins", t=0.5, trials=50, seed=9, stream=2)
     _, _, queries, errors = _trials_alone(cfg, 13, 50)
     data = harness._trial_block(cfg, 13, 50)
-    assert lane_calls == [(13, 50)]
+    assert lane_calls == []
     assert data.queries.tolist() == queries
     assert data.errors.tolist() == errors
 
@@ -531,6 +535,8 @@ PER_TRIAL = {
                       ("zeroone:20",)),
     # their graphs carry a permutation drawn per trial
     "construction": ("construction", ("komodhard:20", "lemma2:21")),
+    # and so these have no lane form to stack
+    "smaller-wins": ("smaller-wins", ("lemma2:21", "komodhard:20")),
 }
 
 
@@ -710,3 +716,87 @@ def test_select_runs_hold_no_items(run_calls, monkeypatch):
                           adversary="smaller-wins", trials=6, seed=1)
         harness.run_trials(cfg)
     assert run_calls == [("q-select", 6, -1)] + [("q-sort", 2, -1)] * 3
+
+
+# (spec, items) of every generator at n <= 12
+SPECS = st.one_of(
+    st.tuples(st.sampled_from(["zeros", "distinct", "uniform01", "zeroone"]),
+              st.integers(1, 12)).map(lambda g: (f"{g[0]}:{g[1]}", g[1])),
+    st.tuples(st.sampled_from(["lemma1", "lemma2"]),
+              st.sampled_from([3, 5, 7, 9, 11])).map(lambda g: (f"{g[0]}:{g[1]}", g[1])),
+    st.sampled_from([(f"komodhard:{n}", n) for n in (5, 8, 11)] +
+                    [(f"seqhard:{r},{s}", r ** s)
+                     for r, s in ((2, 1), (2, 2), (2, 3), (3, 2), (12, 1))]))
+
+
+def _edges(n: int, seed: int) -> dict:
+    """An explicit edge list of ``n`` items, each pair's winner one coin."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coins = np.random.default_rng(seed).integers(0, 2, len(pairs)).tolist()
+    return {"kind": "explicit",
+            "edges": [[i, j, j if c else i] for (i, j), c in zip(pairs, coins)]}
+
+
+def _adversaries(n: int):
+    """Every shorthand, a seeded ``random``, the memoized pivot-killer, and an
+    explicit edge list on ``n`` items."""
+    return st.one_of(
+        st.sampled_from(sorted(SHORTHAND)),
+        st.builds(lambda s: {"kind": "nonadaptive", "policy": "random", "seed": s},
+                  st.integers(0, 2 ** 32)),
+        st.just({"kind": "construction", "name": "pivot-killer",
+                 "params": {"memoized": True}}),
+        st.integers(0, 2 ** 32).map(lambda seed: _edges(n, seed)))
+
+
+def _block_outcome(cfg, lo, hi):
+    """What ``_trial_block`` gives, or the ValueError it raises."""
+    try:
+        data = harness._trial_block(cfg, lo, hi)
+    except ValueError as exc:
+        return ("raises", str(exc))
+    return (data.errors.tolist(), data.queries.tolist(), data.violations,
+            data.round_sizes, data.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(algorithm=st.sampled_from(harness.ALGORITHM_IDS), spec=SPECS,
+       t=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]),
+       epsilon=st.sampled_from([0.1, 0.5, 0.9]), trials=st.integers(1, 40),
+       chunk=st.integers(1, 9), items=st.integers(1, 40),
+       words=st.integers(1, 16), data=st.data())
+def test_trial_blocks_equal_trials_run_alone(algorithm, spec, t, epsilon, trials,
+                                             chunk, items, words, data):
+    """Over drawn configs, a block gives what it gives with no lanes, and
+    what it gives with nothing kept, every trial building its own instance
+    and adversary: the lane rule changes no answer, whichever form it picks."""
+    instance, n = spec
+    adversary = data.draw(_adversaries(n), label="adversary")
+    lo = data.draw(st.integers(0, trials - 1), label="lo")
+    cfg = TrialConfig(algorithm=algorithm, instance=instance, adversary=adversary,
+                      t=t, epsilon=epsilon, trials=trials, seed=9, stream=2)
+    with mock.patch.object(harness, "_SEED_CHUNK", chunk), \
+            mock.patch.object(harness, "_LANE_ITEMS", items), \
+            mock.patch.object(core, "_FILL_WORDS", words):
+        _check_block(cfg, lo, trials)
+
+
+def _check_block(cfg, lo, hi):
+    """A block gives the same as with no lanes and as with nothing kept."""
+    found = _block_outcome(cfg, lo, hi)
+    with mock.patch.object(harness, "LANE_ALGORITHMS", ()):
+        assert _block_outcome(cfg, lo, hi) == found
+    with mock.patch.object(harness._TrialStreams, "drew", lambda self: True):
+        assert _block_outcome(cfg, lo, hi) == found
+
+
+@pytest.mark.parametrize("algorithm", harness.LANE_ALGORITHMS)
+@pytest.mark.parametrize("instance", ["zeros:9", "distinct:9", "seqhard:3,2"])
+def test_rebuilt_instances_with_no_lane_form_run_alone(algorithm, instance):
+    """Rebuilt for every trial, an instance whose generator has no lane form
+    runs one session per trial, under a policy too: the rule asks for a lane
+    form, not for a policy by name."""
+    cfg = TrialConfig(algorithm=algorithm, instance=instance,
+                      adversary="larger-wins", trials=10, seed=9)
+    with mock.patch.object(harness, "_SEED_CHUNK", 4):
+        _check_block(cfg, 3, 10)

@@ -473,11 +473,6 @@ def _most_wins(block, items: np.ndarray, wins: np.ndarray) -> np.ndarray:
     """Per lane, an item of ``items`` with the most wins in the lane's row of
     ``wins``: the leader, or one of the tied leaders by one draw of the lane
     (a lane with one leader draws nothing)."""
-    if len(wins) == 1:      # a block of one needs no per-lane reductions
-        row = wins[0]
-        leaders = items[row == row.max()]
-        pick = block.draw(_ONE_LANE, (len(leaders),), 0) if len(leaders) > 1 else 0
-        return leaders[np.reshape(pick, 1)]
     top = wins == wins.max(axis=1, keepdims=True)
     tied = np.count_nonzero(top, axis=1)
     pick = np.reshape(block.draw(np.arange(len(wins)), tied, 0), (-1, 1))

@@ -1,22 +1,25 @@
-"""Canned desk-scale reproduction of the headline guarantees: one row per
-algorithm claim, each run as a seeded Monte-Carlo experiment and compared
-against its stated bound. Emits a machine-readable CSV (deterministic for a
-fixed seed, byte for byte) and a human-readable text table."""
+"""Canned desk-scale reproduction of the headline guarantees: a table of
+claims (``Claim``), each row run as a seeded Monte-Carlo experiment on its own
+stream, in table order, and checked against its stated bound. Emits a
+machine-readable CSV (deterministic for a fixed seed, byte for byte) and a
+human-readable text table with each row's wall time."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import MAX_INSTANCE_SIZE, check_number
 from .harness import (CSV_HEADER, TrialConfig, TrialSummary, csv_row,
                       run_trials)
 from .sorting import exact_expected_queries
 
-__all__ = ["ReportRow", "BoundReport", "bound_report", "knockout_query_bound"]
+__all__ = ["Claim", "ReportRow", "BoundReport", "bound_report",
+           "knockout_query_bound"]
 
 
 def knockout_query_bound(n: int, epsilon: float) -> float:
@@ -76,21 +79,145 @@ class BoundReport:
         return all(r.ok for r in self.rows)
 
 
-def _scaled(trials: int, scale: float) -> int:
-    return max(10, int(round(trials * scale)))
+class Claim(NamedTuple):
+    """A claim of the report: ``algorithm`` against the ``adversary`` spec on
+    each of ``instances`` (one, or a comb row's size group), a CSV row each
+    under ``label``. ``check(runs)`` maps each row's ``(n, TrialData)`` to its
+    ``(ok, note)``."""
+
+    algorithm: str
+    instances: tuple
+    adversary: str
+    label: str
+    t: float
+    epsilon: Optional[float]
+    trials: int
+    claim: str
+    check: Callable
 
 
-def _largest_komod_n(cap: int) -> int:
-    n = cap
-    while (n - 2) % 3 != 0:
-        n -= 1
-    return n
+def _each(check, *args):
+    """A check of one row, ``check(n, data, *args) -> (ok, note)``, on every row."""
+    return lambda runs: [check(n, data, *args) for n, data in runs]
+
+
+def _mean_se(data):
+    return (data.queries.mean(),
+            data.queries.std(ddof=1) / math.sqrt(len(data.queries)))
+
+
+def _error_free(n, data):
+    return not data.errors.any(), ""
+
+
+def _quadratic(n, data):
+    return (not data.errors.any()) and (data.queries == n * (n - 1) // 2).all(), ""
+
+
+def _error_above(n, data, floor):
+    rate = float(data.errors.mean())
+    return rate > floor, f"measured rate {rate:.4f}"
+
+
+def _uniform_guess(n, data):
+    rate = float(data.errors.mean())
+    expected = 1.0 - 1.0 / n
+    band = 4 * math.sqrt(expected * (1 - expected) / len(data.errors))
+    return abs(rate - expected) <= band, f"expected {expected:.4f}"
+
+
+def _knockout_bound(n, data, eps):
+    return (data.summary().error_ci95[1] < eps and
+            data.queries.max() < knockout_query_bound(n, eps)), ""
+
+
+def _transitive_mean(n, data):
+    # the transitive graph has an exact expectation oracle below 2n, and the
+    # mean must match it (a direct mean-vs-2n test would need ~1e5 trials:
+    # the per-run std is about 0.7n here)
+    mean, se = _mean_se(data)
+    exact = transitive_expected_queries(n)
+    return ((not data.errors.any()) and exact < 2 * n and abs(mean - exact) <= 3 * se,
+            f"mean {mean:.1f} vs exact {exact:.1f} < {2 * n}")
+
+
+def _mean_below_2n(n, data):
+    mean, se = _mean_se(data)
+    return ((not data.errors.any()) and mean + 3 * se < 2 * n,
+            f"mean {mean:.1f} vs 2n = {2 * n}")
+
+
+def _noiseless_mean(n, data):
+    mean, se = _mean_se(data)
+    f_n = exact_expected_queries(n)
+    return ((not data.errors.any()) and abs(mean - f_n) <= 3 * se,
+            f"mean {mean:.2f} vs f({n}) = {f_n:.2f}")
+
+
+def _scaling(eps):
+    """The comb group's check: each size errs below ``eps``, and queries/n
+    stays within a factor of 2 across the sizes."""
+    def check(runs):
+        ratios = [data.queries.mean() / n for n, data in runs]
+        scaling_ok = max(ratios) <= 2.0 * min(ratios)
+        return [(data.errors.mean() < eps and scaling_ok, f"queries/n {ratio:.1f}")
+                for (n, data), ratio in zip(runs, ratios)]
+    return check
+
+
+def _claims(max_n: int) -> list[Claim]:
+    """The desk report's claims, in row and stream order."""
+    eps = 0.1
+    sizes = [s for s in (256, 512, 1024, 2048) if s <= max_n] or [max_n]
+    cap = max(max_n, 512)
+    hard_n = cap - (cap - 2) % 3        # the largest komod-hard n up to cap
+    return [
+        Claim("compl", ("lemma2:101",), "construction", "construction:lemma2", 2.0, None, 400,
+              "error(t=2) = 0, queries = n(n-1)/2", _each(_quadratic)),
+        Claim("compl", ("uniform01:64",), "pivot-killer", "pivot-killer", 2.0, None, 400,
+              "error(t=2) = 0, queries = n(n-1)/2 (adaptive)", _each(_quadratic)),
+        # almost always a bottom-layer output: floor asserted, rate reported
+        Claim("seq", ("seqhard:3,3",), "construction", "construction:seq-hard", 2.5, None, 20000,
+              "layered instance drives output far below the max (qualitative)",
+              _each(_error_above, 0.25)),
+        Claim("seq", ("lemma1:15",), "construction", "construction:lemma1", 0.9, None, 20000,
+              "regular tournament makes any output a uniform guess: error ~ 1-1/n",
+              _each(_uniform_guess)),
+        Claim("ko-mod", ("uniform01:1024",), "smaller-wins", "smaller-wins", 3.0, eps, 500,
+              "error(t=3) < eps and queries < n + log2(n)^4 ceil((1/e)ln(1/e))^2 / 2",
+              _each(_knockout_bound, eps)),
+        Claim("ko-mod", ("komodhard:1025",), "construction", "construction:komod-hard", 3.0,
+              eps, 500, "error(t=3) < eps and query bound, on the hard instance",
+              _each(_knockout_bound, eps)),
+        Claim("ko-mod", (f"komodhard:{hard_n}",), "construction", "construction:komod-hard",
+              2.9, eps, 300, "hard instance keeps error below t=3 bounded away from zero",
+              _each(_error_above, 0.02)),
+        Claim("q-select", ("zeros:1000",), "smaller-wins", "smaller-wins", 2.0, None, 4000,
+              "error(t=2) = 0 and mean queries < 2n (exact value 1985.03 at n=1000)",
+              _each(_transitive_mean)),
+        Claim("q-select", ("zeros:1000",), "random", "random", 2.0, None, 2500,
+              "error(t=2) = 0 and mean queries < 2n", _each(_mean_below_2n)),
+        Claim("q-select", ("zeros:50",), "pivot-killer", "pivot-killer", 2.0, None, 200,
+              "adaptive adversary forces exactly n(n-1)/2 queries, still error 0",
+              _each(_quadratic)),
+        *(Claim("comb", tuple(f"{kind}:{n}" for n in sizes), adversary, adversary, 2.0, eps,
+                40, "error(t=2) < eps and queries/n bounded across sizes", _scaling(eps))
+          for kind, adversary in (("zeros", "pivot-killer"), ("uniform01", "smaller-wins"))),
+        Claim("q-sort", ("distinct:50",), "lower-index-wins", "lower-index-wins", 2.0, None,
+              3000, "sorted within t=2 always; noiseless mean queries = f(n)",
+              _each(_noiseless_mean)),
+        Claim("q-sort", ("lemma2:101",), "construction", "construction:lemma2", 2.0, None, 500,
+              "sorted within t=2 against the regular hard tournament", _each(_error_free)),
+        Claim("compl-sort", ("lemma2:101",), "construction", "construction:lemma2", 2.0, None,
+              400, "sorted within t=2 always, n(n-1)/2 queries", _each(_quadratic)),
+    ]
 
 
 def bound_report(seed: int = 0, out_dir: Optional[str] = None,
                  max_n: int = 2048, scale: float = 1.0) -> BoundReport:
-    """Run the whole claim suite with sub-streams of ``seed``; one stream per
-    row keeps rows independent and the CSV reproducible.
+    """Run every claim of the desk table with sub-streams of ``seed``: one
+    stream per config, in table order, keeps rows independent and the CSV
+    reproducible.
 
     ``max_n``, from 1 to ``MAX_INSTANCE_SIZE``, is the n of the last ko-mod
     hard-instance row (at least 512) and caps the n of the comb rows.
@@ -105,147 +232,18 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
                          f"got {max_n}")
     t0 = time.perf_counter()
     rows: list[ReportRow] = []
-    stream = iter(range(1000))
-
-    def run(algorithm, instance, adversary, *, t, trials, epsilon=None):
-        cfg = TrialConfig(algorithm=algorithm, instance=instance,
-                          adversary=adversary, t=t, epsilon=epsilon,
-                          trials=_scaled(trials, scale), seed=seed,
-                          stream=next(stream))
-        return run_trials(cfg)
-
-    def add(algorithm, adversary, n, t, epsilon, claim, data, ok, note=""):
-        rows.append(ReportRow(algorithm, adversary, n, t, epsilon, claim,
-                              data.summary(), ok, note))
-
-    # --- complete tournament: zero 2-approximation error, binom(n,2) queries
-    n = 101
-    data = run("compl", f"lemma2:{n}", "construction", t=2.0, trials=400)
-    exact = n * (n - 1) // 2
-    add("compl", "construction:lemma2", n, 2.0, None,
-        "error(t=2) = 0, queries = n(n-1)/2",
-        data, ok=(not data.errors.any()) and (data.queries == exact).all())
-    n = 64
-    data = run("compl", f"uniform01:{n}", "pivot-killer", t=2.0, trials=400)
-    add("compl", "pivot-killer", n, 2.0, None,
-        "error(t=2) = 0, queries = n(n-1)/2 (adaptive)",
-        data, ok=(not data.errors.any()) and (data.queries == n * (n - 1) // 2).all())
-
-    # --- sequential selection: cheap but inconsistent on the layered instance
-
-    # (output is almost always a bottom-layer value; floor asserted, rate reported)
-    n = 27
-    data = run("seq", "seqhard:3,3", "construction", t=2.5, trials=20000)
-    rate = float(data.errors.mean())
-    add("seq", "construction:seq-hard", n, 2.5, None,
-        "layered instance drives output far below the max (qualitative)",
-        data, ok=rate > 0.25, note=f"measured rate {rate:.4f}")
-    n = 15
-    data = run("seq", f"lemma1:{n}", "construction", t=0.9, trials=20000)
-    rate = float(data.errors.mean())
-    expected = 1.0 - 1.0 / n
-    band = 4 * math.sqrt(expected * (1 - expected) / len(data.errors))
-    add("seq", "construction:lemma1", n, 0.9, None,
-        "regular tournament makes any output a uniform guess: error ~ 1-1/n",
-        data, ok=abs(rate - expected) <= band, note=f"expected {expected:.4f}")
-
-    # --- modified knock-out: 3-approximation w.p. 1-eps, near-linear queries
-    eps = 0.1
-    n = 1024
-    data = run("ko-mod", f"uniform01:{n}", "smaller-wins", t=3.0,
-               epsilon=eps, trials=500)
-    bound = knockout_query_bound(n, eps)
-    add("ko-mod", "smaller-wins", n, 3.0, eps,
-        "error(t=3) < eps and queries < n + log2(n)^4 ceil((1/e)ln(1/e))^2 / 2",
-        data, ok=(data.summary().error_ci95[1] < eps) and
-                 (data.queries.max() < bound))
-    n = 1025
-    data = run("ko-mod", f"komodhard:{n}", "construction", t=3.0,
-               epsilon=eps, trials=500)
-    bound = knockout_query_bound(n, eps)
-    add("ko-mod", "construction:komod-hard", n, 3.0, eps,
-        "error(t=3) < eps and query bound, on the hard instance",
-        data, ok=(data.summary().error_ci95[1] < eps) and
-                 (data.queries.max() < bound))
-    n = _largest_komod_n(max(max_n, 512))
-    data = run("ko-mod", f"komodhard:{n}", "construction", t=2.9,
-               epsilon=eps, trials=300)
-    rate = float(data.errors.mean())
-    add("ko-mod", "construction:komod-hard", n, 2.9, eps,
-        "hard instance keeps error below t=3 bounded away from zero",
-        data, ok=rate > 0.02, note=f"measured rate {rate:.4f}")
-
-    # --- quick-select: zero error at t=2; expected queries < 2n non-adaptive;
-    #     exactly binom(n,2) against the pivot-killer
-    n = 1000
-    data = run("q-select", f"zeros:{n}", "smaller-wins", t=2.0, trials=4000)
-    mean = data.queries.mean()
-    se = data.queries.std(ddof=1) / math.sqrt(len(data.queries))
-    # the transitive graph realized by this config has an exact expectation
-    # oracle; its value sits below 2n and the measured mean must match it
-    # (a direct mean-vs-2n test would need ~1e5 trials: the per-run std is
-    # about 0.7n here)
-    exact_mean = transitive_expected_queries(n)
-    add("q-select", "smaller-wins", n, 2.0, None,
-        "error(t=2) = 0 and mean queries < 2n (exact value 1985.03 at n=1000)",
-        data, ok=(not data.errors.any()) and (exact_mean < 2 * n)
-                 and (abs(mean - exact_mean) <= 3 * se),
-        note=f"mean {mean:.1f} vs exact {exact_mean:.1f} < {2 * n}")
-    data = run("q-select", f"zeros:{n}", "random", t=2.0, trials=2500)
-    mean = data.queries.mean()
-    se = data.queries.std(ddof=1) / math.sqrt(len(data.queries))
-    add("q-select", "random", n, 2.0, None,
-        "error(t=2) = 0 and mean queries < 2n",
-        data, ok=(not data.errors.any()) and (mean + 3 * se < 2 * n),
-        note=f"mean {mean:.1f} vs 2n = {2 * n}")
-    n = 50
-    data = run("q-select", f"zeros:{n}", "pivot-killer", t=2.0, trials=200)
-    exact = n * (n - 1) // 2
-    add("q-select", "pivot-killer", n, 2.0, None,
-        "adaptive adversary forces exactly n(n-1)/2 queries, still error 0",
-        data, ok=(not data.errors.any()) and (data.queries == exact).all())
-
-    # --- combination: 2-approximation w.p. 1-eps with linear query scaling
-    sizes = [s for s in (256, 512, 1024, 2048) if s <= max_n] or [max_n]
-    for instance_kind, adv in (("zeros", "pivot-killer"),
-                               ("uniform01", "smaller-wins")):
-        group = []
-        for n in sizes:
-            data = run("comb", f"{instance_kind}:{n}", adv, t=2.0,
-                       epsilon=eps, trials=40)
-            group.append((n, data))
-        ratios = [d.queries.mean() / n for n, d in group]
-        scaling_ok = max(ratios) <= 2.0 * min(ratios)
-        for (n, data), ratio in zip(group, ratios):
-            add("comb", adv, n, 2.0, eps,
-                "error(t=2) < eps and queries/n bounded across sizes",
-                data, ok=(data.errors.mean() < eps) and scaling_ok,
-                note=f"queries/n {ratio:.1f}")
-
-    # --- sorting: zero 2-approximation sort error; quick-sort matches the
-    #     noiseless expectation oracle
-    n = 50
-    data = run("q-sort", f"distinct:{n}", "lower-index-wins", t=2.0,
-               trials=3000)
-    f_n = exact_expected_queries(n)
-    mean = data.queries.mean()
-    se = data.queries.std(ddof=1) / math.sqrt(len(data.queries))
-    add("q-sort", "lower-index-wins", n, 2.0, None,
-        "sorted within t=2 always; noiseless mean queries = f(n)",
-        data, ok=(not data.errors.any()) and (abs(mean - f_n) <= 3 * se),
-        note=f"mean {mean:.2f} vs f({n}) = {f_n:.2f}")
-    n = 101
-    data = run("q-sort", f"lemma2:{n}", "construction", t=2.0, trials=500)
-    add("q-sort", "construction:lemma2", n, 2.0, None,
-        "sorted within t=2 against the regular hard tournament",
-        data, ok=not data.errors.any())
-    data = run("compl-sort", f"lemma2:{n}", "construction", t=2.0,
-               trials=400)
-    exact = n * (n - 1) // 2
-    add("compl-sort", "construction:lemma2", n, 2.0, None,
-        "sorted within t=2 always, n(n-1)/2 queries",
-        data, ok=(not data.errors.any()) and (data.queries == exact).all())
-
+    stream = itertools.count()
+    for c in _claims(max_n):
+        runs = []
+        for instance in c.instances:
+            data = run_trials(TrialConfig(
+                algorithm=c.algorithm, instance=instance, adversary=c.adversary,
+                t=c.t, epsilon=c.epsilon, trials=max(10, int(round(c.trials * scale))),
+                seed=seed, stream=next(stream)))
+            runs.append((data.n, data))
+        for (n, data), (ok, note) in zip(runs, c.check(runs)):
+            rows.append(ReportRow(c.algorithm, c.label, n, c.t, c.epsilon,
+                                  c.claim, data.summary(), bool(ok), note))
     wall = time.perf_counter() - t0
     csv_text = CSV_HEADER + "\n" + "\n".join(r.csv() for r in rows) + "\n"
     text = _render_text(rows, wall)
@@ -267,7 +265,7 @@ def _render_text(rows, wall) -> str:
         lines.append(f"       error_rate={s.error_rate:.6g} "
                      f"ci95=({s.error_ci95[0]:.4g}, {s.error_ci95[1]:.4g}) "
                      f"q_mean={s.query_mean:.6g} q_max={s.query_max:g} "
-                     f"trials={s.trials}")
+                     f"trials={s.trials} wall={s.wall_time:.3f}s")
         if r.note:
             lines.append(f"       note: {r.note}")
     n_ok = sum(r.ok for r in rows)

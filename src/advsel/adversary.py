@@ -540,36 +540,17 @@ class PolicyTournament(RuleTournament):
         index asc) and the index. They are one too when every two distinct
         values are forced, each gap between neighbouring sorted distinct
         values above delta: value order, ties to the lower index. ``random``
-        never is.
+        never is. ``wins_within`` makes the same test on a round-robin's
+        items alone.
 
         Exact under rounding: the values are finite and rounded subtraction
         is monotone, so ``fl(max - min)`` bounds every ``fl(v_a - v_b)``
         ``beats`` computes, and the gap between neighbouring distinct values
         bounds every larger gap from below."""
         if self._key is _UNSOUGHT:
-            self._key = self._find_order()
+            self._key = _policy_order(self.policy, self.instance.values,
+                                      self.instance.delta)
         return self._key
-
-    def _find_order(self) -> Optional[np.ndarray]:
-        if self.policy == "random":
-            return None
-        values, delta = self.instance.values, self.instance.delta
-        if self.policy != "larger-wins":
-            with np.errstate(over="ignore"):
-                free = values.max() - values.min() <= delta
-            if free:    # the policy's own order
-                if self.policy == "lower-index-wins":
-                    return np.arange(self.n - 1, -1, -1)
-                return _top_first(np.argsort(values, kind="stable"))
-        # value order, ties to the lower index
-        order = np.argsort(-values, kind="stable")
-        if self.policy != "larger-wins":
-            ranked = values[order]
-            with np.errstate(over="ignore"):
-                gaps = ranked[:-1] - ranked[1:]
-            if ((gaps > 0) & (gaps <= delta)).any():
-                return None     # a free pair of distinct values
-        return _top_first(order)
 
     def beats(self, a, b):
         values, delta = self.instance.values, self.instance.delta
@@ -590,21 +571,17 @@ class PolicyTournament(RuleTournament):
         return (d > delta) | ((d >= -delta) & pref)
 
     def wins_within(self, items):
-        """Counted in O(m log m) for smaller-wins, from the items' (value,
-        index) order; the other policies use the grid."""
-        if self.policy != "smaller-wins":
+        """The items' ranks when their own values make them an order
+        (``_policy_order``): an item then beats exactly the items below it,
+        in O(m log m). Else, and always for ``random``, the grid."""
+        if len(items) < 2:      # no pair
+            return np.zeros(len(items), dtype=np.int64)
+        ranked = np.sort(items)
+        key = _policy_order(self.policy, self.instance.values[ranked],
+                            self.instance.delta)
+        if key is None:
             return super().wins_within(items)
-        values = self.instance.values[items]
-        order = np.lexsort((items, values))
-        rank = np.empty(len(items), dtype=np.int64)
-        rank[order] = np.arange(len(items))
-        # a beats b when d = v_a - v_b > delta (forced), or when b comes
-        # after a in (value, index) order and d >= -delta (free)
-        ranked = values[order]
-        delta = self.instance.delta
-        forced = _prefix_lengths(values, ranked, np.greater, delta)
-        free_end = _prefix_lengths(values, ranked, np.greater_equal, -delta)
-        return forced + free_end - rank - 1
+        return key[np.searchsorted(ranked, items)]
 
 
 _UNSOUGHT = object()    # an order key not looked for yet
@@ -617,21 +594,29 @@ def _top_first(order: np.ndarray) -> np.ndarray:
     return key
 
 
-def _prefix_lengths(x: np.ndarray, ranked: np.ndarray, holds, limit) -> np.ndarray:
-    """For each x[i], how many of the ascending ``ranked`` values r give
-    ``holds(x[i] - r, limit)``. The rounded difference falls as r rises, so
-    those r are a prefix, whose length a vectorized bisection finds on the
-    expression ``PolicyTournament.beats`` evaluates: exact under rounding."""
-    ranked = np.append(ranked, np.inf)  # past the end, no difference holds
-    lo = np.zeros(len(x), dtype=np.int64)
-    hi = np.full(len(x), len(x), dtype=np.int64)
-    with np.errstate(over="ignore"):
-        for _ in range(len(x).bit_length()):
-            mid = (lo + hi) >> 1
-            inside = holds(x - ranked[mid], limit)
-            lo = np.where(inside, mid + 1, lo)
-            hi = np.where(inside, hi, mid)
-    return lo
+def _policy_order(policy: str, values: np.ndarray,
+                  delta: float) -> Optional[np.ndarray]:
+    """The keys of ``PolicyTournament.order_key`` for ``policy`` on
+    ``values`` at ``delta``, indexed by position in ``values``; None when
+    the policy's graph on them is no order."""
+    if policy == "random":
+        return None
+    if policy != "larger-wins":
+        with np.errstate(over="ignore"):
+            free = values.max() - values.min() <= delta
+        if free:    # the policy's own order
+            if policy == "lower-index-wins":
+                return np.arange(len(values) - 1, -1, -1)
+            return _top_first(np.argsort(values, kind="stable"))
+    # value order, ties to the lower index
+    order = np.argsort(-values, kind="stable")
+    if policy != "larger-wins":
+        ranked = values[order]
+        with np.errstate(over="ignore"):
+            gaps = ranked[:-1] - ranked[1:]
+        if ((gaps > 0) & (gaps <= delta)).any():
+            return None     # a free pair of distinct values
+    return _top_first(order)
 
 
 def build_nonadaptive(instance: Instance, policy: str,

@@ -193,7 +193,8 @@ class LaneBlock:
     A graph that is an order (``order_key``) answers as one: the lanes then
     carry each graph item's key in place of the item, and a query is one
     comparison of keys. The keys rank ``beats``; a block takes them only
-    from a kept graph, whose pivot rounds are its ``beats``.
+    from a kept graph, whose pivot rounds are its ``beats``. A round-robin
+    asks the graph's ``wins_within``, keys or not.
 
     With stride 0, keys that run monotone over the starting items
     (``run_sign``) make every lane's segment one run of them: the items a
@@ -265,11 +266,6 @@ class LaneBlock:
         one row per lane, counted once for a graph the lanes share."""
         m = len(items)
         self.queries += m * (m - 1) // 2
-        if self.key is not None:
-            # an item beats exactly the items of its lane with lower keys
-            rows = items + self._offsets()[:, None] if self.stride else items
-            ranks = self.key[rows].argsort(axis=-1).argsort(axis=-1)
-            return np.broadcast_to(ranks, (len(self), m))
         if not self.stride:
             return np.broadcast_to(self.graph.wins_within(items), (len(self), m))
         return np.stack([self.graph.wins_within(items + k) for k in self._offsets()])

@@ -221,19 +221,26 @@ def bound_report(seed: int = 0, out_dir: Optional[str] = None,
 
     ``max_n``, from 1 to ``MAX_INSTANCE_SIZE``, is the n of the last ko-mod
     hard-instance row (at least 512) and caps the n of the comb rows.
-    ``scale`` multiplies every row's trial count. The statistical pass/fail
-    columns are calibrated for the full desk scale (1.0); shrunken runs are
-    for smoke-testing reproducibility and may show spurious failures.
+    ``scale`` multiplies every row's trial count, which must stay at most
+    2**32. The statistical pass/fail columns are calibrated for the full
+    desk scale (1.0); shrunken runs are for smoke-testing reproducibility
+    and may show spurious failures.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
     if not 1 <= check_number("max_n", max_n) <= MAX_INSTANCE_SIZE:
         raise ValueError(f"max_n must be between 1 and {MAX_INSTANCE_SIZE}, "
                          f"got {max_n}")
+    claims = _claims(max_n)
+    # round is monotone, so the row with the most trials has the most scaled
+    most = max(c.trials for c in claims) * scale
+    if not (math.isfinite(most) and round(most) <= 2 ** 32):
+        raise ValueError(f"scale {scale!r} gives a row {most:g} trials, "
+                         "more than 2**32")
     t0 = time.perf_counter()
     rows: list[ReportRow] = []
     stream = itertools.count()
-    for c in _claims(max_n):
+    for c in claims:
         runs = []
         for instance in c.instances:
             data = run_trials(TrialConfig(

@@ -773,6 +773,65 @@ class TestCountedWins:
         assert TournamentGraph.wins_within(graph, items).tolist() == expect
 
 
+class TestRankedWins:
+    """A policy graph counts a round-robin from the items' ranks when their
+    own values make them an order, asking no grid, and from the grid else."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        calls = []
+        blocks = TournamentGraph._blocks
+
+        def spy(graph, rows, cols):
+            calls.append(len(rows))
+            return blocks(graph, rows, cols)
+
+        monkeypatch.setattr(TournamentGraph, "_blocks", spy)
+        return calls
+
+    @staticmethod
+    def _check(graph, items):
+        want = [sum(policy_beats(graph, a, b) for b in items.tolist() if b != a)
+                for a in items.tolist()]
+        assert graph.wins_within(items).tolist() == want
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 0.0, 0.9, 0.5, 0.2, 0.0],     # every pair free
+        [6.0, 0.0, 3.0, 9.0, -3.0, 1.5],    # every pair of distinct values forced
+    ])
+    @pytest.mark.parametrize("policy", [p for p in NONADAPTIVE_POLICIES
+                                        if p != "random"] + ["pivot-killer"])
+    def test_orders_rank(self, grids, policy, values):
+        inst = Instance(values, 1.0)
+        graph = (PivotKiller().bulk(inst) if policy == "pivot-killer"
+                 else build_nonadaptive(inst, policy))
+        for items in ([4, 0, 5, 2, 1, 3], [3, 1], [2], []):
+            self._check(graph, np.array(items, dtype=np.int64))
+        assert grids == []
+
+    def test_one_level_of_seqhard_ranks(self, grids):
+        # neighbouring levels are free pairs of distinct values: no order
+        inst, graph = sequential_hard_instance(3, 3)
+        assert graph.order_key() is None
+        for level in np.unique(inst.values):
+            self._check(graph, np.flatnonzero(inst.values == level)[::-1])
+        assert grids == []
+
+    @pytest.mark.parametrize("policy, values", [
+        ("random", [0.0, 0.0, 0.0, 0.0]),
+        # 0 beats 1 and 1 beats 2 (free), 2 beats 0 (forced): a cycle
+        ("smaller-wins", [0.0, 0.6, 1.2, 0.6]),
+        ("lower-index-wins", [0.0, 0.6, 1.2, 0.6]),
+        ("pivot-killer", [0.0, 0.6, 1.2, 0.6]),
+    ])
+    def test_other_items_use_the_grid(self, grids, policy, values):
+        inst = Instance(values, 1.0)
+        graph = (PivotKiller().bulk(inst) if policy == "pivot-killer"
+                 else build_nonadaptive(inst, policy, RngSeed(3)))
+        self._check(graph, np.array([3, 0, 2, 1]))
+        assert grids != []
+
+
 def _triangle_wins(beats, items, log):
     """Round-robin wins from one ``beats`` call over ``np.triu_indices``."""
     rows, cols = np.triu_indices(len(items), 1)

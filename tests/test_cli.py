@@ -495,6 +495,17 @@ class TestReport:
                                           "--scale", scale)
         assert "scale" in err
 
+    @pytest.mark.parametrize("scale", ["1e308", "1e6"])
+    def test_too_many_trials_one_line_error(self, capsys, monkeypatch, scale):
+        # 1e308 overflows a row's trial count; 1e6 gives seq's 20000-trial
+        # rows 2e10, past 2**32: both are refused before any row runs
+        import advsel.report as report_mod
+        rows = []
+        monkeypatch.setattr(report_mod, "run_trials", lambda *a, **k: rows.append(a))
+        err = assert_one_line_input_error(capsys, "report", "--seed", "1",
+                                          "--scale", scale)
+        assert "2**32" in err and rows == []
+
     @pytest.mark.parametrize("max_n", ["0", "-5", "100000000"])
     def test_bad_max_n_one_line_error(self, capsys, monkeypatch, max_n):
         import advsel.report as report_mod

@@ -1,5 +1,5 @@
-"""What the gated traffic runs of ``src/advsel``: its lane forms, and the
-lines of each function it never runs.
+"""What the gated traffic runs of ``src/advsel``: its lane forms, how its
+round-robins are answered, and the lines of each function it never runs.
 
 The gated traffic is everything whose numbers are checked: one pass of each
 workload of ``advbench/workloads.py`` (imported, never changed) on each of
@@ -14,6 +14,14 @@ without order keys), a run (a q-select or q-sort block on keys that run
 monotone over its items), stacked (with or without keys) or shared (lemma1's
 graph); a lane algorithm's block of trials that runs one session per trial
 counts as per trial.
+
+Round-robins are counted by how they were answered, by wrapping the
+``wins_within`` of ``adversary``'s graphs and ``_round_robin_wins``: ranked
+(a policy graph whose items' values make them an order), policy grid (a
+policy graph's items that are no order, ``random``'s always), grid (any
+other graph's blocked ``beats`` grids), counted (a construction's counted
+wins) or per pair (every pair asked alone, in order: a logged round-robin,
+the memo's or Scheffe's).
 
 Run from anywhere, with no arguments; it writes no file:
 
@@ -41,6 +49,7 @@ PACKAGE = SRC / "advsel"
 REPORT_SEED = 20250810
 FORMS = ("kept keyed", "kept keyless", "run", "stacked keyed", "stacked keyless",
          "shared", "per trial")
+ANSWERS = ("ranked", "policy grid", "grid", "counted", "per pair")
 
 
 def _functions(code: types.CodeType):
@@ -101,13 +110,70 @@ class LineTrace:
         return out
 
 
-class LaneForms:
-    """Counts of the harness's lane blocks by form, per traffic source."""
+class Tally:
+    """Counts by kind, per traffic source, printed as a table of ``kinds``
+    by source."""
 
-    def __init__(self, harness, algorithms):
-        self.run_sign = algorithms.run_sign
+    kinds: tuple[str, ...] = ()
+
+    def __init__(self):
         self.counts: dict[str, Counter] = {}
         self.source: Counter = Counter()
+
+    def start(self, name: str) -> None:
+        self.source = self.counts.setdefault(name, Counter())
+
+    def table(self, label: str) -> list[str]:
+        names = list(self.counts)
+        width = max(len(n) for n in names + [label])
+        head = " | ".join([label.ljust(15)] + [n.rjust(width) for n in names])
+        rows = [head, "-" * len(head)]
+        for kind in self.kinds:
+            rows.append(" | ".join([kind.ljust(15)] + [
+                str(self.counts[n][kind]).rjust(width) for n in names]))
+        return rows
+
+
+class RoundRobins(Tally):
+    """Counts of round-robins by how they were answered, per traffic source."""
+
+    kinds = ANSWERS
+
+    def __init__(self, adversary, scheffe):
+        super().__init__()
+        policy_wins = adversary.PolicyTournament.wins_within
+
+        def counted(kind, answer):
+            def spy(*args, **kwargs):
+                self.source[kind] += 1
+                return answer(*args, **kwargs)
+            return spy
+
+        def ranked(graph, items):
+            grids = self.source["grid"]
+            wins = policy_wins(graph, items)
+            fell = self.source["grid"] - grids      # 1 when it fell to the grid
+            self.source["grid"] -= fell
+            self.source["policy grid" if fell else "ranked"] += 1
+            return wins
+
+        adversary.TournamentGraph.wins_within = counted(
+            "grid", adversary.TournamentGraph.wins_within)
+        adversary.PolicyTournament.wins_within = ranked
+        adversary.ConstructionTournament.wins_within = counted(
+            "counted", adversary.ConstructionTournament.wins_within)
+        adversary._round_robin_wins = scheffe._round_robin_wins = counted(
+            "per pair", adversary._round_robin_wins)
+
+
+class LaneForms(Tally):
+    """Counts of the harness's lane blocks by form, per traffic source."""
+
+    kinds = FORMS
+
+    def __init__(self, harness, algorithms):
+        super().__init__()
+        self.run_sign = algorithms.run_sign
         self._form = None   # the form of the ``_lane_trials`` call running
         self._config = None
         lane_trials, lane_block = harness._lane_trials, harness.LaneBlock
@@ -152,19 +218,6 @@ class LaneForms:
             return "run"
         return f"kept {keyed}"
 
-    def start(self, name: str) -> None:
-        self.source = self.counts.setdefault(name, Counter())
-
-    def table(self) -> list[str]:
-        names = list(self.counts)
-        width = max(len(n) for n in names + ["form"])
-        head = " | ".join(["form".ljust(15)] + [n.rjust(width) for n in names])
-        rows = [head, "-" * len(head)]
-        for form in FORMS:
-            rows.append(" | ".join([form.ljust(15)] + [
-                str(self.counts[n][form]).rjust(width) for n in names]))
-        return rows
-
 
 def main() -> int:
     os.environ["ADVSEL_THREADS"] = "1"    # one process, so the trace sees it all
@@ -172,23 +225,31 @@ def main() -> int:
         sys.path.insert(0, path)
     trace = LineTrace()
     with trace:
-        from advsel import algorithms, harness, report
+        from advsel import adversary, algorithms, harness, report, scheffe
         import workloads
         forms = LaneForms(harness, algorithms)
+        answers = RoundRobins(adversary, scheffe)
+
+        def start(name):
+            forms.start(name)
+            answers.start(name)
+
         for seed in workloads.GOLDEN_SEEDS:
             for name in workloads.WORKLOADS:
-                forms.start(f"{name} {seed}")
+                start(f"{name} {seed}")
                 for call in workloads.Workload(name, seed).prepare(0):
                     call()
-        forms.start("report")
+        start("report")
         report.bound_report(seed=REPORT_SEED)
-        forms.start("acceptance")
+        start("acceptance")
         import pytest
         status = pytest.main(["-q", "-p", "no:cacheprovider", "-o", "addopts=",
                               str(ROOT / "tests" / "test_acceptance.py")])
     print("LaneBlock constructions by form (per trial: blocks of trials run "
           "one session each)")
-    print("\n".join(forms.table()))
+    print("\n".join(forms.table("form")))
+    print("\nRound-robins by how they were answered")
+    print("\n".join(answers.table("answer")))
     print("\nLines of src/advsel no gated traffic ran, per function:")
     print("\n".join(trace.unrun()))
     return int(status)

@@ -26,6 +26,7 @@ __all__ = [
     "InvalidQueryError",
     "check_number",
     "check_keys",
+    "check_numbers",
     "check_choice",
     "MAX_INSTANCE_SIZE",
     "as_index",
@@ -58,6 +59,15 @@ def check_number(name: str, value, kind=numbers.Integral):
     except OverflowError:
         raise ValueError(f"{name} is out of float range") from None
     return value
+
+
+def check_numbers(name: str, values):
+    """``values`` of an input field if it is an array of numbers (booleans
+    and nulls are not numbers here); otherwise a ValueError naming the field."""
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} must be an array of numbers (not booleans)")
+    return values
 
 
 def check_choice(what: str, value, choices):
@@ -124,12 +134,7 @@ class Instance:
         if not isinstance(obj, dict) or "values" not in obj:
             raise ValueError("instance JSON must be an object with a 'values' array")
         check_keys("instance JSON", obj, ("values", "delta"))
-        values = obj["values"]
-        if not isinstance(values, (list, tuple)) or not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in values):
-            raise ValueError("instance 'values' must be an array of numbers "
-                             "(not booleans)")
+        values = check_numbers("instance 'values'", obj["values"])
         delta = check_number("instance 'delta'", obj.get("delta", 1.0), numbers.Real)
         return cls(values=values, delta=float(delta))
 

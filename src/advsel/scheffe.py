@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .adversary import ComparatorSession, RuleTournament, _round_robin_wins
 from .algorithms import complete_tournament, quick_select
-from .core import MAX_INSTANCE_SIZE, Instance, check_number
+from .core import (MAX_INSTANCE_SIZE, Instance, check_keys, check_number,
+                   check_numbers)
 
 __all__ = [
     "DiscreteDistribution",
@@ -55,8 +56,9 @@ class DiscreteDistribution:
             raise ValueError("probs must be a nonempty 1-d sequence")
         if (arr < 0).any():
             raise ValueError("probabilities must be non-negative")
-        if not abs(arr.sum() - 1.0) <= _SUM_TOL:   # a NaN sum fails too
-            raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
+        total = float(arr.sum())
+        if not abs(total - 1.0) <= _SUM_TOL:   # a NaN sum fails too
+            raise ValueError(f"probabilities sum to {total}, not 1")
         arr = arr.copy()
         arr.flags.writeable = False
         self.probs = arr
@@ -92,8 +94,7 @@ class SampleSet:
         return np.bincount(self.samples)
 
 
-@dataclass(frozen=True)
-class ScheffeOutcome:
+class ScheffeOutcome(NamedTuple):
     """Result of one pairwise test; ``winner`` is 0 for the first argument,
     1 for the second."""
 
@@ -109,10 +110,10 @@ class ScheffeSelection:
     tests: int    # number of pairwise Scheffe tests performed
 
 
-def _check_support(*dists: DiscreteDistribution):
-    sizes = {d.support_size for d in dists}
-    if len(sizes) != 1:
-        raise ValueError(f"support sizes differ: {sorted(sizes)}")
+def _check_support(p: DiscreteDistribution, q: DiscreteDistribution):
+    a, b = len(p.probs), len(q.probs)
+    if a != b:
+        raise ValueError(f"support sizes differ: {sorted((a, b))}")
 
 
 def l1_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -146,15 +147,18 @@ def scheffe_test(p1: DiscreteDistribution, p2: DiscreteDistribution,
     with ties going to the first argument.
 
     The empirical mass is read from the sample set's histogram, built at its
-    first test, so a test costs O(m) for a support of m atoms, not O(k).
+    first test, so a test costs O(m) for a support of m atoms, not O(k): one
+    comparison, two masked sums and one integer dot.
     """
     _check_support(p1, p2)
-    counts = _sample_counts(samples, p1.support_size)
-    s_set = p1.probs > p2.probs
-    m1 = float(p1.probs[s_set].sum())
-    m2 = float(p2.probs[s_set].sum())
+    probs1, probs2 = p1.probs, p2.probs
+    counts = _sample_counts(samples, len(probs1))
+    s_set = probs1 > probs2
+    # np.add.reduce is the call ndarray.sum makes: numpy's pairwise order, bit for bit
+    m1 = float(np.add.reduce(probs1[s_set]))
+    m2 = float(np.add.reduce(probs2[s_set]))
     # an exact count divided once by k: the mean of the samples' membership
-    mu = int(counts[s_set[:len(counts)]].sum()) / samples.k if samples.k else 0.0
+    mu = int(counts.dot(s_set[:len(counts)])) / samples.k if samples.k else 0.0
     winner = 0 if abs(m1 - mu) <= abs(m2 - mu) else 1
     return ScheffeOutcome(winner, m1, m2, mu)
 
@@ -274,11 +278,13 @@ def candidates_from_json(text: str | dict) -> tuple[DiscreteDistribution,
     obj = json.loads(text) if isinstance(text, str) else text
     if not isinstance(obj, dict):
         raise ValueError("candidates JSON must be an object")
+    check_keys("candidates JSON", obj, ("support", "candidates", "p0"))
     if not isinstance(obj.get("candidates"), list):
         raise ValueError("'candidates' must be a list of probability vectors")
     support = check_number("support", obj["support"])
-    p0 = DiscreteDistribution(obj["p0"])
-    candidates = [DiscreteDistribution(c) for c in obj["candidates"]]
+    p0 = DiscreteDistribution(check_numbers("'p0'", obj["p0"]))
+    candidates = [DiscreteDistribution(check_numbers(f"candidate {i}", c))
+                  for i, c in enumerate(obj["candidates"])]
     for d in (p0, *candidates):
         if d.support_size != support:
             raise ValueError("candidate support does not match declared support")

@@ -439,6 +439,23 @@ class TestScheffe:
         assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
                                     "--k", "10")
 
+    @pytest.mark.parametrize("obj, says", [
+        ({"extra": 1}, "unknown candidates JSON key 'extra'"),
+        ({"p0": [True, False]}, "'p0' must be an array of numbers (not booleans)"),
+        ({"candidates": [[0.5, 0.5], [False, True]]},
+         "candidate 1 must be an array of numbers (not booleans)"),
+        ({"candidates": [[0.5, None]]}, "candidate 0 must be an array of numbers"),
+        ({"p0": None}, "'p0' must be an array of numbers"),
+        ({"candidates": [[0.5, float("nan")]]}, "probabilities sum to nan, not 1"),
+    ])
+    def test_bad_candidates_fields_one_line_error(self, capsys, tmp_path, obj, says):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"support": 2, "candidates": [[0.5, 0.5], [1, 0]],
+                                    "p0": [0.5, 0.5], **obj}))
+        err = assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
+                                          "--k", "10")
+        assert says in err
+
     @pytest.mark.parametrize("k, seed, ratio", [("100", "1", 1.0), ("1", "3", 1.0),
                                                ("1", "1", None)])
     def test_p0_among_candidates_prints_valid_json(self, capsys, tmp_path, k,

@@ -41,6 +41,11 @@ class TestDistribution:
             DiscreteDistribution([1.2, -0.2])
         with pytest.raises(ValueError):
             DiscreteDistribution([])
+        # the sum prints as a plain float, not numpy's repr
+        with pytest.raises(ValueError, match=r"^probabilities sum to nan, not 1$"):
+            DiscreteDistribution([0.5, float("nan")])
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1.1, not 1$"):
+            DiscreteDistribution([0.5, 0.6])
 
     def test_tolerance(self):
         DiscreteDistribution([0.5, 0.5 + 5e-10])
@@ -57,8 +62,9 @@ class TestL1:
         assert abs(l1_distance(dist(0.5, 0.5), dist(0.75, 0.25)) - 0.5) < 1e-12
 
     def test_support_mismatch(self):
-        with pytest.raises(ValueError):
-            l1_distance(dist(1.0), dist(0.5, 0.5))
+        for p, q in ((dist(1.0), dist(0.5, 0.5)), (dist(0.5, 0.5), dist(1.0))):
+            with pytest.raises(ValueError, match=r"support sizes differ: \[1, 2\]"):
+                l1_distance(p, q)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -150,14 +156,25 @@ def gather_test(p1, p2, samples):
 
 @st.composite
 def scheffe_inputs(draw):
-    """Candidates on a support of 2..6 atoms with weights from a few small
-    integers, so atoms tie across candidates (strict witness sets) and some
-    candidates coincide (empty ones), plus k samples for k in {0, 1, small,
-    10^4}."""
-    m = draw(st.integers(2, 6))
-    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
-    cands = [DiscreteDistribution(np.array(w) / sum(w))
-             for w in draw(st.lists(weights, min_size=2, max_size=6))]
+    """Candidates with weights from a few small integers, so atoms tie across
+    candidates (strict witness sets) and some candidates coincide (empty
+    ones), plus k samples for k in {0, 1, small, 10^4}.
+
+    A support of 2..6 atoms gives witness sets under 8 atoms, which numpy
+    sums in sequence; one of 20..200 mostly gives 8..128, its 8-lane
+    unrolled sum; one of 400..700 gives more than 128, its blocked pairwise
+    sum."""
+    m = draw(st.one_of(st.integers(2, 6), st.integers(20, 200),
+                       st.integers(400, 700)))
+    if m <= 6:
+        weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+        rows = draw(st.lists(weights, min_size=2, max_size=6))
+    else:
+        # too many atoms for a drawn list: seeded rows of the same weights
+        rng = RngSeed(draw(st.integers(0, 2 ** 32 - 1))).generator()
+        rows = rng.integers(0, 4, (draw(st.integers(2, 6)), m))
+        rows[rows.sum(axis=1) == 0, 0] = 1
+    cands = [DiscreteDistribution(np.array(w) / sum(w)) for w in rows]
     cands.append(cands[draw(st.integers(0, len(cands) - 1))])
     k = draw(st.sampled_from([0, 1, 2, 7, 100, 10_000]))
     seed = draw(st.integers(0, 2 ** 32 - 1))

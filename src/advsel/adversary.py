@@ -294,19 +294,38 @@ class MemoizedStrategy:
     """Wrapper forcing an adaptive strategy to stay self-consistent: the first
     answer for each unordered pair is replayed on repeat queries.
 
-    Single queries (``decide``) and batches (``bulk``) share one memo, keyed
-    by ``lo << 32 | hi`` for the pair lo < hi, so a strategy reused across
-    sessions or instances replays every pair it has answered."""
+    Single queries (``decide``) and batches (``bulk``) share one memo, the
+    int8 square table ``won``: 0 for a pair not yet asked, 1 where the row
+    item beat the column item, 2 where it lost, written in both orientations.
+    It grows to the largest instance the strategy has seen, within
+    ``DENSE_CELL_BUDGET``, so a strategy reused across sessions or instances
+    replays every pair it has answered."""
 
     def __init__(self, strategy):
         self.strategy = strategy
-        self._memo: dict[int, int] = {}
+        self.won = np.zeros((0, 0), dtype=np.int8)
+
+    def _table(self, n: int) -> np.ndarray:
+        """The table, grown to at least n x n, the old square in its corner."""
+        if n > len(self.won):
+            check_dense_budget(n, "the memo")
+            won = np.zeros((n, n), dtype=np.int8)
+            m = len(self.won)
+            won[:m, :m] = self.won
+            self.won = won
+        return self.won
 
     def decide(self, instance, i, j, log, pivot):
-        code = i << 32 | j if i < j else j << 32 | i
-        winner = self._memo.get(code)
-        if winner is None:
-            winner = self._memo[code] = self.strategy.decide(instance, i, j, log, pivot)
+        won = self._table(instance.n)
+        stored = won[i, j]
+        if stored:
+            return i if stored == 1 else j
+        winner = self.strategy.decide(instance, i, j, log, pivot)
+        # any other answer is the session's to refuse, and is not stored
+        if winner == i:
+            won[i, j], won[j, i] = 1, 2
+        elif winner == j:
+            won[i, j], won[j, i] = 2, 1
         return winner
 
     def bulk(self, instance):
@@ -317,48 +336,54 @@ class MemoizedStrategy:
         rule = None if inner is None else inner(instance)
         if rule is None:
             return None
-        if self._memo:
-            codes = np.fromiter(self._memo, dtype=np.int64, count=len(self._memo))
-            lo, hi = codes >> 32, codes & 0xFFFFFFFF
-            inside = hi < instance.n
-            winners = np.fromiter(self._memo.values(), dtype=np.int64,
-                                  count=len(codes))[inside]
+        n = instance.n
+        if self.won.size:
             # a stored loser forced to beat its winner
-            if instance.forces((lo + hi)[inside] - winners, winners).any():
+            losers, winners = np.nonzero(self.won[:n, :n] == 2)
+            if instance.forces(losers, winners).any():
                 return None
-        return _MemoizedBatches(rule, self._memo, instance)
+        self._table(n)
+        return _MemoizedBatches(rule, self, instance)
 
 
 class _MemoizedBatches:
     """A memoized strategy's batch answers: its inner strategy's answers for
-    a batch, then one pass over the pairs in order that keeps a stored answer
-    or stores the new one (``dict.setdefault``), as ``decide`` would."""
+    a batch, the stored answer wherever the memo's table has one, written
+    back to the table in both orientations. Every batch form answers a pair
+    one way, so a pair repeated within a batch gets the same write. The table
+    is read from the memo at each batch: a session on a larger instance may
+    have grown it since."""
 
     __slots__ = ("rule", "memo", "instance")
 
-    def __init__(self, rule, memo: dict, instance: Instance):
+    def __init__(self, rule, memo: MemoizedStrategy, instance: Instance):
         self.rule, self.memo, self.instance = rule, memo, instance
 
     def _replay(self, a, b, a_wins):
         """Whether a beats b for each pair, once the memo has had its say."""
-        winners = np.where(a_wins, a, b)
-        codes = np.minimum(a, b) << 32 | np.maximum(a, b)
-        stored = np.fromiter(map(self.memo.setdefault, codes.tolist(), winners.tolist()),
-                             dtype=np.int64, count=len(codes))
-        replayed = stored != winners
-        # a stored answer from another instance's session may break a forced
-        # pair: the replayed loser, the new winner, is forced to beat it
-        if replayed.any() and self.instance.forces(winners[replayed],
-                                                   stored[replayed]).any():
-            raise AdversaryProtocolError(
-                "a memoized answer breaks a forced pair of this instance")
-        return stored == a
+        won = self.memo.won
+        stored = won[a, b]
+        if stored.any():
+            replayed = stored == 1 + a_wins     # the other answer is stored
+            # a stored answer from another instance's session may break a
+            # forced pair: the replayed loser, the new winner, is forced to
+            # beat it
+            if replayed.any() and self.instance.forces(
+                    np.where(a_wins, a, b)[replayed],
+                    np.where(a_wins, b, a)[replayed]).any():
+                raise AdversaryProtocolError(
+                    "a memoized answer breaks a forced pair of this instance")
+            a_wins = a_wins ^ replayed
+        # a stored answer rewrites itself
+        won[a, b] = 2 - a_wins
+        won[b, a] = 1 + a_wins
+        return a_wins
 
     def pivot_round_mask(self, items, pivot):
-        rivals = items != pivot
-        mask = np.zeros(len(items), dtype=bool)
-        mask[rivals] = self._replay(items[rivals], np.full(rivals.sum(), pivot),
-                                    self.rule.pivot_round_mask(items, pivot)[rivals])
+        # the column won[items, pivot] and its row; the diagonal cell the
+        # pivot's own entry writes goes back to 0
+        mask = self._replay(items, pivot, self.rule.pivot_round_mask(items, pivot))
+        self.memo.won[pivot, pivot] = 0
         return mask
 
     def beats(self, a, b):

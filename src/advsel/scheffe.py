@@ -278,8 +278,12 @@ def candidates_from_json(text: str | dict) -> tuple[DiscreteDistribution,
     obj = json.loads(text) if isinstance(text, str) else text
     if not isinstance(obj, dict):
         raise ValueError("candidates JSON must be an object")
-    check_keys("candidates JSON", obj, ("support", "candidates", "p0"))
-    if not isinstance(obj.get("candidates"), list):
+    keys = ("support", "candidates", "p0")
+    check_keys("candidates JSON", obj, keys)
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"candidates JSON is missing the key {key!r}")
+    if not isinstance(obj["candidates"], list):
         raise ValueError("'candidates' must be a list of probability vectors")
     support = check_number("support", obj["support"])
     p0 = DiscreteDistribution(check_numbers("'p0'", obj["p0"]))

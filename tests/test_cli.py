@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from advsel.adversary import lemma_one_construction
+from advsel.adversary import (DENSE_CELL_BUDGET, ComparatorSession,
+                              lemma_one_construction)
 from advsel.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from advsel.core import Instance, RngSeed
 from advsel.scheffe import candidates_to_json, planted_suite
@@ -232,6 +233,20 @@ class TestSelect:
                             "--seed", "1", "--json")
         assert code == EXIT_OK and json.loads(out)["queries"] >= 5
 
+    def test_memo_past_the_dense_budget_one_line_error(self, capsys, monkeypatch):
+        # the memoized pivot-killer's memo is n x n: refused before any query
+        asked = []
+        for name in ("query", "pivot_round", "duel", "round_robin"):
+            monkeypatch.setattr(ComparatorSession, name,
+                                lambda *args, name=name: asked.append(name))
+        err = assert_one_line_input_error(
+            capsys, "select", "--algo", "q-select", "--gen", "zeros:9000",
+            "--adversary", json.dumps({"kind": "construction", "name": "pivot-killer",
+                                       "params": {"memoized": True}}),
+            "--seed", "1")
+        assert "the memo" in err and str(DENSE_CELL_BUDGET) in err
+        assert asked == []
+
     def test_construction_past_the_dense_budget(self, capsys):
         # lemma2's graph is a rule: n = 9001 would need 81M dense cells
         code, out = run_cli(capsys, "select", "--gen", "lemma2:9001",
@@ -455,6 +470,16 @@ class TestScheffe:
         err = assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
                                           "--k", "10")
         assert says in err
+
+    @pytest.mark.parametrize("key", ["support", "p0", "candidates"])
+    def test_missing_candidates_key_one_line_error(self, capsys, tmp_path, key):
+        obj = {"support": 2, "candidates": [[0.5, 0.5]], "p0": [0.5, 0.5]}
+        del obj[key]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(obj))
+        err = assert_one_line_input_error(capsys, "scheffe", "--file", str(path),
+                                          "--k", "10")
+        assert f"candidates JSON is missing the key '{key}'" in err
 
     @pytest.mark.parametrize("k, seed, ratio", [("100", "1", 1.0), ("1", "3", 1.0),
                                                ("1", "1", None)])

@@ -13,7 +13,7 @@ order (comb's re-pairings), and must answer as the pairs would."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advsel.adversary import (NONADAPTIVE_POLICIES, AdversaryProtocolError,
@@ -306,6 +306,103 @@ def test_memo_shared_by_live_sessions_on_other_values():
         session.round_robin(np.array([0, 1]))
 
 
+# instances of n = 5, 9 and 3, then up to two more of 2..9 items
+MEMO_SIZES = (5, 9, 3)
+
+
+@st.composite
+def memo_scripts(draw):
+    """Values in 0..3 for each instance (a gap of 2 or 3 is forced), and
+    steps, each on one instance: a single query with or without a pivot hint,
+    a pivot round, a duel batch that repeats a pair and reverses it, or a
+    round-robin."""
+    sizes = [*MEMO_SIZES, *draw(st.lists(st.integers(2, 9), max_size=2))]
+    values = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+              for n in sizes]
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(st.integers(0, len(sizes) - 1))
+        items = draw(st.permutations(range(sizes[k])))[:draw(st.integers(2, sizes[k]))]
+        kind = draw(st.sampled_from(["query", "pivot_round", "duel", "round_robin"]))
+        if kind == "query":
+            steps.append((k, kind, *items[:2], draw(st.sampled_from([None, *items[:2]]))))
+        elif kind == "pivot_round":
+            steps.append((k, kind, draw(st.sampled_from(items)), items))
+        elif kind == "duel":
+            pairs = [(items[0], items[1]), (items[1], items[0]), (items[0], items[1]),
+                     *zip(items[2::2], items[3::2])]
+            pairs = draw(st.permutations(pairs))
+            steps.append((k, kind, [a for a, _ in pairs], [b for _, b in pairs]))
+        else:
+            steps.append((k, kind, items))
+    return values, steps
+
+
+def stored_pairs(memo):
+    """The table memo's stored answers, as ``TupleMemo.memo``."""
+    won = memo.won
+    assert ((won + won.T) % 3 == 0).all() and not won.diagonal().any()
+    lo, hi = np.nonzero(np.triu(won))
+    return {(a, b): a if won[a, b] == 1 else b
+            for a, b in zip(lo.tolist(), hi.tolist())}
+
+
+def run_memo_script(values, steps):
+    """The steps on two sessions per instance, one on a shared table memo
+    and one on a shared ``TupleMemo``, each opened at its instance's first
+    step; which of the table memo's refusals were met: a ``bulk`` declined
+    for a stored answer that breaks a forced pair, or a batch refused for
+    one stored meanwhile by another session."""
+    instances = [Instance(tuple(map(float, v))) for v in values]
+    table, reference = memoized_killer(), TupleMemo(PivotKiller())
+    sessions, taken = {}, set()
+    for k, kind, *args in steps:
+        inst = instances[k]
+        if k not in sessions:
+            if comparator_for(inst, table) is None:
+                taken.add("declined")
+            sessions[k] = (ComparatorSession(inst, table),
+                           ComparatorSession(inst, reference))
+        args = [np.array(x) if isinstance(x, list) else x for x in args]
+        mine, theirs = sessions[k]
+        before = theirs.violations
+        expected = np.asarray(getattr(theirs, kind)(*args)).tolist()
+        try:
+            got = np.asarray(getattr(mine, kind)(*args)).tolist()
+        except AdversaryProtocolError:
+            # the pair by pair reference counts the broken forced pair
+            assert theirs.violations > before
+            taken.add("refused")
+            return taken
+        assert got == expected
+        assert (mine.queries, mine.violations) == (theirs.queries, theirs.violations)
+        assert stored_pairs(table) == reference.memo
+        assert len(table.won) == max(instances[j].n for j in sessions)
+    return taken
+
+
+def test_table_memo_matches_the_dict_memo():
+    """The table memo answers, counts and stores as ``TupleMemo`` asked pair
+    by pair, over sessions on instances whose n grows and shrinks; its
+    declined ``bulk`` and its refused batch are both met."""
+    taken = set()
+
+    # n = 5 stores item 0 beating item 1, whom n = 9 forces to beat it
+    values = [[0] * 5, [0, 3] + [0] * 7, [0] * 3]
+
+    @example(script=(values, [(0, "query", 0, 1, None),
+                              (1, "round_robin", [0, 1, 2])]))
+    @example(script=(values, [(1, "query", 2, 3, None), (0, "query", 0, 1, None),
+                              (1, "duel", [0, 1], [1, 0])]))
+    @settings(max_examples=200, deadline=None)
+    @given(script=memo_scripts())
+    def check(script):
+        taken.update(run_memo_script(*script))
+
+    check()
+    assert taken == {"declined", "refused"}
+
+
 @pytest.mark.parametrize("kind", ["graph", "rule", "larger-wins", "komod-hard",
                                   "memoized-pivot-killer"])
 def test_recording_round_robin_counts_the_logged_wins(kind):
@@ -439,7 +536,8 @@ def test_keyed_duels_answer_as_pairs(case, adversary, epsilon, algorithm, seed):
         outcomes.append((result, session.queries, session.violations,
                          rng.integers(2 ** 32)))
     assert outcomes[0] == outcomes[1]
-    assert getattr(batched, "_memo", None) == getattr(paired, "_memo", None)
+    if adversary == "memoized-pivot-killer":
+        assert batched.won.any() and np.array_equal(batched.won, paired.won)
     keyed = ComparatorSession(inst, batched, record=False).order_key() is not None
     assert keyed == (adversary != "memoized-pivot-killer"
                      and (kind != "mixed" or adversary == "larger-wins"))
